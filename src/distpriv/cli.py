@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,20 +65,15 @@ from .model import (
     PairFamily,
     PrivacyParams,
     SecretLabel,
-    check_assumptions,
     delta_E,
     estimate_gaussian,
     family_from_catalog,
+    fit_common_direction,
     load_catalog,
     save_catalog,
 )
 from .seeding import derive_rng
 from .transport import DiscreteDistribution, is_w_delta_close, min_w_for_delta, winf_distance
-
-MECHANISM_NAMES = (
-    "none", "wass", "awass", "expm-l", "expm-g",
-    "dir-l", "dir-g", "eig", "dau", "gdp-l", "gdp-g",
-)
 
 UTILITY_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,l2_error"
 ATTACK_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,accuracy"
@@ -122,8 +119,8 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ConfigError(f"config list {name} must be nonempty")
         for mech in self.mechanisms:
-            if mech not in MECHANISM_NAMES:
-                raise ConfigError(f"unknown mechanism {mech!r}; choose from {MECHANISM_NAMES}")
+            if mech not in MECHANISMS:
+                raise ConfigError(f"unknown mechanism {mech!r}; choose from {tuple(MECHANISMS)}")
         if not (0.0 < self.p_center < 1.0):
             raise ConfigError("p_center must lie strictly inside (0, 1)")
         for dp in self.delta_p:
@@ -237,6 +234,59 @@ def load_splits(cfg: ExperimentConfig) -> SplitTables:
 # --- plan construction ----------------------------------------------------
 
 
+def _approx_wasserstein(
+    family: PairFamily, params: PrivacyParams, cfg: ExperimentConfig
+) -> NoisePlan:
+    """Laplace scaled to the L1 mean gap plus twice a high-probability L1 radius.
+
+    The radius is a Monte Carlo (1 - delta/2)-quantile of the L1 deviation
+    from the mean, worst case over the family's models, drawn with a
+    derived seed so it is reproducible for a given config; the provenance
+    records it with its draw count.
+    """
+    if params.delta <= 0.0:
+        raise ConfigError("awass requires delta > 0")
+    radius = 0.0
+    for label in family.sorted_labels():
+        model = family.catalog[label]
+        rng = derive_rng(cfg.seed, "awass-radius", label.property_id, label.value)
+        draws = gaussian_model_draws(model, cfg.awass_quantile_draws, rng)
+        radii = np.abs(draws - model.mean).sum(axis=1)
+        radius = max(radius, float(np.quantile(radii, 1.0 - params.delta / 2.0)))
+    plan = calibrate_approx_wasserstein(delta_E(family, 1) + 2.0 * radius, params)
+    plan.provenance.update(l1_radius=radius, l1_radius_method="monte_carlo_quantile",
+                           l1_radius_draws=cfg.awass_quantile_draws)
+    return plan
+
+
+# Mechanism name -> (needs a model catalog, builder(family, params, cfg)).
+# Builders look the calibrations up by name at call time, so rebinding this
+# module's names (as a tracer does) reaches every plan.
+MECHANISMS = {
+    "none": (False, lambda fam, params, cfg: NoisePlan(
+        kind="none", provenance={"mechanism": "none"})),
+    # Translation pairs make the worst-case transport distance equal the
+    # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
+    "wass": (True, lambda fam, params, cfg: calibrate_wasserstein(delta_E(fam, 1), params)),
+    "awass": (True, _approx_wasserstein),
+    "expm-l": (True, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
+    "expm-g": (True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
+    "dir-l": (True, lambda fam, params, cfg: calibrate_directional(
+        fam, fit_common_direction(fam), params, "laplace", angle_tol=cfg.angle_tol)),
+    "dir-g": (True, lambda fam, params, cfg: calibrate_directional(
+        fam, fit_common_direction(fam), params, "gaussian", angle_tol=cfg.angle_tol)),
+    "eig": (True, lambda fam, params, cfg: eig_plan(fam, params, basis_tol=cfg.eigenbasis_tol)),
+    "dau": (True, lambda fam, params, cfg: dau_plan(
+        fam, fit_common_direction(fam), params, angle_tol=cfg.angle_tol, cov_tol=cfg.cov_tol)),
+    "gdp-l": (False, lambda fam, params, cfg: group_dp_calibrate(
+        per_record_sensitivity(cfg.query_components(), cfg.n, 1), cfg.group_size, params,
+        "laplace")),
+    "gdp-g": (False, lambda fam, params, cfg: group_dp_calibrate(
+        per_record_sensitivity(cfg.query_components(), cfg.n, 2), cfg.group_size, params,
+        "gaussian")),
+}
+
+
 def build_plan(
     mechanism: str,
     family: Optional[PairFamily],
@@ -244,52 +294,12 @@ def build_plan(
     cfg: ExperimentConfig,
 ) -> NoisePlan:
     """Resolve a mechanism name from the sweep grid into a noise plan."""
-    if mechanism == "none":
-        return NoisePlan(kind="none", provenance={"mechanism": "none"})
-    if mechanism in ("gdp-l", "gdp-g"):
-        norm = 1 if mechanism.endswith("l") else 2
-        sens = per_record_sensitivity(cfg.query_components(), cfg.n, norm)
-        noise = "laplace" if mechanism.endswith("l") else "gaussian"
-        return group_dp_calibrate(sens, cfg.group_size, params, noise)
-    if family is None:
+    if mechanism not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism {mechanism!r}")
+    needs_family, build = MECHANISMS[mechanism]
+    if needs_family and family is None:
         raise ConfigError(f"mechanism {mechanism!r} requires a model catalog")
-    if mechanism == "wass":
-        # Translation pairs make the worst-case transport distance equal the
-        # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
-        return calibrate_wasserstein(delta_E(family, 1), params)
-    if mechanism == "awass":
-        c = _whp_l1_radius(family, params.delta, cfg)
-        return calibrate_approx_wasserstein(delta_E(family, 1) + 2.0 * c, params)
-    if mechanism in ("expm-l", "expm-g"):
-        return calibrate_expm(family, params, "laplace" if mechanism.endswith("l") else "gaussian")
-    if mechanism in ("dir-l", "dir-g"):
-        v = check_assumptions(family).common_direction
-        noise = "laplace" if mechanism.endswith("l") else "gaussian"
-        return calibrate_directional(family, v, params, noise, angle_tol=cfg.angle_tol)
-    if mechanism == "eig":
-        return eig_plan(family, params, basis_tol=cfg.eigenbasis_tol)
-    if mechanism == "dau":
-        v = check_assumptions(family).common_direction
-        return dau_plan(family, v, params, angle_tol=cfg.angle_tol, cov_tol=cfg.cov_tol)
-    raise ConfigError(f"unknown mechanism {mechanism!r}")
-
-
-def _whp_l1_radius(family: PairFamily, delta: float, cfg: ExperimentConfig) -> float:
-    """Monte Carlo (1 - delta/2)-quantile of the L1 deviation from the mean.
-
-    Worst case over the family's models; drawn with a derived seed so the
-    radius is reproducible for a given config.
-    """
-    if delta <= 0.0:
-        raise ConfigError("awass requires delta > 0")
-    worst = 0.0
-    for label in family.sorted_labels():
-        model = family.catalog[label]
-        rng = derive_rng(cfg.seed, "awass-radius", label.property_id, label.value)
-        draws = gaussian_model_draws(model, cfg.awass_quantile_draws, rng)
-        radii = np.abs(draws - model.mean).sum(axis=1)
-        worst = max(worst, float(np.quantile(radii, 1.0 - delta / 2.0)))
-    return worst
+    return build(family, params, cfg)
 
 
 # --- model stage ----------------------------------------------------------
@@ -335,7 +345,7 @@ def cmd_model(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
 
 
 def _cell_path(out_dir: Path, stage: str, cfg_hash: str, *parts) -> Path:
-    key = hashlib.sha256(("|".join(str(p) for p in parts)).encode("utf-8")).hexdigest()[:20]
+    key = hashlib.sha256("|".join(map(str, (cfg_hash,) + parts)).encode("utf-8")).hexdigest()[:20]
     cells = out_dir / "cells"
     cells.mkdir(parents=True, exist_ok=True)
     return cells / f"{stage}-{key}.json"
@@ -355,9 +365,17 @@ def _load_cell(path: Path, cfg_hash: str):
 
 
 def _store_cell(path: Path, cfg_hash: str, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"config_hash": cfg_hash, "values": values}, fh)
-        fh.write("\n")
+    # Write beside the cell and rename, so a crash or a concurrent writer
+    # never leaves a truncated file under the cell's name.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump({"config_hash": cfg_hash, "values": values}, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _run_cells(tasks, workers: int):
@@ -390,9 +408,7 @@ def cmd_utility(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
             cached = _load_cell(cell, cfg_hash)
             if cached is not None:
                 return (mech, eps, delta, dp), cached
-            params = PrivacyParams(epsilon=eps, delta=delta)
-            family = None if mech in ("none", "gdp-l", "gdp-g") else families[dp]
-            plan = build_plan(mech, family, params, cfg)
+            plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
             errors = []
             for rep in range(cfg.repetitions):
                 # The generator is keyed by everything except the mechanism,
@@ -454,9 +470,7 @@ def cmd_attack(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
             cached = _load_cell(cell, cfg_hash)
             if cached is not None:
                 return (mech, eps, delta), cached
-            params = PrivacyParams(epsilon=eps, delta=delta)
-            fam = None if mech in ("none", "gdp-l", "gdp-g") else family
-            plan = build_plan(mech, fam, params, cfg)
+            plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
             accuracies = []
             for rep in range(shadow.repetitions):
                 rng = derive_rng(cfg.seed, "attack", mech, eps, delta, rep)
@@ -560,9 +574,8 @@ def _family_from_args(models_path, pairs_arg, property_name=None) -> PairFamily:
 def release_report(args: argparse.Namespace) -> dict:
     params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     cfg = _adhoc_config(args)
-    family = None
-    if args.mechanism not in ("none", "gdp-l", "gdp-g"):
-        family = _family_from_args(args.models, args.pairs, args.property)
+    needs_family, _ = MECHANISMS[args.mechanism]
+    family = _family_from_args(args.models, args.pairs, args.property) if needs_family else None
     plan = build_plan(args.mechanism, family, params, cfg)
     query = load_query_json(args.query)
     noised = apply(plan, query, derive_rng(args.seed, "release", args.mechanism))
@@ -574,20 +587,21 @@ def audit_report_json(args: argparse.Namespace) -> dict:
     cfg = _adhoc_config(args)
     family = _family_from_args(args.models, args.pairs, args.property)
     plan = build_plan(args.mechanism, family, params, cfg)
-    label_i, label_j = family.pairs[0]
-    report = audit(
-        plan,
-        family.catalog[label_i],
-        family.catalog[label_j],
-        params,
-        args.trials,
-        derive_rng(args.seed, "audit", args.mechanism),
-    )
+    rng = derive_rng(args.seed, "audit", args.mechanism)
+    per_pair = []
+    for a, b in family.pairs:
+        report = audit(plan, family.catalog[a], family.catalog[b], params, args.trials, rng)
+        per_pair.append({
+            "pair": [[a.property_id, a.value], [b.property_id, b.value]],
+            "estimated_violation": report.estimated_violation,
+        })
+    worst = max(per_pair, key=lambda entry: entry["estimated_violation"])
     return {
-        "estimated_violation": report.estimated_violation,
+        "estimated_violation": worst["estimated_violation"],
         "trials": report.trials,
         "event_family": report.event_family,
-        "pair": [[label_i.property_id, label_i.value], [label_j.property_id, label_j.value]],
+        "pair": worst["pair"],
+        "per_pair": per_pair,
         "plan": plan.to_json(),
     }
 
@@ -626,7 +640,7 @@ def _add_config_command(sub, name, help_text):
 
 
 def _add_adhoc_flags(cmd, with_query: bool):
-    cmd.add_argument("--mechanism", required=True, choices=MECHANISM_NAMES)
+    cmd.add_argument("--mechanism", required=True, choices=tuple(MECHANISMS))
     cmd.add_argument("--epsilon", type=float, required=True)
     cmd.add_argument("--delta", type=float, default=0.0)
     cmd.add_argument("--models", required=True, help="model catalog JSON")

@@ -14,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -26,15 +26,6 @@ AGE_BOUNDS = (17, 90)
 EDUCATION_BOUNDS = (1, 16)
 HOURS_BOUNDS = (1, 99)
 CANONICAL_ROW_COUNT = 45222
-
-# Query components in output order, for per-record sensitivity accounting.
-QUERY_COMPONENTS = (
-    ("avg",) + AGE_BOUNDS,
-    ("avg",) + EDUCATION_BOUNDS,
-    ("count",),
-    ("count",),
-    ("avg",) + HOURS_BOUNDS,
-)
 
 QUERY_DIM = 5
 
@@ -331,17 +322,6 @@ def compute_query(subset) -> np.ndarray:
             int(subset.hours_per_week.sum()) / n,
         ]
     )
-
-
-def compute_queries(table: Table, index_sets: Sequence[np.ndarray]) -> np.ndarray:
-    """compute_query over many index subsets, one row per subset."""
-    return np.vstack([compute_query(table.take(idx)) for idx in index_sets])
-
-
-def save_query_json(vector, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([float(x) for x in vector], fh)
-        fh.write("\n")
 
 
 def load_query_json(path) -> np.ndarray:

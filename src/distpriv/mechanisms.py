@@ -23,8 +23,11 @@ from .model import (
     GaussianModel,
     PairFamily,
     PrivacyParams,
+    check_assumptions,
+    cov_discrepancy,
     delta_E,
     eigendecompose,
+    gap_angle,
     solve_spd,
 )
 
@@ -315,13 +318,13 @@ def calibrate_directional(
     """Scalar noise along a single unit direction v.
 
     Every protected mean gap must be parallel to v within angle_tol
-    radians (sign ignored); otherwise the offending pair is reported.
+    radians (sign ignored); otherwise the worst pair is reported.
     The scale is delta_E2 / epsilon for Laplace noise and
     c * delta_E2 / epsilon for Gaussian noise.
     """
     _check_noise_kind(noise)
     v = _unit_vector(v)
-    _require_parallel_gaps(family, v, angle_tol)
+    _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
     d2 = delta_E(family, 2)
     if noise == "laplace":
         scale = d2 / params.epsilon
@@ -367,7 +370,7 @@ def added_cov_check(
     c = params.gaussian_c()
     sigma_add = np.asarray(sigma_add, dtype=float)
     bound = (params.epsilon / c) ** 2
-    _require_shared_cov(family, cov_tol)
+    _require_within(cov_discrepancy(family), cov_tol, "relative covariance discrepancy")
     for a, b in family.pairs:
         gap = family.catalog[a].mean - family.catalog[b].mean
         total = family.catalog[a].cov + sigma_add
@@ -406,8 +409,6 @@ def eig_plan(
     v_k^T Sigma v_k), so each total variance reaches the isotropic
     requirement but no direction is over-noised.
     """
-    from .model import check_assumptions
-
     report = check_assumptions(family)
     if report.common_eigenbasis_residual > basis_tol:
         raise AssumptionViolation(
@@ -418,8 +419,7 @@ def eig_plan(
     d2 = delta_E(family, 2)
     target = (c * d2 / params.epsilon) ** 2
     labels = family.sorted_labels()
-    ref = family.catalog[labels[0]]
-    basis_pairs = eigendecompose(ref.cov)
+    basis_pairs = report.reference_eigenpairs
     m = family.dim
     sigma_sq = np.zeros(m)
     for k, (_, vec) in enumerate(basis_pairs):
@@ -481,8 +481,8 @@ def dau_plan(
     model of the pair; the plan takes the worst case over pairs.
     """
     v = _unit_vector(v)
-    _require_parallel_gaps(family, v, angle_tol)
-    _require_shared_cov(family, cov_tol)
+    _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
+    _require_within(cov_discrepancy(family), cov_tol, "relative covariance discrepancy")
     c = params.gaussian_c()
     sigma_sq = 0.0
     for a, b in family.pairs:
@@ -704,30 +704,10 @@ def _unit_vector(v) -> np.ndarray:
     return v / norm
 
 
-def _require_parallel_gaps(family: PairFamily, v: np.ndarray, angle_tol: float) -> None:
-    for a, b in family.pairs:
-        gap = family.catalog[a].mean - family.catalog[b].mean
-        norm = float(np.linalg.norm(gap))
-        if norm == 0.0:
-            continue
-        cosine = abs(float(gap @ v)) / norm
-        angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
-        if angle > angle_tol:
-            raise AssumptionViolation(
-                f"mean gap of pair {(a, b)} deviates from the noise direction "
-                f"by {angle:.3g} rad (tolerance {angle_tol:g})",
-                pair=(a, b),
-            )
-
-
-def _require_shared_cov(family: PairFamily, cov_tol: float) -> None:
-    for a, b in family.pairs:
-        ca, cb = family.catalog[a].cov, family.catalog[b].cov
-        scale = max(float(np.abs(ca).max()), float(np.abs(cb).max()))
-        diff = float(np.abs(ca - cb).max())
-        if diff > 0.0 and diff > cov_tol * scale:
-            raise AssumptionViolation(
-                f"pair {(a, b)} covariances differ by {diff / scale:.3g} relative "
-                f"(tolerance {cov_tol:g})",
-                pair=(a, b),
-            )
+def _require_within(measured, tol: float, what: str) -> None:
+    """Raise for the worst pair of a (value, pair) assumption measurement."""
+    value, pair = measured
+    if value > tol:
+        raise AssumptionViolation(
+            f"{what} of pair {pair} is {value:.3g} (tolerance {tol:g})", pair=pair
+        )

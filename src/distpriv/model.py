@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ class SecretLabel:
             raise ValueError("property_id must be nonempty")
         if not (0.0 <= self.value <= 1.0):
             raise ValueError(f"property value must lie in [0, 1], got {self.value}")
+
+
+Pair = Tuple[SecretLabel, SecretLabel]
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class PairFamily:
     """
 
     catalog: Mapping[SecretLabel, GaussianModel]
-    pairs: Tuple[Tuple[SecretLabel, SecretLabel], ...]
+    pairs: Tuple[Pair, ...]
 
     def __init__(self, catalog, pairs):
         catalog = dict(catalog)
@@ -162,22 +165,23 @@ class PairFamily:
 class AssumptionReport:
     """How far a family sits from the mechanisms' modeling assumptions.
 
-    max_cov_discrepancy: largest entrywise difference between the two
-        covariances of a protected pair, relative to the largest entry
-        magnitude of either matrix.
-    max_direction_angle: largest angle (radians) between any mean gap and
-        the fitted common direction.
+    max_cov_discrepancy: cov_discrepancy of the family.
+    max_direction_angle: gap_angle of the family to the fitted common
+        direction.
     common_eigenbasis_residual: largest off-diagonal magnitude when every
         covariance is expressed in the reference model's eigenbasis,
         relative to the reference's largest eigenvalue magnitude.
-    common_direction: the fitted unit direction itself, for use by the
-        directional mechanisms.
+    common_direction: the fitted unit direction itself.
+    reference_eigenpairs: eigendecompose of the reference model (the
+        smallest label in sorted order), whose vectors are the basis the
+        residual is measured in.
     """
 
     max_cov_discrepancy: float
     max_direction_angle: float
     common_eigenbasis_residual: float
     common_direction: np.ndarray = field(repr=False)
+    reference_eigenpairs: List[Tuple[float, np.ndarray]] = field(repr=False)
 
 
 def estimate_gaussian(samples) -> GaussianModel:
@@ -235,30 +239,47 @@ def fit_common_direction(family: PairFamily) -> np.ndarray:
     return _fix_sign(v / np.linalg.norm(v))
 
 
-def check_assumptions(family: PairFamily) -> AssumptionReport:
-    """Measure covariance sharing, gap collinearity, and eigenbasis agreement."""
-    # Entrywise covariance discrepancy over pairs, scaled by the larger matrix.
-    disc = 0.0
+def cov_discrepancy(family: PairFamily) -> Tuple[float, Optional[Pair]]:
+    """Largest entrywise difference between the two covariances of a
+    protected pair, relative to the largest entry magnitude of either
+    matrix, and the pair attaining it (None when every pair agrees).
+    """
+    worst, where = 0.0, None
     for a, b in family.pairs:
         ca, cb = family.catalog[a].cov, family.catalog[b].cov
         scale = max(np.abs(ca).max(), np.abs(cb).max())
         diff = np.abs(ca - cb).max()
-        if diff > 0.0:
-            disc = max(disc, diff / scale)
+        if diff > 0.0 and diff / scale > worst:
+            worst, where = diff / scale, (a, b)
+    return worst, where
 
-    v = fit_common_direction(family)
-    angle = 0.0
-    gaps = family.gap_vectors()
-    norms = np.linalg.norm(gaps, axis=0)
-    for k in range(gaps.shape[1]):
-        if norms[k] == 0.0:
+
+def gap_angle(family: PairFamily, v: np.ndarray) -> Tuple[float, Optional[Pair]]:
+    """Largest angle (radians, sign ignored) between a protected mean gap
+    and the unit direction v, and the pair attaining it (None when every
+    gap is parallel to v).
+    """
+    worst, where = 0.0, None
+    for a, b in family.pairs:
+        gap = family.catalog[a].mean - family.catalog[b].mean
+        norm = float(np.linalg.norm(gap))
+        if norm == 0.0:
             continue  # zero-difference pairs are parallel to anything
-        cosine = abs(float(gaps[:, k] @ v)) / norms[k]
-        angle = max(angle, float(np.arccos(np.clip(cosine, -1.0, 1.0))))
+        cosine = abs(float(gap @ v)) / norm
+        angle = float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+        if angle > worst:
+            worst, where = angle, (a, b)
+    return worst, where
+
+
+def check_assumptions(family: PairFamily) -> AssumptionReport:
+    """Measure covariance sharing, gap collinearity, and eigenbasis agreement."""
+    disc, _ = cov_discrepancy(family)
+    v = fit_common_direction(family)
+    angle, _ = gap_angle(family, v)
 
     labels = family.sorted_labels()
-    ref = family.catalog[labels[0]]
-    eig = eigendecompose(ref.cov)
+    eig = eigendecompose(family.catalog[labels[0]].cov)
     basis = np.column_stack([vec for _, vec in eig])
     lam_scale = max(abs(val) for val, _ in eig)
     residual = 0.0
@@ -274,6 +295,7 @@ def check_assumptions(family: PairFamily) -> AssumptionReport:
         max_direction_angle=angle,
         common_eigenbasis_residual=residual,
         common_direction=v,
+        reference_eigenpairs=eig,
     )
 
 

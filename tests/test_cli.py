@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from distpriv import cli
 from distpriv.cli import (
     ATTACK_CSV_HEADER,
     UTILITY_CSV_HEADER,
@@ -186,6 +187,37 @@ class TestCmdUtility:
         text = cmd_utility(cfg).read_text()
         assert ",999.0" not in text
 
+    def test_configs_sharing_a_directory_keep_their_cells(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        stored = []
+        store = cli._store_cell
+
+        def counting_store(path, cfg_hash, values):
+            stored.append(path)
+            store(path, cfg_hash, values)
+
+        monkeypatch.setattr(cli, "_store_cell", counting_store)
+        out = tmp_path / "out"
+        cmd_model(base_config(synth_csv, out))
+        outputs = []
+        for reps in (5, 6, 5):
+            path = cmd_utility(base_config(synth_csv, out, repetitions=reps))
+            outputs.append(path.read_bytes())
+        assert len(stored) == 4  # two cells per config; the second 5 reused both
+        assert outputs[2] == outputs[0]
+
+    def test_failed_cell_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def broken_dump(doc, fh):
+            fh.write('{"config_hash": "h", "values": [1.0, ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", broken_dump)
+        path = cli._cell_path(tmp_path, "utility", "h", "expm-g", 1.0)
+        with pytest.raises(OSError):
+            cli._store_cell(path, "h", [1.0, 2.0])
+        assert list(path.parent.iterdir()) == []
+
 
 class TestSweepVariants:
     def test_worker_pool_matches_sequential(self, synth_csv, tmp_path):
@@ -318,6 +350,22 @@ class TestReleaseAndAudit:
         assert doc["trials"] == 20000
         assert doc["estimated_violation"] <= 0.0
 
+    def test_audit_covers_every_pair(self, catalog_dir, capsys):
+        args = [
+            "audit", "--mechanism", "none", "--epsilon", "0.2", "--delta", "0.001",
+            "--models", str(catalog_dir / "catalog.json"),
+            "--pairs", str(catalog_dir / "pairs.json"),
+            "--trials", "10000", "--seed", "1",
+        ]
+        assert main(args) == 0
+        doc = json.loads(capsys.readouterr().out)
+        audited = [entry["pair"] for entry in doc["per_pair"]]
+        assert [["income", 0.45], ["income", 0.55]] in audited
+        assert [["income", 0.55], ["income", 0.45]] in audited
+        worst = max(doc["per_pair"], key=lambda entry: entry["estimated_violation"])
+        assert (doc["pair"], doc["estimated_violation"]) == (
+            worst["pair"], worst["estimated_violation"])
+
     def test_inline_pairs_accepted(self, catalog_dir, capsys):
         args = self.release_args(catalog_dir)
         idx = args.index("--pairs")
@@ -352,7 +400,11 @@ class TestBuildPlan:
 
         cfg = base_config(synth_csv, tmp_path, awass_quantile_draws=20_000)
         plan = build_plan("awass", worked_example_family(), PrivacyParams(1.0, 0.1), cfg)
-        assert plan.scale > 2.0  # mean gap plus a positive concentration radius
+        assert plan.scale > 2.0  # mean gap plus a positive Monte Carlo radius
+        prov = plan.provenance
+        assert prov["l1_radius_method"] == "monte_carlo_quantile"
+        assert prov["l1_radius_draws"] == 20_000
+        assert plan.scale == pytest.approx(2.0 + 2.0 * prov["l1_radius"])
 
 
 class TestSubprocessEntry:

@@ -462,6 +462,23 @@ class TestDauPlan:
         with pytest.raises(AssumptionViolation):
             dau_plan(worked_example_family(), np.array([1.0, 0.0]), PARAMS)
 
+    @pytest.mark.parametrize("check", [
+        lambda fam: dau_plan(fam, np.array([1.0, 0.0]), PARAMS),
+        lambda fam: no_noise_check(fam, PARAMS),
+    ])
+    def test_unshared_covariance_rejected_with_pair(self, check):
+        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        fam = PairFamily(
+            {
+                lab_a: GaussianModel([1.0, 0.0], np.eye(2), 10),
+                lab_b: GaussianModel([0.0, 0.0], 2.0 * np.eye(2), 10),
+            },
+            [(lab_a, lab_b), (lab_b, lab_a)],
+        )
+        with pytest.raises(AssumptionViolation) as err:
+            check(fam)
+        assert err.value.pair in fam.pairs
+
 
 class TestGroupDpBaseline:
     def test_adult_bounds_sigma_and_error_scale(self):

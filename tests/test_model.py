@@ -10,11 +10,13 @@ from distpriv.model import (
     PrivacyParams,
     SecretLabel,
     check_assumptions,
+    cov_discrepancy,
     delta_E,
     eigendecompose,
     estimate_gaussian,
     family_from_catalog,
     fit_common_direction,
+    gap_angle,
     load_catalog,
     model_from_doc,
     model_to_doc,
@@ -208,6 +210,34 @@ class TestCheckAssumptions:
         fam = PairFamily({lab_a: model, lab_b: model}, [(lab_a, lab_b), (lab_b, lab_a)])
         report = check_assumptions(fam)
         assert report.max_direction_angle == 0.0
+
+    def test_measurements_name_the_worst_pair(self):
+        labels = [SecretLabel("p", v) for v in (0.2, 0.4, 0.6)]
+        catalog = {
+            labels[0]: GaussianModel([0.0, 0.0], np.eye(2), 10),
+            labels[1]: GaussianModel([1.0, 0.1], 1.1 * np.eye(2), 10),
+            labels[2]: GaussianModel([1.0, 1.0], 2.0 * np.eye(2), 10),
+        }
+        pairs = [(labels[0], labels[1]), (labels[1], labels[0]),
+                 (labels[0], labels[2]), (labels[2], labels[0])]
+        fam = PairFamily(catalog, pairs)
+        disc, disc_pair = cov_discrepancy(fam)
+        assert disc == pytest.approx(0.5) and disc_pair == (labels[0], labels[2])
+        angle, angle_pair = gap_angle(fam, np.array([1.0, 0.0]))
+        assert angle == pytest.approx(np.pi / 4) and angle_pair == (labels[0], labels[2])
+        report = check_assumptions(fam)
+        assert report.max_cov_discrepancy == disc
+        assert report.max_direction_angle == gap_angle(fam, report.common_direction)[0]
+
+    def test_measurements_without_violation_name_no_pair(self):
+        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        fam = PairFamily(
+            {lab_a: GaussianModel([2.0, 0.0], np.eye(2), 10),
+             lab_b: GaussianModel([0.0, 0.0], np.eye(2), 10)},
+            [(lab_a, lab_b), (lab_b, lab_a)],
+        )
+        assert cov_discrepancy(fam) == (0.0, None)
+        assert gap_angle(fam, np.array([1.0, 0.0])) == (0.0, None)
 
     def test_fit_direction_sign_convention(self):
         v = fit_common_direction(worked_example_family())
