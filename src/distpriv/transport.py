@@ -9,6 +9,16 @@ finite set of realized pairwise distances. Only the distances themselves
 are floating point; no feasibility decision ever depends on float
 rounding.
 
+The search builds the flow network once per call, with its transport
+edges sorted by length, and bisects over thresholds with a warm start: a
+flow feasible within t stays feasible within every larger threshold, so
+each probe adds only the edges between the largest infeasible threshold
+seen so far and its own, and resumes max flow from that threshold's
+residual. A probe that reaches the needed mass stops there and is undone;
+one that falls short becomes the new base. In one dimension W-infinity
+needs no flow at all: it is the largest gap between the two quantile
+functions, found by walking the sorted supports in integer masses.
+
 The relaxed notion, (W, delta)-closeness, asks for a coupling that moves
 all but delta of the mass by at most W; it is decided by the same flow
 machinery and witnessed by an explicit coupling certificate.
@@ -153,7 +163,9 @@ class _Dinic:
     Edges live in flat parallel arrays; the reverse of edge e is e ^ 1.
     The blocking-flow search is iterative, so support sizes are limited
     by time, not recursion depth, and capacities are Python integers, so
-    no scale of masses can overflow.
+    no scale of masses can overflow. Edges can be added to a network that
+    already carries flow, and dropped again by restoring a saved copy of
+    the capacities.
     """
 
     def __init__(self, n: int):
@@ -162,20 +174,37 @@ class _Dinic:
         self.cap: List[int] = []
         self.head: List[List[int]] = [[] for _ in range(n)]
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
+    def add_edges(self, tails: List[int], heads: List[int], caps: List[int]) -> None:
+        """Append edges tails[q] -> heads[q]; edge q gets handle len(to) + 2q."""
         e = len(self.to)
-        self.head[u].append(e)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(e + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return e
+        head = self.head
+        for u, v in zip(tails, heads):
+            head[u].append(e)
+            head[v].append(e + 1)
+            e += 2
+        pairs = [0] * (2 * len(caps))
+        pairs[0::2] = heads
+        pairs[1::2] = tails
+        self.to.extend(pairs)
+        pairs[0::2] = caps
+        pairs[1::2] = [0] * len(caps)
+        self.cap.extend(pairs)
 
-    def max_flow(self, s: int, t: int) -> int:
+    def restore(self, cap: List[int]) -> None:
+        """Return to a saved capacity list, dropping the edges added since."""
+        to, head = self.to, self.head
+        for e in range(len(to) - 2, len(cap) - 2, -2):
+            head[to[e]].pop()
+            head[to[e + 1]].pop()
+        del to[len(cap):]
+        self.cap = cap
+
+    def max_flow(self, s: int, t: int, limit: Optional[int] = None) -> int:
+        """Augment the current flow until it is maximal, or until it has
+        grown by at least `limit`; return how much it grew."""
         to, cap, head = self.to, self.cap, self.head
         total = 0
-        while True:
+        while limit is None or total < limit:
             level = [-1] * self.n
             level[s] = 0
             queue = [s]
@@ -198,6 +227,8 @@ class _Dinic:
                     for e in path:
                         cap[e] -= bottleneck
                         cap[e ^ 1] += bottleneck
+                    if limit is not None and total >= limit:
+                        return total
                     # Retreat to the first saturated edge on the path.
                     cut = next(idx for idx, e in enumerate(path) if cap[e] == 0)
                     u = to[path[cut] ^ 1]
@@ -205,9 +236,10 @@ class _Dinic:
                     continue
                 advanced = False
                 edges = head[u]
+                end = len(edges)
                 i = it[u]
                 base = level[u] + 1
-                while i < len(edges):
+                while i < end:
                     e = edges[i]
                     v = to[e]
                     if cap[e] > 0 and level[v] == base:
@@ -225,9 +257,7 @@ class _Dinic:
                     e = path.pop()
                     u = to[e ^ 1]
                     it[u] += 1
-
-    def edge_flow(self, e: int) -> int:
-        return self.cap[e ^ 1]
+        return total
 
 
 def _pairwise_l1(mu: DiscreteDistribution, nu: DiscreteDistribution) -> np.ndarray:
@@ -243,67 +273,154 @@ def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
     return supplies, demands, scale
 
 
+class _ThresholdNetwork:
+    """The transport flow network of one pair, grown as the threshold rises.
+
+    Node 0 is the source, 1..k the support of mu, k+1..k+l that of nu and
+    k+l+1 the sink. Transport edges join positive-mass points only and are
+    sorted by L1 length once, so the edges within a threshold are a prefix
+    of them. A flow feasible within some threshold stays feasible within
+    every larger one, so `augment` only adds the missing part of the
+    prefix and resumes from the flow already carried.
+    """
+
+    def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution, dist: np.ndarray):
+        supplies, demands, self.scale = _scaled_masses(mu, nu)
+        k, l = mu.size, nu.size
+        self.k, self.sink = k, k + l + 1
+        dtype = np.int64 if self.scale < 2**63 else object  # exact either way
+        sup = np.array(supplies, dtype=dtype)
+        dem = np.array(demands, dtype=dtype)
+        src, dst = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
+        self.net = _Dinic(k + l + 2)
+        self.net.add_edges([0] * src.size, (1 + src).tolist(), sup[src].tolist())
+        self.net.add_edges((1 + k + dst).tolist(), [self.sink] * dst.size, dem[dst].tolist())
+        self.first = len(self.net.to)  # handle of the shortest transport edge
+
+        rows = np.repeat(src, dst.size)
+        cols = np.tile(dst, src.size)
+        lengths = dist[rows, cols]
+        order = np.argsort(lengths)
+        self.lengths, self.rows, self.cols = lengths[order], rows[order], cols[order]
+        self.caps = np.minimum(sup[self.rows], dem[self.cols])
+        self.built = 0  # transport edges in the network
+        self.flow = 0
+
+    def augment(self, w: float, limit: Optional[int] = None) -> int:
+        """Flow within threshold w: the maximum, or at least `limit` if that fits."""
+        count = int(np.searchsorted(self.lengths, w, side="right"))
+        if count > self.built:
+            new = slice(self.built, count)
+            self.net.add_edges(
+                (1 + self.rows[new]).tolist(),
+                (1 + self.k + self.cols[new]).tolist(),
+                self.caps[new].tolist(),
+            )
+            self.built = count
+        rest = None if limit is None else limit - self.flow
+        self.flow += self.net.max_flow(0, self.sink, rest)
+        return self.flow
+
+    def reaches(self, w: float, needed: int) -> bool:
+        """Whether a flow of `needed` fits within w.
+
+        A probe that falls short leaves its maximum flow in place as the
+        base for every later probe, which lies above it. A probe that
+        succeeds stops early and is undone.
+        """
+        cap, built, flow = self.net.cap[:], self.built, self.flow
+        if self.augment(w, needed) < needed:
+            return False
+        self.net.restore(cap)
+        self.built, self.flow = built, flow
+        return True
+
+    def coupling(self) -> List[Tuple[int, int, Fraction]]:
+        """(i, j, mass) for every transport edge carrying flow, sorted."""
+        cap = self.net.cap
+        edges = []
+        for q in range(self.built):
+            f = cap[self.first + 2 * q + 1]
+            if f > 0:
+                edges.append((int(self.rows[q]), int(self.cols[q]), Fraction(f, self.scale)))
+        return sorted(edges)
+
+
 def _flow_within(mu, nu, dist, w):
     """Max transportable integer mass using only edges of distance <= w."""
-    supplies, demands, scale = _scaled_masses(mu, nu)
-    k, l = mu.size, nu.size
-    source, sink = 0, k + l + 1
-    net = _Dinic(k + l + 2)
-    for i, s in enumerate(supplies):
-        if s > 0:
-            net.add_edge(source, 1 + i, s)
-    for j, d in enumerate(demands):
-        if d > 0:
-            net.add_edge(1 + k + j, sink, d)
-    handles = []
-    rows, cols = np.nonzero(dist <= w)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if supplies[i] > 0 and demands[j] > 0:
-            cap = min(supplies[i], demands[j])
-            handles.append((i, j, net.add_edge(1 + i, 1 + k + j, cap)))
-    flow = net.max_flow(source, sink)
-    edges = []
-    for i, j, handle in handles:
-        f = net.edge_flow(handle)
-        if f > 0:
-            edges.append((i, j, Fraction(f, scale)))
-    return flow, scale, edges
+    net = _ThresholdNetwork(mu, nu, dist)
+    flow = net.augment(w)
+    return flow, net.scale, net.coupling()
 
 
 def _smallest_feasible_threshold(mu, nu, dist, needed_of_scale) -> float:
-    """Least realized distance t whose flow reaches the needed fraction."""
-    thresholds = np.unique(dist)
-    if thresholds.size == 0 or thresholds[0] > 0.0:
+    """Least realized distance t whose flow reaches the needed fraction.
+
+    Bisects over the distances between positive-mass points, plus 0; the
+    flow only changes at those, so no other distance can be the answer.
+    """
+    net = _ThresholdNetwork(mu, nu, dist)
+    lengths = net.lengths  # sorted, so equal lengths are adjacent
+    thresholds = lengths[np.concatenate(([True], lengths[1:] != lengths[:-1]))]
+    if thresholds[0] > 0.0:
         thresholds = np.concatenate(([0.0], thresholds))
-    _, _, scale = _scaled_masses(mu, nu)
-    needed = needed_of_scale(scale)
+    needed = needed_of_scale(net.scale)
 
     lo, hi = 0, thresholds.size - 1
-    if needed >= scale:
+    if needed >= net.scale:
         # Full transport: every positive-mass point needs an edge within the
         # threshold, so the covering radius is a cheap search floor.
         src = np.array(mu.mass_num) > 0
         dst = np.array(nu.mass_num) > 0
         cover = max(
-            float(dist[src][:, dst].min(axis=1).max()) if src.any() else 0.0,
-            float(dist[src][:, dst].min(axis=0).max()) if dst.any() else 0.0,
+            float(dist[src][:, dst].min(axis=1).max()),
+            float(dist[src][:, dst].min(axis=0).max()),
         )
         lo = int(np.searchsorted(thresholds, cover))
 
-    def feasible(idx: int) -> bool:
-        flow, _, _ = _flow_within(mu, nu, dist, float(thresholds[idx]))
-        return flow >= needed
-
-    if feasible(lo):
+    if net.reaches(float(thresholds[lo]), needed):
         return float(thresholds[lo])
     # Invariant: lo infeasible, hi feasible (full transport always is).
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(mid):
+        if net.reaches(float(thresholds[mid]), needed):
             hi = mid
         else:
             lo = mid
     return float(thresholds[hi])
+
+
+def _winf_on_line(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
+    """W-infinity in one dimension: the largest gap between the quantile
+    functions, walked in integer masses over the merged supports.
+
+    The sorted coupling is optimal for the bottleneck, and float rounding
+    is monotone, so this is the least feasible float threshold as well.
+    """
+    supplies, demands, _ = _scaled_masses(mu, nu)
+    a = sorted((x, m) for x, m in zip(mu.points[:, 0].tolist(), supplies) if m > 0)
+    b = sorted((y, m) for y, m in zip(nu.points[:, 0].tolist(), demands) if m > 0)
+    i = j = 0
+    left_a, left_b = a[0][1], b[0][1]
+    gap = 0.0
+    while i < len(a):  # both sides run out together: their masses are equal
+        gap = max(gap, abs(a[i][0] - b[j][0]))
+        step = min(left_a, left_b)
+        left_a -= step
+        left_b -= step
+        if left_a == 0:
+            i += 1
+            left_a = a[i][1] if i < len(a) else 0
+        if left_b == 0:
+            j += 1
+            left_b = b[j][1] if j < len(b) else 0
+    return gap
+
+
+def _check_radius(w) -> float:
+    if not w >= 0:  # also rejects NaN
+        raise ValueError(f"w must be nonnegative, got {w}")
+    return float(w)
 
 
 def winf_distance(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
@@ -313,16 +430,17 @@ def winf_distance(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     such that a coupling of mu and nu exists whose every positive-mass
     edge has L1 length at most t.
     """
+    if mu.dim == 1 and nu.dim == 1:
+        return _winf_on_line(mu, nu)
     dist = _pairwise_l1(mu, nu)
     return _smallest_feasible_threshold(mu, nu, dist, lambda scale: scale)
 
 
 def max_mass_within(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float) -> Fraction:
     """Largest coupling mass placeable on pairs with L1 distance <= w."""
-    if w < 0:
-        raise ValueError(f"w must be nonnegative, got {w}")
+    w = _check_radius(w)
     dist = _pairwise_l1(mu, nu)
-    flow, scale, _ = _flow_within(mu, nu, dist, float(w))
+    flow, scale, _ = _flow_within(mu, nu, dist, w)
     return Fraction(flow, scale)
 
 
@@ -335,13 +453,12 @@ def is_w_delta_close(
     rational value of that float), so the mass comparison never depends
     on rounding.
     """
-    if w < 0:
-        raise ValueError(f"w must be nonnegative, got {w}")
+    w = _check_radius(w)
     delta_frac = Fraction(delta)
     if not (0 <= delta_frac <= 1):
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     dist = _pairwise_l1(mu, nu)
-    flow, scale, edges = _flow_within(mu, nu, dist, float(w))
+    flow, scale, edges = _flow_within(mu, nu, dist, w)
     ok = Fraction(flow, scale) >= 1 - delta_frac
     if not ok:
         return False, None
@@ -393,6 +510,7 @@ def discretize_samples(samples, mass_resolution: int) -> DiscreteDistribution:
         x = x[:, None]
     if x.shape[0] < 1:
         raise ValueError("need at least one sample")
+    x = x + 0.0  # key -0.0 and 0.0 as one point, as DiscreteDistribution does
     count = x.shape[0]
     resolution = int(mass_resolution)
     if resolution < 1 or resolution % count != 0:

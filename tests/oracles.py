@@ -66,6 +66,29 @@ def oracle_winf(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     raise AssertionError("full transport must be feasible at the largest distance")
 
 
+def scipy_max_mass(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float) -> Fraction:
+    """max_mass_within by scipy's maximum_flow on the same bipartite network.
+
+    Needs scipy (a test-only dependency) and both sides over one
+    denominator below 2**31, scipy's capacity range.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    assert mu.mass_den == nu.mass_den < 2**31
+    k, l = mu.size, nu.size
+    sup = np.asarray(mu.mass_num, dtype=np.int32)
+    dem = np.asarray(nu.mass_num, dtype=np.int32)
+    dist = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+    ii, jj = np.nonzero(dist <= w)
+    sink = k + l + 1
+    rows = np.concatenate([np.zeros(k, dtype=np.int64), 1 + ii, 1 + k + np.arange(l)])
+    cols = np.concatenate([1 + np.arange(k), 1 + k + jj, np.full(l, sink)])
+    caps = np.concatenate([sup, np.minimum(sup[ii], dem[jj]), dem])
+    graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
+    return Fraction(int(maximum_flow(graph, 0, sink).flow_value), mu.mass_den)
+
+
 def oracle_mean_cov_two_pass(samples: np.ndarray):
     """Two-pass mean/unbiased-covariance, scalar loops only."""
     x = np.asarray(samples, dtype=float)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,13 @@ from distpriv.transport import (
     winf_distance,
 )
 
-from oracles import oracle_max_mass, oracle_winf, random_twentieths_distribution
+from oracles import oracle_max_mass, oracle_winf, random_twentieths_distribution, scipy_max_mass
+
+
+def random_masses(rng, k, den):
+    """k masses over den with no zeros: distinct cut points of [0, den]."""
+    cuts = np.sort(rng.choice(np.arange(1, den), size=k - 1, replace=False))
+    return [int(x) for x in np.diff(np.concatenate([[0], cuts, [den]]))]
 
 
 def fig1_pair():
@@ -116,6 +123,15 @@ class TestMaxMassWithin:
         with pytest.raises(ValueError):
             max_mass_within(mu, nu, -1.0)
 
+    def test_rejects_nan_radius(self):
+        mu, nu = fig1_pair()
+        with pytest.raises(ValueError):
+            max_mass_within(mu, nu, float("nan"))
+
+    def test_infinite_radius_retains_everything(self):
+        mu, nu = fig1_pair()
+        assert max_mass_within(mu, nu, float("inf")) == 1
+
     def test_nondecreasing_in_radius(self):
         rng = np.random.default_rng(41)
         mu = random_twentieths_distribution(rng, dim=2)
@@ -179,6 +195,17 @@ class TestWDeltaCloseness:
             if ok:
                 assert cert.verify(mu, nu, w, delta)
 
+    def test_rejects_nan_radius(self):
+        mu, nu = fig1_pair()
+        with pytest.raises(ValueError):
+            is_w_delta_close(mu, nu, float("nan"), 0)
+
+    def test_infinite_radius_is_close(self):
+        mu, nu = fig1_pair()
+        ok, cert = is_w_delta_close(mu, nu, float("inf"), 0)
+        assert ok and cert.retained_mass == 1
+        assert cert.verify(mu, nu, float("inf"), 0)
+
     def test_tampered_certificate_fails_verification(self):
         mu, nu = fig1_pair()
         _, cert = is_w_delta_close(mu, nu, 1.0, 0.1)
@@ -213,6 +240,83 @@ class TestMinWForDelta:
             w = min_w_for_delta(mu, nu, delta)
             ok, cert = is_w_delta_close(mu, nu, w, delta)
             assert ok and cert.verify(mu, nu, w, delta)
+
+
+class TestThresholdMinimality:
+    """The threshold moves the mass it must, and the next smaller realized
+    distance does not: the search returns the least feasible threshold."""
+
+    @staticmethod
+    def assert_least(mu, nu, w, needed, max_mass):
+        assert max_mass(mu, nu, w) >= needed
+        dist = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+        smaller = dist[dist < w]
+        if smaller.size:
+            assert max_mass(mu, nu, float(smaller.max())) < needed
+
+    def test_small_instances_against_fraction_oracle(self):
+        rng = np.random.default_rng(59)
+        for _ in range(12):
+            mu = random_twentieths_distribution(rng)
+            nu = random_twentieths_distribution(rng, dim=mu.dim)
+            self.assert_least(mu, nu, winf_distance(mu, nu), 1, oracle_max_mass)
+            for delta in (0, 0.05, 0.25):
+                w = min_w_for_delta(mu, nu, delta)
+                self.assert_least(mu, nu, w, 1 - Fraction(delta), oracle_max_mass)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sixty_points_against_scipy(self, dim):
+        # A cloud and a jittered copy, as two neighbouring query laws are;
+        # 3,600 realized distances take the bisection through about a dozen
+        # warm-started probes per solve.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(73 + dim)
+        den = 10**4
+        for _ in range(2):
+            pts = rng.normal(size=(60, dim)) * 10
+            jittered = pts + rng.normal(size=(60, dim))
+            mu = DiscreteDistribution(pts, random_masses(rng, 60, den), den)
+            nu = DiscreteDistribution(jittered, random_masses(rng, 60, den), den)
+            self.assert_least(mu, nu, winf_distance(mu, nu), 1, scipy_max_mass)
+            for delta in (0, 0.05, 0.25):
+                w = min_w_for_delta(mu, nu, delta)
+                self.assert_least(mu, nu, w, 1 - Fraction(delta), scipy_max_mass)
+                ok, cert = is_w_delta_close(mu, nu, w, delta)
+                assert ok and cert.verify(mu, nu, w, delta)
+
+
+class TestWinfOnLine:
+    """1-D inputs take the quantile walk; it must return the flow path's float."""
+
+    @staticmethod
+    def line_distribution(rng, den):
+        # Points on a 0.1 grid, so distances carry float rounding; the small
+        # range makes points shared by both sides common, and zeros in the
+        # masses leave some points empty.
+        k = int(rng.integers(1, 7))
+        pts = rng.choice(np.arange(-12, 13), size=k, replace=False) * 0.1
+        nums = rng.multinomial(den, rng.dirichlet(np.ones(k)))
+        nums[rng.random(k) < 0.25] = 0
+        nums[0] += den - nums.sum()
+        return DiscreteDistribution(pts[:, None], [int(n) for n in nums], den)
+
+    def test_matches_oracle_and_flow_path(self):
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            den_mu, den_nu = rng.choice([7, 11, 13, 17, 19], size=2, replace=False)
+            mu = self.line_distribution(rng, int(den_mu))
+            nu = self.line_distribution(rng, int(den_nu))
+            got = winf_distance(mu, nu)
+            assert got == oracle_winf(mu, nu)
+            assert got == min_w_for_delta(mu, nu, 0)
+
+    def test_matches_flow_path_at_two_hundred_points(self):
+        rng = np.random.default_rng(83)
+        for _ in range(3):
+            pts = rng.normal(size=200) * 10
+            mu = DiscreteDistribution(pts, random_masses(rng, 200, 999_983), 999_983)
+            nu = DiscreteDistribution(pts + rng.normal(size=200), random_masses(rng, 200, 999_979), 999_979)
+            assert winf_distance(mu, nu) == min_w_for_delta(mu, nu, 0)
 
 
 class TestClosenessFromBounds:
@@ -259,6 +363,11 @@ class TestDiscretizeSamples:
         with pytest.raises(ValueError):
             discretize_samples([[0.0], [1.0], [2.0]], 4)
 
+    def test_signed_zeros_merge(self):
+        dist = discretize_samples(np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0]]), 3)
+        assert dist.size == 2
+        assert dist.masses() == [Fraction(2, 3), Fraction(1, 3)]
+
     def test_large_sample_self_distance(self):
         rng = np.random.default_rng(67)
         samples = rng.integers(0, 50, size=(1000, 2)).astype(float)
@@ -282,6 +391,33 @@ class TestExactness:
         # one quantum less slack and the same coupling no longer suffices
         tighter = 1 - kept - Fraction(1, den_a * den_b)
         assert not is_w_delta_close(mu, nu, 0.0, tighter)[0]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_common_scale_past_int64_stays_exact(self, dim):
+        # Three primes near 10^7 spread over the two sides put the common
+        # mass scale near 10^21, past any machine integer.
+        p1, p2, p3 = 9_999_991, 9_999_973, 9_999_971
+        rng = np.random.default_rng(89 + dim)
+        for _ in range(3):
+            k = 6
+            halves = zip(random_masses(rng, k, p1), random_masses(rng, k, p2))
+            mu = DiscreteDistribution.from_fractions(
+                rng.normal(size=(k, dim)), [(Fraction(a, p1) + Fraction(b, p2)) / 2 for a, b in halves]
+            )
+            nu = DiscreteDistribution(rng.normal(size=(k, dim)), random_masses(rng, k, p3), p3)
+            assert math.lcm(mu.mass_den, nu.mass_den) > 2**63
+            dist = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+            thresholds = np.unique(dist)
+            retained = [oracle_max_mass(mu, nu, float(t)) for t in thresholds]
+            for t, kept in zip(thresholds[::5], retained[::5]):
+                assert max_mass_within(mu, nu, float(t)) == kept
+            assert winf_distance(mu, nu) == oracle_winf(mu, nu)
+            for delta in (0, 0.05, 0.25):
+                least = next(t for t, kept in zip(thresholds, retained) if kept >= 1 - Fraction(delta))
+                w = min_w_for_delta(mu, nu, delta)
+                assert w == least
+                ok, cert = is_w_delta_close(mu, nu, w, delta)
+                assert ok and cert.verify(mu, nu, w, delta)
 
     def test_float_delta_interpreted_exactly(self):
         # 1 - 0.1 in binary floats lands just below 9/10, so the Fig-style
