@@ -67,11 +67,9 @@ from .attack import (  # noqa: F401
 )
 from .dataio import (  # noqa: F401
     PropertySpec,
-    Record,
     SplitTables,
     Table,
     compute_query,
     load_adult,
-    sample_subset_with_property,
     split_dataset,
 )

@@ -2,22 +2,25 @@
 
 Subcommands:
   model      estimate Gaussian query models per property value, write a catalog
-  utility    privacy-utility sweep: mean L2 noise norm per (mechanism, eps, delta)
+  utility    privacy-utility sweep: L2 noise norm per (mechanism, eps, delta, delta_p)
   attack     property-inference attack accuracy per (mechanism, eps, delta)
   transport  exact transport report for two discrete distributions
   release    noise one query vector under a chosen mechanism
   audit      empirical indistinguishability check for a calibrated plan
 
 A run is a pure function of (config, dataset bytes): the root seed fans
-out to (stage, parameter tuple, repetition) derived generators, outputs
-are written deterministically, and completed sweep cells are reused when
-their config hash matches.
+out to (stage, parameter tuple, repetition) derived generators, and
+outputs are written deterministically. Both sweeps run through one
+cell loop, `_sweep`: each cell is stored under, and checked on load
+against, the config hash and the sha256 of the dataset files, and the
+table is read only when some cell is missing.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -40,6 +43,7 @@ from .dataio import (
     SplitTables,
     Table,
     compute_query,
+    dataset_sha256,
     load_adult,
     load_query_json,
     load_simple_csv,
@@ -154,17 +158,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
+    def pair(self, dp: float) -> Tuple[float, float]:
+        """The (low, high) property values that dp separates around p_center."""
+        return _round_p(self.p_center - dp / 2.0), _round_p(self.p_center + dp / 2.0)
+
     def shadow_config(self) -> ShadowConfig:
         doc = dict(self.attack)
         p_low = doc.pop("p_low", None)
         p_high = doc.pop("p_high", None)
-        if p_low is None:
-            p_low = self.p_center - self.delta_p[0] / 2.0
-        if p_high is None:
-            p_high = self.p_center + self.delta_p[0] / 2.0
+        low, high = self.pair(self.delta_p[0])
         kwargs = dict(
-            p_low=_round_p(p_low),
-            p_high=_round_p(p_high),
+            p_low=low if p_low is None else _round_p(p_low),
+            p_high=high if p_high is None else _round_p(p_high),
             seed=self.seed,
             n=doc.pop("n", self.n),
             shadow_count=doc.pop("shadow_count", 200),
@@ -178,10 +183,7 @@ class ExperimentConfig:
         return ShadowConfig(**kwargs)
 
     def required_p_values(self) -> List[float]:
-        values = set()
-        for dp in self.delta_p:
-            values.add(_round_p(self.p_center - dp / 2.0))
-            values.add(_round_p(self.p_center + dp / 2.0))
+        values = {p for dp in self.delta_p for p in self.pair(dp)}
         shadow = self.shadow_config()
         values.update((shadow.p_low, shadow.p_high))
         return sorted(values)
@@ -190,10 +192,8 @@ class ExperimentConfig:
         """Ordered (low, high) and (high, low) pairs, one set per delta_p."""
         pairs = []
         for dp in self.delta_p:
-            lo = _round_p(self.p_center - dp / 2.0)
-            hi = _round_p(self.p_center + dp / 2.0)
-            pairs.append((lo, hi))
-            pairs.append((hi, lo))
+            low, high = self.pair(dp)
+            pairs += [(low, high), (high, low)]
         return pairs
 
     def query_components(self):
@@ -351,7 +351,7 @@ def _cell_path(out_dir: Path, stage: str, cfg_hash: str, *parts) -> Path:
     return cells / f"{stage}-{key}.json"
 
 
-def _load_cell(path: Path, cfg_hash: str):
+def _load_cell(path: Path, stamp: dict):
     if not path.exists():
         return None
     try:
@@ -359,18 +359,18 @@ def _load_cell(path: Path, cfg_hash: str):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if doc.get("config_hash") != cfg_hash:
+    if any(doc.get(name) != value for name, value in stamp.items()):
         return None
     return doc["values"]
 
 
-def _store_cell(path: Path, cfg_hash: str, values) -> None:
+def _store_cell(path: Path, stamp: dict, values) -> None:
     # Write beside the cell and rename, so a crash or a concurrent writer
     # never leaves a truncated file under the cell's name.
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            json.dump({"config_hash": cfg_hash, "values": values}, fh)
+            json.dump({**stamp, "values": values}, fh)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -378,129 +378,107 @@ def _store_cell(path: Path, cfg_hash: str, values) -> None:
         raise
 
 
-def _run_cells(tasks, workers: int):
+def _run_cells(fn, items, workers: int):
     if workers <= 1:
-        return [task() for task in tasks]
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(fn, items))
+
+
+def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, compute,
+           manifest=None) -> Path:
+    """Run one sweep stage and write its CSV and the run manifest.
+
+    `grid` lists (cell key parts, (mechanism, epsilon, delta, delta_p))
+    in CSV order; `compute(splits, *parts)` returns a cell's values, one
+    per repetition. Cells are stored under the config hash and the
+    dataset's sha256, and a stored cell is reused only when both match,
+    so the table is read only when a cell is missing or `manifest`, a
+    function of the splits, asks for the sampled subsets.
+    """
+    out_dir = Path(cfg.out_dir)
+    stamp = {"config_hash": cfg.config_hash(),
+             "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
+    paths = [_cell_path(out_dir, stage, stamp["config_hash"], stamp["dataset_sha256"], *parts)
+             for parts, _ in grid]
+    values = [_load_cell(path, stamp) for path in paths]
+    missing = [i for i, cell in enumerate(values) if cell is None]
+    splits = load_splits(cfg) if missing or manifest is not None else None
+
+    def compute_and_store(i):
+        cell = compute(splits, *grid[i][0])
+        _store_cell(paths[i], stamp, cell)
+        return cell
+
+    for i, cell in zip(missing, _run_cells(compute_and_store, missing, cfg.workers)):
+        values[i] = cell
+
+    lines = [header]
+    for (_, (mech, eps, delta, dp)), cell in zip(grid, values):
+        prefix = f"{mech},{eps},{delta},{cfg.property_name},{dp}"
+        lines += [f"{prefix},{rep},{value!r}" for rep, value in enumerate(cell)]
+        lines.append(f"{prefix},mean,{float(np.mean(cell))!r}")
+    out_path = out_dir / f"results_{stage}.csv"
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if manifest is not None:
+        _write_manifest(out_dir, stage, manifest(splits))
+    _write_run_manifest(cfg, out_dir)
+    return out_path
 
 
 def cmd_utility(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
-    """Mean L2 noise norm per (mechanism, epsilon, delta, delta_p) cell."""
-    splits = load_splits(cfg)
+    """L2 noise norm per (mechanism, epsilon, delta, delta_p) cell and repetition."""
     catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
-    out_dir = Path(cfg.out_dir)
-    cfg_hash = cfg.config_hash()
+    families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
+                for dp in cfg.delta_p}
     prop_center = PropertySpec(cfg.property_name, cfg.p_center)
+    grid = [(cell, cell) for cell in itertools.product(
+        cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p)]
 
-    families = {}
-    for dp in cfg.delta_p:
-        lo = _round_p(cfg.p_center - dp / 2.0)
-        hi = _round_p(cfg.p_center + dp / 2.0)
-        families[dp] = family_from_catalog(catalog, [(lo, hi)], cfg.property_name)
+    # The generator is keyed by everything except the mechanism, so one
+    # repetition confronts every mechanism with the same subset and
+    # underlying noise draws: mechanism comparisons are paired rather than
+    # smeared by independent streams. The subset is the generator's first draw.
+    def draw(splits, eps, delta, dp, rep):
+        rng = derive_rng(cfg.seed, "utility", eps, delta, dp, rep)
+        return sample_subset_indices(splits.modeling, prop_center, cfg.n, rng), rng
 
-    manifests = {}
+    def compute(splits, mech, eps, delta, dp):
+        plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
+        errors = []
+        for rep in range(cfg.repetitions):
+            idx, rng = draw(splits, eps, delta, dp, rep)
+            query = compute_query(splits.modeling.take(idx))
+            errors.append(float(np.linalg.norm(apply(plan, query, rng) - query)))
+        return errors
 
-    def make_task(mech, eps, delta, dp):
-        def task():
-            cell = _cell_path(out_dir, "utility", cfg_hash, mech, eps, delta, dp)
-            cached = _load_cell(cell, cfg_hash)
-            if cached is not None:
-                return (mech, eps, delta, dp), cached
-            plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
-            errors = []
-            for rep in range(cfg.repetitions):
-                # The generator is keyed by everything except the mechanism,
-                # so one repetition confronts every mechanism with the same
-                # subset and underlying noise draws: mechanism comparisons
-                # are paired rather than smeared by independent streams.
-                rng = derive_rng(cfg.seed, "utility", eps, delta, dp, rep)
-                idx = sample_subset_indices(splits.modeling, prop_center, cfg.n, rng)
-                query = compute_query(splits.modeling.take(idx))
-                noised = apply(plan, query, rng)
-                errors.append(float(np.linalg.norm(noised - query)))
-                if emit_manifest:
-                    manifests[f"{mech}|{eps}|{delta}|{dp}|{rep}"] = idx.tolist()
-            _store_cell(cell, cfg_hash, errors)
-            return (mech, eps, delta, dp), errors
+    def subsets(splits):
+        return {f"{mech}|{eps}|{delta}|{dp}|{rep}": draw(splits, eps, delta, dp, rep)[0].tolist()
+                for (mech, eps, delta, dp), _ in grid for rep in range(cfg.repetitions)}
 
-        return task
-
-    grid = [
-        (mech, eps, delta, dp)
-        for mech in cfg.mechanisms
-        for eps in cfg.epsilon
-        for delta in cfg.delta
-        for dp in cfg.delta_p
-    ]
-    results = _run_cells([make_task(*cellv) for cellv in grid], cfg.workers)
-
-    lines = [UTILITY_CSV_HEADER]
-    for (mech, eps, delta, dp), errors in results:
-        for rep, err in enumerate(errors):
-            lines.append(f"{mech},{eps},{delta},{cfg.property_name},{dp},{rep},{err!r}")
-        lines.append(
-            f"{mech},{eps},{delta},{cfg.property_name},{dp},mean,{float(np.mean(errors))!r}"
-        )
-    out_path = out_dir / "results_utility.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if emit_manifest:
-        _write_manifest(out_dir, "utility", manifests)
-    _write_run_manifest(cfg, out_dir)
-    return out_path
+    return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, compute,
+                  subsets if emit_manifest else None)
 
 
-def cmd_attack(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
-    """Attack accuracy per (mechanism, epsilon, delta) cell."""
-    splits = load_splits(cfg)
+def cmd_attack(cfg: ExperimentConfig) -> Path:
+    """Attack accuracy per (mechanism, epsilon, delta) cell and repetition."""
     catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
-    out_dir = Path(cfg.out_dir)
-    cfg_hash = cfg.config_hash()
     shadow = cfg.shadow_config()
-    dp = _round_p(shadow.p_high - shadow.p_low)
-    family = family_from_catalog(
-        catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name
-    )
+    family = family_from_catalog(catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name)
     prop = PropertySpec(cfg.property_name, shadow.p_low)
+    dp = _round_p(shadow.p_high - shadow.p_low)
+    grid = [(cell, cell + (dp,)) for cell in itertools.product(
+        cfg.mechanisms, cfg.epsilon, cfg.delta)]
 
-    def make_task(mech, eps, delta):
-        def task():
-            cell = _cell_path(out_dir, "attack", cfg_hash, mech, eps, delta)
-            cached = _load_cell(cell, cfg_hash)
-            if cached is not None:
-                return (mech, eps, delta), cached
-            plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
-            accuracies = []
-            for rep in range(shadow.repetitions):
-                rng = derive_rng(cfg.seed, "attack", mech, eps, delta, rep)
-                accuracies.append(
-                    run_attack_trial(splits.aux, splits.test, prop, shadow, plan, rng)
-                )
-            _store_cell(cell, cfg_hash, accuracies)
-            return (mech, eps, delta), accuracies
+    def compute(splits, mech, eps, delta):
+        plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
+        return [
+            run_attack_trial(splits.aux, splits.test, prop, shadow, plan,
+                             derive_rng(cfg.seed, "attack", mech, eps, delta, rep))
+            for rep in range(shadow.repetitions)
+        ]
 
-        return task
-
-    grid = [
-        (mech, eps, delta)
-        for mech in cfg.mechanisms
-        for eps in cfg.epsilon
-        for delta in cfg.delta
-    ]
-    results = _run_cells([make_task(*cellv) for cellv in grid], cfg.workers)
-
-    lines = [ATTACK_CSV_HEADER]
-    for (mech, eps, delta), accs in results:
-        for rep, acc in enumerate(accs):
-            lines.append(f"{mech},{eps},{delta},{cfg.property_name},{dp},{rep},{acc!r}")
-        lines.append(
-            f"{mech},{eps},{delta},{cfg.property_name},{dp},mean,{float(np.mean(accs))!r}"
-        )
-    out_path = out_dir / "results_attack.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_run_manifest(cfg, out_dir)
-    return out_path
+    return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, compute)
 
 
 def _write_manifest(out_dir: Path, stage: str, manifests: dict) -> None:
@@ -628,14 +606,15 @@ def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
 # --- argparse wiring --------------------------------------------------------
 
 
-def _add_config_command(sub, name, help_text):
+def _add_config_command(sub, name, help_text, emit_manifest: bool = True):
     cmd = sub.add_parser(name, help=help_text)
     cmd.add_argument("--config", required=True, help="experiment config JSON")
     cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     cmd.add_argument("--out", default=None, help="override the config output directory")
-    cmd.add_argument(
-        "--emit-manifest", action="store_true", help="also write sampled subset indices"
-    )
+    if emit_manifest:
+        cmd.add_argument(
+            "--emit-manifest", action="store_true", help="also write sampled subset indices"
+        )
     return cmd
 
 
@@ -665,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_config_command(sub, "model", "estimate Gaussian query models, write catalog.json")
     _add_config_command(sub, "utility", "privacy-utility sweep to results_utility.csv")
-    _add_config_command(sub, "attack", "attack-accuracy sweep to results_attack.csv")
+    _add_config_command(sub, "attack", "attack-accuracy sweep to results_attack.csv",
+                        emit_manifest=False)
 
     tr = sub.add_parser("transport", help="exact transport report for two distributions")
     tr.add_argument("file_mu", help="first DiscreteDistribution JSON file")
@@ -700,7 +680,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path = cmd_utility(_config_from_args(args), emit_manifest=args.emit_manifest)
         print(str(path))
     elif args.command == "attack":
-        path = cmd_attack(_config_from_args(args), emit_manifest=args.emit_manifest)
+        path = cmd_attack(_config_from_args(args))
         print(str(path))
     elif args.command == "transport":
         print(json.dumps(transport_report(args.file_mu, args.file_nu, args.delta), indent=2))

@@ -10,11 +10,12 @@ sensitive global properties are the subset's proportion of high earners
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -27,8 +28,6 @@ EDUCATION_BOUNDS = (1, 16)
 HOURS_BOUNDS = (1, 99)
 CANONICAL_ROW_COUNT = 45222
 
-QUERY_DIM = 5
-
 _ADULT_COLUMNS = 15
 _FIELD_NAMES = (
     "age",
@@ -39,17 +38,6 @@ _FIELD_NAMES = (
     "income_gt_50k",
     "private_workclass",
 )
-
-
-@dataclass(frozen=True)
-class Record:
-    age: int
-    education_num: int
-    never_married: bool
-    female: bool
-    hours_per_week: int
-    income_gt_50k: bool
-    private_workclass: bool
 
 
 @dataclass(frozen=True)
@@ -69,8 +57,8 @@ class PropertySpec:
 class Table:
     """Immutable columnar store of records.
 
-    Columns are numpy arrays; rows materialize as Record objects on
-    access. Safe to share across threads once built.
+    Columns are read-only numpy arrays, one entry per record. Safe to
+    share across threads once built.
     """
 
     __slots__ = ("age", "education_num", "never_married", "female",
@@ -100,21 +88,6 @@ class Table:
     def __len__(self) -> int:
         return len(self.age)
 
-    def __getitem__(self, idx: int) -> Record:
-        return Record(
-            age=int(self.age[idx]),
-            education_num=int(self.education_num[idx]),
-            never_married=bool(self.never_married[idx]),
-            female=bool(self.female[idx]),
-            hours_per_week=int(self.hours_per_week[idx]),
-            income_gt_50k=bool(self.income_gt_50k[idx]),
-            private_workclass=bool(self.private_workclass[idx]),
-        )
-
-    def __iter__(self) -> Iterator[Record]:
-        for idx in range(len(self)):
-            yield self[idx]
-
     def take(self, indices) -> "Table":
         idx = np.asarray(indices, dtype=np.int64)
         return Table(**{name: getattr(self, name)[idx] for name in _FIELD_NAMES})
@@ -126,18 +99,6 @@ class Table:
             return self.private_workclass
         raise ValueError(f"unknown property {which!r}")
 
-    @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "Table":
-        rows = list(records)
-        return cls(**{name: [getattr(r, name) for r in rows] for name in _FIELD_NAMES})
-
-    def to_json(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _FIELD_NAMES}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Table":
-        return cls(**{name: doc[name] for name in _FIELD_NAMES})
-
 
 @dataclass(frozen=True)
 class SplitTables:
@@ -146,6 +107,36 @@ class SplitTables:
     aux: Table
     test: Table
     modeling: Table
+
+
+def dataset_files(path, dataset_format: str = "adult") -> List[Path]:
+    """The files a dataset path names, in the order they are read.
+
+    An Adult path is one concatenated file or a directory holding
+    adult.data and adult.test; a simple-format path is one CSV file.
+    """
+    path = Path(path)
+    if dataset_format == "adult" and path.is_dir():
+        files = [path / "adult.data", path / "adult.test"]
+        missing = [str(f) for f in files if not f.exists()]
+        if missing:
+            raise FileNotFoundError(f"expected Adult files not found: {missing}")
+        return files
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    return [path]
+
+
+def dataset_sha256(path, dataset_format: str = "adult") -> str:
+    """sha256 over the sha256 of each of the dataset's files, in read order."""
+    outer = hashlib.sha256()
+    for file in dataset_files(path, dataset_format):
+        inner = hashlib.sha256()
+        with open(file, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                inner.update(chunk)
+        outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 def load_adult(path, allow_variant: bool = False) -> Table:
@@ -158,17 +149,7 @@ def load_adult(path, allow_variant: bool = False) -> Table:
     files yield exactly 45222 records, which is asserted unless
     allow_variant is set.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = [path / "adult.data", path / "adult.test"]
-        missing = [str(f) for f in files if not f.exists()]
-        if missing:
-            raise FileNotFoundError(f"expected Adult files not found: {missing}")
-    elif path.exists():
-        files = [path]
-    else:
-        raise FileNotFoundError(str(path))
-
+    files = dataset_files(path)
     columns: List[List] = [[] for _ in _FIELD_NAMES]
     dropped_missing = 0
     dropped_range = 0
@@ -295,21 +276,13 @@ def sample_subset_indices(
     return np.concatenate([chosen_pos, chosen_neg])
 
 
-def sample_subset_with_property(
-    table: Table, prop: PropertySpec, n: int, rng: np.random.Generator
-) -> Table:
-    return table.take(sample_subset_indices(table, prop, n, rng))
-
-
-def compute_query(subset) -> np.ndarray:
+def compute_query(subset: Table) -> np.ndarray:
     """The five released statistics of a subset, in fixed order.
 
     Output: [avg_age, avg_education_num, count_never_married,
     count_female, avg_hours_per_week]. Averages are exact integer sums
     divided by the count, emitted as doubles.
     """
-    if not isinstance(subset, Table):
-        subset = Table.from_records(subset)
     n = len(subset)
     if n == 0:
         raise ValueError("query subset must be nonempty")

@@ -135,6 +135,7 @@ class ClosenessCertificate:
 
     def verify(self, mu: DiscreteDistribution, nu: DiscreteDistribution, w: float, delta) -> bool:
         """Independent feasibility check of the stored coupling."""
+        w = _check_radius(w)
         src_used = [Fraction(0)] * mu.size
         dst_used = [Fraction(0)] * nu.size
         total = Fraction(0)

@@ -73,7 +73,6 @@ def write_simple_csv(table: Table, path: Path) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for i in range(len(table)):
-            rec = table[i]
-            writer.writerow([int(getattr(rec, name)) for name in names])
+        for row in zip(*(getattr(table, name).tolist() for name in names)):
+            writer.writerow([int(value) for value in row])
     return path

@@ -213,8 +213,8 @@ class TestAttackTrial:
 
 
 def run_attack_query(table, p, rng):
-    from distpriv.dataio import compute_query, sample_subset_with_property
+    from distpriv.dataio import compute_query, sample_subset_indices
 
     return compute_query(
-        sample_subset_with_property(table, PropertySpec("income", p), 100, rng)
+        table.take(sample_subset_indices(table, PropertySpec("income", p), 100, rng))
     )

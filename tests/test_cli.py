@@ -215,21 +215,72 @@ class TestCmdUtility:
         monkeypatch.setattr(cli.json, "dump", broken_dump)
         path = cli._cell_path(tmp_path, "utility", "h", "expm-g", 1.0)
         with pytest.raises(OSError):
-            cli._store_cell(path, "h", [1.0, 2.0])
+            cli._store_cell(path, {"config_hash": "h"}, [1.0, 2.0])
         assert list(path.parent.iterdir()) == []
+
+
+class TestSweepResume:
+    def test_full_resume_reads_no_table(self, synth_csv, tmp_path, monkeypatch):
+        cfg = base_config(synth_csv, tmp_path / "out")
+        cmd_model(cfg)
+        fresh = [cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()]
+
+        def no_table(cfg):
+            raise AssertionError("a full resume read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        assert [cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()] == fresh
+
+    def test_rewritten_dataset_recomputes_cells(self, tmp_path, monkeypatch):
+        data = write_simple_csv(synthetic_census_table(30_000, seed=11), tmp_path / "d.csv")
+        cfg = base_config(data, tmp_path / "out")
+        cmd_model(cfg)
+        old = cmd_attack(cfg).read_bytes()
+
+        write_simple_csv(synthetic_census_table(30_000, seed=12), data)
+        stored = []
+        store = cli._store_cell
+
+        def counting_store(path, stamp, values):
+            stored.append(path)
+            store(path, stamp, values)
+
+        monkeypatch.setattr(cli, "_store_cell", counting_store)
+        cmd_model(cfg)
+        rerun = cmd_attack(cfg).read_bytes()
+        assert len(stored) == len(cfg.mechanisms)  # every cell recomputed
+
+        fresh_cfg = base_config(data, tmp_path / "fresh")
+        cmd_model(fresh_cfg)
+        assert rerun == cmd_attack(fresh_cfg).read_bytes()
+        assert rerun != old
+
+    def test_resumed_utility_manifest_matches_fresh(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out")
+        cmd_model(cfg)
+        manifest = tmp_path / "out" / "manifests" / "utility_subsets.json"
+        cmd_utility(cfg, emit_manifest=True)
+        fresh = json.loads(manifest.read_text())
+        assert len(fresh) == len(cfg.mechanisms) * cfg.repetitions
+        assert all(len(idx) == cfg.n for idx in fresh.values())
+        cmd_utility(cfg, emit_manifest=True)
+        assert json.loads(manifest.read_text()) == fresh
+
+    def test_attack_takes_no_manifest_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["attack", "--config", "c.json", "--emit-manifest"])
+        capsys.readouterr()
 
 
 class TestSweepVariants:
     def test_worker_pool_matches_sequential(self, synth_csv, tmp_path):
-        cfg_seq = base_config(synth_csv, tmp_path / "seq", mechanisms=["expm-g", "eig"])
-        cmd_model(cfg_seq)
-        seq = cmd_utility(cfg_seq).read_bytes()
-        cfg_pool = base_config(
-            synth_csv, tmp_path / "pool", mechanisms=["expm-g", "eig"], workers=4
-        )
-        cmd_model(cfg_pool)
-        pool = cmd_utility(cfg_pool).read_bytes()
-        assert seq == pool
+        outputs = []
+        for name, workers in (("seq", 1), ("pool", 4)):
+            cfg = base_config(synth_csv, tmp_path / name, mechanisms=["expm-g", "eig"],
+                              workers=workers)
+            cmd_model(cfg)
+            outputs.append([cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()])
+        assert outputs[0] == outputs[1]
 
     def test_multiple_delta_p_sweep(self, synth_csv, tmp_path):
         cfg = base_config(

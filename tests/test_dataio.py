@@ -6,13 +6,12 @@ import pytest
 from distpriv.dataio import (
     CANONICAL_ROW_COUNT,
     PropertySpec,
-    Record,
     Table,
     compute_query,
+    dataset_sha256,
     load_adult,
     load_simple_csv,
     sample_subset_indices,
-    sample_subset_with_property,
     split_dataset,
 )
 from distpriv.errors import ConfigError, FormatError, ParseError, SamplingError
@@ -39,27 +38,38 @@ def write_adult_file(path, rows):
     return path
 
 
+FIELDS = ("age", "education_num", "never_married", "female",
+          "hours_per_week", "income_gt_50k", "private_workclass")
+
+
+def columns(table):
+    return {name: getattr(table, name).tolist() for name in FIELDS}
+
+
+def sample_subset(table, prop, n, rng):
+    return table.take(sample_subset_indices(table, prop, n, rng))
+
+
 class TestLoadAdult:
     def test_field_mapping(self, tmp_path):
         rows = [make_row()]
         table = load_adult(write_adult_file(tmp_path / "adult.csv", rows), allow_variant=True)
-        rec = table[0]
-        assert rec == Record(
-            age=39, education_num=13, never_married=True, female=False,
-            hours_per_week=40, income_gt_50k=False, private_workclass=False,
-        )
+        assert columns(table) == {
+            "age": [39], "education_num": [13], "never_married": [True], "female": [False],
+            "hours_per_week": [40], "income_gt_50k": [False], "private_workclass": [False],
+        }
 
     def test_private_female_high_income(self, tmp_path):
         rows = [make_row(workclass="Private", marital="Married-civ-spouse",
                          sex="Female", label=">50K")]
-        rec = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)[0]
-        assert rec.private_workclass and rec.female and rec.income_gt_50k
-        assert not rec.never_married
+        table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+        assert table.private_workclass[0] and table.female[0] and table.income_gt_50k[0]
+        assert not table.never_married[0]
 
     def test_test_file_label_suffix_normalized(self, tmp_path):
         rows = [make_row(label=">50K."), make_row(label="<=50K.")]
         table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
-        assert table[0].income_gt_50k and not table[1].income_gt_50k
+        assert table.income_gt_50k.tolist() == [True, False]
 
     def test_missing_marker_dropped(self, tmp_path, caplog):
         rows = [make_row(), make_row(workclass="?")]
@@ -107,13 +117,35 @@ class TestLoadAdult:
             load_adult(tmp_path / "nope.csv")
 
 
+class TestDatasetDigest:
+    def test_follows_the_bytes(self, tmp_path):
+        path = write_adult_file(tmp_path / "a.csv", [make_row()])
+        first = dataset_sha256(path)
+        assert dataset_sha256(path) == first
+        write_adult_file(path, [make_row(age=40)])
+        assert dataset_sha256(path) != first
+
+    def test_directory_covers_both_files(self, tmp_path):
+        write_adult_file(tmp_path / "adult.data", [make_row()])
+        write_adult_file(tmp_path / "adult.test", [make_row(label=">50K.")])
+        first = dataset_sha256(tmp_path)
+        write_adult_file(tmp_path / "adult.test", [make_row(label="<=50K.")])
+        assert dataset_sha256(tmp_path) != first
+
+    def test_missing_files_raise(self, tmp_path):
+        write_adult_file(tmp_path / "adult.data", [make_row()])
+        with pytest.raises(FileNotFoundError):
+            dataset_sha256(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            dataset_sha256(tmp_path / "nope.csv", "simple")
+
+
 class TestSimpleCsv:
     def test_round_trip(self, tmp_path):
         table = synthetic_census_table(200, seed=1)
         path = write_simple_csv(table, tmp_path / "t.csv")
         back = load_simple_csv(path)
-        assert len(back) == len(table)
-        assert back[17] == table[17]
+        assert columns(back) == columns(table)
 
     def test_missing_columns_rejected(self, tmp_path):
         (tmp_path / "bad.csv").write_text("age,female\n39,1\n", encoding="utf-8")
@@ -164,28 +196,24 @@ class TestSampling:
     def test_exact_stratification(self):
         table = synthetic_census_table(5_000, seed=8)
         rng = derive_rng(0, "strat")
-        subset = sample_subset_with_property(table, PropertySpec("income", 0.45), 100, rng)
+        subset = sample_subset(table, PropertySpec("income", 0.45), 100, rng)
         assert int(subset.income_gt_50k.sum()) == 45
 
     def test_zero_proportion(self):
         table = synthetic_census_table(5_000, seed=8)
-        subset = sample_subset_with_property(
-            table, PropertySpec("income", 0.0), 100, derive_rng(1)
-        )
+        subset = sample_subset(table, PropertySpec("income", 0.0), 100, derive_rng(1))
         assert int(subset.income_gt_50k.sum()) == 0
 
     def test_half_proportion_always_exact(self):
         table = synthetic_census_table(5_000, seed=8)
         for rep in range(10):
-            subset = sample_subset_with_property(
-                table, PropertySpec("income", 0.5), 100, derive_rng(2, rep)
-            )
+            subset = sample_subset(table, PropertySpec("income", 0.5), 100, derive_rng(2, rep))
             assert int(subset.income_gt_50k.sum()) == 50
 
     def test_insufficient_class_named(self):
         table = synthetic_census_table(200, seed=9)
         with pytest.raises(SamplingError) as err:
-            sample_subset_with_property(table, PropertySpec("income", 1.0), 150, derive_rng(3))
+            sample_subset_indices(table, PropertySpec("income", 1.0), 150, derive_rng(3))
         assert "income" in str(err.value)
 
     def test_deterministic_per_seed(self):
@@ -197,18 +225,14 @@ class TestSampling:
 
 class TestComputeQuery:
     def test_two_record_example(self):
-        records = [
-            Record(age=30, education_num=10, never_married=True, female=True,
-                   hours_per_week=40, income_gt_50k=False, private_workclass=True),
-            Record(age=50, education_num=12, never_married=False, female=False,
-                   hours_per_week=60, income_gt_50k=True, private_workclass=False),
-        ]
-        assert np.array_equal(compute_query(records), [40.0, 11.0, 1.0, 1.0, 50.0])
+        table = Table(age=[30, 50], education_num=[10, 12], never_married=[True, False],
+                      female=[True, False], hours_per_week=[40, 60],
+                      income_gt_50k=[False, True], private_workclass=[True, False])
+        assert np.array_equal(compute_query(table), [40.0, 11.0, 1.0, 1.0, 50.0])
 
     def test_identical_records(self):
-        rec = Record(age=44, education_num=9, never_married=False, female=True,
-                     hours_per_week=35, income_gt_50k=False, private_workclass=True)
-        q = compute_query([rec] * 7)
+        row = (44, 9, False, True, 35, False, True)
+        q = compute_query(Table(*([value] * 7 for value in row)))
         assert np.array_equal(q, [44.0, 9.0, 0.0, 7.0, 35.0])
 
     def test_permutation_invariance(self):
@@ -220,10 +244,7 @@ class TestComputeQuery:
 
     def test_components_within_bounds(self):
         table = synthetic_census_table(5_000, seed=11)
-        subset = sample_subset_with_property(
-            table, PropertySpec("income", 0.45), 100, derive_rng(5)
-        )
-        q = compute_query(subset)
+        q = compute_query(sample_subset(table, PropertySpec("income", 0.45), 100, derive_rng(5)))
         assert 17 <= q[0] <= 90 and 1 <= q[1] <= 16 and 1 <= q[4] <= 99
         assert 0 <= q[2] <= 100 and 0 <= q[3] <= 100
         assert q[2] == int(q[2]) and q[3] == int(q[3])
@@ -231,22 +252,17 @@ class TestComputeQuery:
 
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
-            compute_query([])
+            compute_query(synthetic_census_table(5, seed=12).take([]))
 
 
 class TestTable:
-    def test_json_round_trip(self):
-        table = synthetic_census_table(50, seed=12)
-        back = Table.from_json(table.to_json())
-        assert len(back) == 50
-        assert back[13] == table[13]
-
     def test_immutable(self):
         table = synthetic_census_table(5, seed=13)
-        with pytest.raises(ValueError):
-            table.age[0] = 99
-        with pytest.raises(AttributeError):
-            table.age = None
+        for part in (table, table.take([3, 1])):
+            with pytest.raises(ValueError):
+                part.age[0] = 99
+            with pytest.raises(AttributeError):
+                part.age = None
 
 
 @pytest.mark.adult

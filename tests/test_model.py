@@ -323,18 +323,17 @@ class TestCatalogSerialization:
 @pytest.mark.adult
 class TestAdultModels:
     def test_income_models_nearly_share_covariance(self, adult_splits):
-        from distpriv.dataio import PropertySpec, compute_query, sample_subset_with_property
+        from distpriv.dataio import PropertySpec, compute_query, sample_subset_indices
         from distpriv.seeding import derive_rng
 
         catalog = {}
+        modeling = adult_splits.modeling
         for p in (0.45, 0.55):
             rng = derive_rng(42, "adult-model-test", p)
             queries = np.vstack([
-                compute_query(
-                    sample_subset_with_property(
-                        adult_splits.modeling, PropertySpec("income", p), 100, rng
-                    )
-                )
+                compute_query(modeling.take(
+                    sample_subset_indices(modeling, PropertySpec("income", p), 100, rng)
+                ))
                 for _ in range(1000)
             ])
             catalog[SecretLabel("income", p)] = estimate_gaussian(queries)

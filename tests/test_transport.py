@@ -216,6 +216,14 @@ class TestWDeltaCloseness:
         )
         assert not bad.verify(mu, nu, 1.0, 0.1)
 
+    def test_verify_rejects_nan_and_negative_radius(self):
+        mu, nu = fig1_pair()
+        _, cert = is_w_delta_close(mu, nu, 1.0, 0.1)
+        assert not cert.verify(mu, nu, 0.5, 0.1)
+        for w in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                cert.verify(mu, nu, w, 0.1)
+
 
 class TestMinWForDelta:
     def test_fig1_values(self):
