@@ -77,7 +77,13 @@ from .model import (
     save_catalog,
 )
 from .seeding import derive_rng
-from .transport import DiscreteDistribution, is_w_delta_close, min_w_for_delta, winf_distance
+from .transport import (
+    DiscreteDistribution,
+    closeness_from_bounds,
+    is_w_delta_close,
+    min_w_for_delta,
+    winf_distance,
+)
 
 UTILITY_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,l2_error"
 ATTACK_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,accuracy"
@@ -253,7 +259,7 @@ def _approx_wasserstein(
         draws = gaussian_model_draws(model, cfg.awass_quantile_draws, rng)
         radii = np.abs(draws - model.mean).sum(axis=1)
         radius = max(radius, float(np.quantile(radii, 1.0 - params.delta / 2.0)))
-    plan = calibrate_approx_wasserstein(delta_E(family, 1) + 2.0 * radius, params)
+    plan = calibrate_approx_wasserstein(closeness_from_bounds(delta_E(family, 1), radius), params)
     plan.provenance.update(l1_radius=radius, l1_radius_method="monte_carlo_quantile",
                            l1_radius_draws=cfg.awass_quantile_draws)
     return plan
@@ -359,7 +365,7 @@ def _load_cell(path: Path, stamp: dict):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
-    if any(doc.get(name) != value for name, value in stamp.items()):
+    if not isinstance(doc, dict) or any(doc.get(name) != value for name, value in stamp.items()):
         return None
     return doc["values"]
 
@@ -619,6 +625,7 @@ def _add_config_command(sub, name, help_text, emit_manifest: bool = True):
 
 
 def _add_adhoc_flags(cmd, with_query: bool):
+    defaults = {name: f.default for name, f in ExperimentConfig.__dataclass_fields__.items()}
     cmd.add_argument("--mechanism", required=True, choices=tuple(MECHANISMS))
     cmd.add_argument("--epsilon", type=float, required=True)
     cmd.add_argument("--delta", type=float, default=0.0)
@@ -628,11 +635,13 @@ def _add_adhoc_flags(cmd, with_query: bool):
     if with_query:
         cmd.add_argument("--query", required=True, help="query vector JSON file")
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--n", type=int, default=100, help="subset size for group-DP sensitivity")
-    cmd.add_argument("--group-size", dest="group_size", type=int, default=100)
-    cmd.add_argument("--angle-tol", dest="angle_tol", type=float, default=1e-6)
-    cmd.add_argument("--cov-tol", dest="cov_tol", type=float, default=0.5)
-    cmd.add_argument("--eigenbasis-tol", dest="eigenbasis_tol", type=float, default=0.5)
+    cmd.add_argument("--n", type=int, default=defaults["n"],
+                     help="subset size for group-DP sensitivity")
+    cmd.add_argument("--group-size", dest="group_size", type=int, default=defaults["group_size"])
+    cmd.add_argument("--angle-tol", dest="angle_tol", type=float, default=defaults["angle_tol"])
+    cmd.add_argument("--cov-tol", dest="cov_tol", type=float, default=defaults["cov_tol"])
+    cmd.add_argument("--eigenbasis-tol", dest="eigenbasis_tol", type=float,
+                     default=defaults["eigenbasis_tol"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -298,5 +298,14 @@ def compute_query(subset: Table) -> np.ndarray:
 
 
 def load_query_json(path) -> np.ndarray:
+    """A query vector from a file holding a nonempty JSON array of finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        return np.asarray(json.load(fh), dtype=float)
+        try:
+            doc = json.load(fh)
+            value = np.asarray(doc, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # not JSON, or not numbers
+            value = None
+    if (value is None or value.ndim != 1 or value.size == 0 or not np.all(np.isfinite(value))
+            or any(isinstance(x, bool) for x in doc)):
+        raise FormatError(f"{path}: query must be a nonempty JSON array of finite numbers")
+    return value

@@ -4,7 +4,11 @@ Calibrations turn a protected pair family plus a privacy budget into a
 fully resolved noise plan: iid Laplace scaled to a transport distance or
 an L1 mean-gap sensitivity, iid Gaussian scaled to the L2 sensitivity,
 anisotropic Gaussian shaped by the data's own eigenstructure, or a
-scalar noise component along a single direction. Adversarial-uncertainty
+scalar noise component along a single direction. Each calibration states
+its sensitivity S, and one rule, `_noise_scale`, turns it into the scale
+and the claimed budget: Laplace S / epsilon with (epsilon, 0), or
+Gaussian c * S / epsilon with c = sqrt(2 ln(1.25/delta)) and
+(epsilon, delta). Adversarial-uncertainty
 variants subtract the query's inherent randomness from the noise that
 must be added. An empirical auditor estimates violations of the
 indistinguishability guarantee from samples.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,16 +240,11 @@ def calibrate_wasserstein(delta_w: float, params: PrivacyParams) -> NoisePlan:
     """
     if delta_w < 0:
         raise ValueError(f"transport distance must be nonnegative, got {delta_w}")
-    scale = delta_w / params.epsilon
+    scale, budget = _noise_scale("laplace", params, delta_w)
     return NoisePlan(
         kind="laplace_iid",
         scale=scale,
-        provenance={
-            "mechanism": "wasserstein",
-            "delta_w": float(delta_w),
-            "epsilon": params.epsilon,
-            "delta": 0.0,
-        },
+        provenance={"mechanism": "wasserstein", "delta_w": float(delta_w), **budget},
     )
 
 
@@ -259,15 +258,13 @@ def calibrate_approx_wasserstein(w: float, params: PrivacyParams) -> NoisePlan:
     """
     if w < 0:
         raise ValueError(f"closeness radius must be nonnegative, got {w}")
+    scale, budget = _noise_scale("laplace", params, w)
+    # The closeness certificate, not the noise, spends delta.
     return NoisePlan(
         kind="laplace_iid",
-        scale=w / params.epsilon,
-        provenance={
-            "mechanism": "approx_wasserstein",
-            "w": float(w),
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-        },
+        scale=scale,
+        provenance={"mechanism": "approx_wasserstein", "w": float(w), **budget,
+                    "delta": params.delta},
     )
 
 
@@ -278,33 +275,14 @@ def calibrate_expm(family: PairFamily, params: PrivacyParams, noise: str) -> Noi
     Gaussian: iid sigma = c * delta_E2 / epsilon with
     c = sqrt(2 ln(1.25/delta)), guarantee (epsilon, delta).
     """
-    _check_noise_kind(noise)
-    if noise == "laplace":
-        scale = delta_E(family, 1) / params.epsilon
-        return NoisePlan(
-            kind="laplace_iid",
-            scale=scale,
-            provenance={
-                "mechanism": "expected_value_laplace",
-                "delta_e1": delta_E(family, 1),
-                "epsilon": params.epsilon,
-                "delta": 0.0,
-            },
-        )
-    c = params.gaussian_c()
-    d2 = delta_E(family, 2)
-    sigma = c * d2 / params.epsilon
+    norm = 1 if noise == "laplace" else 2
+    sens = delta_E(family, norm)
+    scale, budget = _noise_scale(noise, params, sens)
     return NoisePlan(
-        kind="gaussian_iid",
-        sigma=sigma,
-        provenance={
-            "mechanism": "expected_value_gaussian",
-            "delta_e2": d2,
-            "c": c,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "warnings": _epsilon_warnings(params),
-        },
+        kind=f"{noise}_iid",
+        scale=scale if noise == "laplace" else None,
+        sigma=scale if noise == "gaussian" else None,
+        provenance={"mechanism": f"expected_value_{noise}", f"delta_e{norm}": sens, **budget},
     )
 
 
@@ -321,30 +299,19 @@ def calibrate_directional(
     radians (sign ignored); otherwise the worst pair is reported.
     The scale is delta_E2 / epsilon for Laplace noise and
     c * delta_E2 / epsilon for Gaussian noise.
+
+    The guarantee holds only when the pair covariances are exactly equal:
+    a covariance that differs off v leaks through the directions left
+    un-noised, so the Laplace plan's claimed delta = 0 and the Gaussian
+    plan's delta are then not met. Covariance equality is not checked.
     """
-    _check_noise_kind(noise)
     v = _unit_vector(v)
     _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
     d2 = delta_E(family, 2)
-    if noise == "laplace":
-        scale = d2 / params.epsilon
-        prov_delta = 0.0
-        c = None
-    else:
-        c = params.gaussian_c()
-        scale = c * d2 / params.epsilon
-        prov_delta = params.delta
-    prov = {
-        "mechanism": f"directional_{noise}",
-        "delta_e2": d2,
-        "epsilon": params.epsilon,
-        "delta": prov_delta,
-    }
-    if c is not None:
-        prov["c"] = c
-        prov["warnings"] = _epsilon_warnings(params)
+    scale, budget = _noise_scale(noise, params, d2)
     return NoisePlan(
-        kind="scalar_along_direction", dist=noise, scale=scale, direction=v, provenance=prov
+        kind="scalar_along_direction", dist=noise, scale=scale, direction=v,
+        provenance={"mechanism": f"directional_{noise}", "delta_e2": d2, **budget},
     )
 
 
@@ -367,9 +334,9 @@ def added_cov_check(
     cov_tol: float = DEFAULT_COV_TOL,
 ) -> bool:
     """no_noise_check with Sigma_i replaced by Sigma_i + sigma_add."""
-    c = params.gaussian_c()
+    _, budget = _noise_scale("gaussian", params)
     sigma_add = np.asarray(sigma_add, dtype=float)
-    bound = (params.epsilon / c) ** 2
+    bound = (params.epsilon / budget["c"]) ** 2
     _require_within(cov_discrepancy(family), cov_tol, "relative covariance discrepancy")
     for a, b in family.pairs:
         gap = family.catalog[a].mean - family.catalog[b].mean
@@ -387,9 +354,8 @@ def min_eig_check(family: PairFamily, sigma_add, params: PrivacyParams) -> bool:
     Comparison allows 1e-9 relative slack so plans constructed to bind
     with equality pass.
     """
-    c = params.gaussian_c()
+    required = _noise_scale("gaussian", params, delta_E(family, 2))[0] ** 2
     sigma_add = np.asarray(sigma_add, dtype=float)
-    required = (c * delta_E(family, 2) / params.epsilon) ** 2
     for label in family.sorted_labels():
         total = family.catalog[label].cov + sigma_add
         lam_min = float(np.linalg.eigvalsh(0.5 * (total + total.T))[0])
@@ -415,9 +381,9 @@ def eig_plan(
             "covariances do not share an eigenbasis within tolerance "
             f"(residual {report.common_eigenbasis_residual:.3g} > {basis_tol:g})"
         )
-    c = params.gaussian_c()
     d2 = delta_E(family, 2)
-    target = (c * d2 / params.epsilon) ** 2
+    scale, budget = _noise_scale("gaussian", params, d2)
+    target = scale**2
     labels = family.sorted_labels()
     basis_pairs = report.reference_eigenpairs
     m = family.dim
@@ -437,13 +403,10 @@ def eig_plan(
         provenance={
             "mechanism": "eigenvector_gaussian",
             "delta_e2": d2,
-            "c": c,
             "target_variance": target,
             "sigma_sq": [float(s) for s in sigma_sq],
-            "epsilon": params.epsilon,
-            "delta": params.delta,
             "eigenbasis_residual": report.common_eigenbasis_residual,
-            "warnings": _epsilon_warnings(params),
+            **budget,
         },
     )
 
@@ -458,8 +421,7 @@ def dau_sigma(model: GaussianModel, alpha: float, v, params: PrivacyParams) -> f
     matrix strictly positive definite.
     """
     v = _unit_vector(v)
-    c = params.gaussian_c()
-    target = (alpha * c / params.epsilon) ** 2
+    target = _noise_scale("gaussian", params, abs(alpha))[0] ** 2
     quad = float(v @ solve_spd(model.cov, v))
     if not np.isfinite(quad) or quad <= 0.0:
         raise NumericError("covariance quadratic form is not positive; matrix too singular")
@@ -479,11 +441,16 @@ def dau_plan(
     For each protected pair, alpha is the signed projection of the mean
     gap on v and the required variance comes from dau_sigma on the first
     model of the pair; the plan takes the worst case over pairs.
+
+    The guarantee holds only when the pair covariances are exactly equal,
+    since a covariance that differs off v leaks through the directions
+    left un-noised. cov_tol bounds the accepted mismatch but certifies
+    nothing.
     """
     v = _unit_vector(v)
     _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
     _require_within(cov_discrepancy(family), cov_tol, "relative covariance discrepancy")
-    c = params.gaussian_c()
+    _, budget = _noise_scale("gaussian", params)
     sigma_sq = 0.0
     for a, b in family.pairs:
         gap = family.catalog[a].mean - family.catalog[b].mean
@@ -494,14 +461,8 @@ def dau_plan(
         dist="gaussian",
         scale=math.sqrt(sigma_sq),
         direction=v,
-        provenance={
-            "mechanism": "directional_adversarial_uncertainty",
-            "sigma_sq": sigma_sq,
-            "c": c,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "warnings": _epsilon_warnings(params),
-        },
+        provenance={"mechanism": "directional_adversarial_uncertainty", "sigma_sq": sigma_sq,
+                    **budget},
     )
 
 
@@ -513,36 +474,17 @@ def group_dp_calibrate(
     Laplace: iid scale k * sens / epsilon (sens measured in L1).
     Gaussian: iid sigma = c * k * sens / epsilon (sens measured in L2).
     """
-    _check_noise_kind(noise)
     if k < 1:
         raise ValueError(f"group size must be at least 1, got {k}")
     if per_record_sens < 0:
         raise ValueError("per-record sensitivity must be nonnegative")
-    if noise == "laplace":
-        return NoisePlan(
-            kind="laplace_iid",
-            scale=k * per_record_sens / params.epsilon,
-            provenance={
-                "mechanism": "group_dp_laplace",
-                "k": int(k),
-                "per_record_sensitivity": per_record_sens,
-                "epsilon": params.epsilon,
-                "delta": 0.0,
-            },
-        )
-    c = params.gaussian_c()
+    scale, budget = _noise_scale(noise, params, k, per_record_sens)
     return NoisePlan(
-        kind="gaussian_iid",
-        sigma=c * k * per_record_sens / params.epsilon,
-        provenance={
-            "mechanism": "group_dp_gaussian",
-            "k": int(k),
-            "per_record_sensitivity": per_record_sens,
-            "c": c,
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "warnings": _epsilon_warnings(params),
-        },
+        kind=f"{noise}_iid",
+        scale=scale if noise == "laplace" else None,
+        sigma=scale if noise == "gaussian" else None,
+        provenance={"mechanism": f"group_dp_{noise}", "k": int(k),
+                    "per_record_sensitivity": per_record_sens, **budget},
     )
 
 
@@ -680,9 +622,23 @@ def _binomial_slack(p: np.ndarray, n: int) -> np.ndarray:
 # --- shared helpers -------------------------------------------------------
 
 
-def _check_noise_kind(noise: str) -> None:
-    if noise not in ("laplace", "gaussian"):
+def _noise_scale(noise: str, params: PrivacyParams, *sensitivity: float) -> Tuple[float, dict]:
+    """The one noise-scale rule: (scale, budget fields of the provenance).
+
+    Laplace noise gets scale S / epsilon and claims (epsilon, 0); Gaussian
+    noise gets c * S / epsilon with c = sqrt(2 ln(1.25/delta)) and claims
+    (epsilon, delta), recording c and a warning when epsilon >= 1. The
+    sensitivity S is passed as factors and multiplied left to right after
+    c, so c * k * s / epsilon rounds as ((c * k) * s) / epsilon.
+    """
+    if noise == "laplace":
+        return math.prod(sensitivity) / params.epsilon, {"epsilon": params.epsilon, "delta": 0.0}
+    if noise != "gaussian":
         raise ValueError(f"noise must be 'laplace' or 'gaussian', got {noise!r}")
+    c = params.gaussian_c()
+    budget = {"c": c, "epsilon": params.epsilon, "delta": params.delta,
+              "warnings": _epsilon_warnings(params)}
+    return math.prod((c,) + sensitivity) / params.epsilon, budget
 
 
 def _epsilon_warnings(params: PrivacyParams) -> List[str]:

@@ -16,7 +16,7 @@ from distpriv.cli import (
     main,
     transport_report,
 )
-from distpriv.errors import ConfigError
+from distpriv.errors import ConfigError, FormatError
 from distpriv.model import PrivacyParams, SecretLabel, load_catalog
 
 from helpers import synthetic_census_table, write_simple_csv
@@ -207,6 +207,16 @@ class TestCmdUtility:
         assert len(stored) == 4  # two cells per config; the second 5 reused both
         assert outputs[2] == outputs[0]
 
+    def test_non_object_cell_recomputes(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
+        cmd_model(cfg)
+        path = cmd_utility(cfg)
+        fresh = path.read_bytes()
+        cell = next((path.parent / "cells").glob("utility-*.json"))
+        cell.write_text("[]")
+        assert cmd_utility(cfg).read_bytes() == fresh
+        assert isinstance(json.loads(cell.read_text()), dict)
+
     def test_failed_cell_write_leaves_no_file(self, tmp_path, monkeypatch):
         def broken_dump(doc, fh):
             fh.write('{"config_hash": "h", "values": [1.0, ')
@@ -388,6 +398,16 @@ class TestReleaseAndAudit:
         main(self.release_args(catalog_dir, mechanism="none"))
         doc = json.loads(capsys.readouterr().out)
         assert doc["noised_value"] == [40.0, 10.0, 30.0, 35.0, 41.0]
+
+    @pytest.mark.parametrize("mechanism", ["expm-g", "gdp-l"])
+    def test_release_rejects_nan_query(self, catalog_dir, tmp_path, capsys, mechanism):
+        args = self.release_args(catalog_dir, mechanism=mechanism)
+        query = tmp_path / "nan.json"
+        query.write_text("[NaN, 1.0, 2.0, 3.0, 4.0]")
+        args[args.index("--query") + 1] = str(query)
+        with pytest.raises(FormatError):
+            main(args)
+        assert capsys.readouterr().out == ""
 
     def test_audit_command(self, catalog_dir, capsys):
         args = [

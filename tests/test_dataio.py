@@ -10,6 +10,7 @@ from distpriv.dataio import (
     compute_query,
     dataset_sha256,
     load_adult,
+    load_query_json,
     load_simple_csv,
     sample_subset_indices,
     split_dataset,
@@ -161,6 +162,25 @@ class TestSimpleCsv:
         with pytest.raises(ParseError) as err:
             load_simple_csv(path)
         assert err.value.line == 3
+
+
+
+class TestQueryJson:
+    def test_vector_loads(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text("[40.0, 10, 30.5]")
+        assert load_query_json(path).tolist() == [40.0, 10.0, 30.5]
+
+    @pytest.mark.parametrize("text", [
+        "[NaN, 1.0, 2.0]", "[1.0, Infinity]", "[[1.0, 2.0]]", "[[1.0], [2.0, 3.0]]",
+        '["x", 1.0]', '{"a": 1.0}', "3.0", "[]", "[1.0,", "[true, 1.0]", "[null]",
+        "[1e999999]", "[" + "9" * 400 + "]",
+    ], ids=lambda text: text[:24])
+    def test_non_vector_rejected(self, tmp_path, text):
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_query_json(path)
 
 
 class TestSplitDataset:

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from distpriv.cli import ExperimentConfig, build_plan
 from distpriv.errors import AssumptionViolation, NumericError
 from distpriv.mechanisms import (
     NoisePlan,
@@ -678,3 +680,115 @@ class TestAudit:
         model = GaussianModel([0.0], [[1.0]], 10)
         with pytest.raises(ValueError):
             audit(NoisePlan(kind="none"), model, model, PARAMS, 100, derive_rng(14))
+
+
+@pytest.mark.parametrize("calibrate", [
+    lambda noise: calibrate_expm(worked_example_family(), PARAMS, noise),
+    lambda noise: calibrate_directional(worked_example_family(), V_GAP, PARAMS, noise),
+    lambda noise: group_dp_calibrate(1.0, 2, PARAMS, noise),
+], ids=["expm", "directional", "group_dp"])
+def test_unknown_noise_rejected(calibrate):
+    with pytest.raises(ValueError, match="noise must be"):
+        calibrate("uniform")
+
+
+# float.hex of each plan's scale or sigma (for eig, a digest of the float.hex of
+# every cov entry), per (epsilon, delta), built by cli.build_plan on the catalog
+# below with n = 333 and group size 7.
+PINNED_PLAN_BITS = {
+    (0.2, 1e-06): {
+        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.3870555e6dc9fp+7",
+        "expm-l": "0x1.1b6413ac6f3f9p+4", "expm-g": "0x1.ba208e09687c7p+5",
+        "dir-l": "0x1.4dc19c2d6371bp+3", "dir-g": "0x1.ba208e09687c7p+5",
+        "eig": "dac650f073ebffc3", "dau": "0x1.ba0670db91964p+5",
+        "gdp-l": "0x1.6632bd1dfb632p+6", "gdp-g": "0x1.0f179c74286a2p+8",
+    },
+    (0.2, 0.001): {
+        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.135c124b2f6e9p+7",
+        "expm-l": "0x1.1b6413ac6f3f9p+4", "expm-g": "0x1.3b1b1f775189fp+5",
+        "dir-l": "0x1.4dc19c2d6371bp+3", "dir-g": "0x1.3b1b1f775189fp+5",
+        "eig": "d609afa18a2a1c62", "dau": "0x1.3af67064a699ep+5",
+        "gdp-l": "0x1.6632bd1dfb632p+6", "gdp-g": "0x1.826aceb5dd08fp+7",
+    },
+    (1.0, 1e-06): {
+        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.f3e6eefd7c766p+4",
+        "expm-l": "0x1.c56cec471865cp+1", "expm-g": "0x1.61b3a4d45396cp+3",
+        "dir-l": "0x1.0b0149bde927cp+1", "dir-g": "0x1.61b3a4d45396cp+3",
+        "eig": "7d8e6183ff09b2ab", "dau": "0x1.5fa6d1233b77fp+3",
+        "gdp-l": "0x1.1e8efdb195e8fp+4", "gdp-g": "0x1.b1bf60b9da437p+5",
+    },
+    (1.0, 0.001): {
+        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.b89350784be42p+4",
+        "expm-l": "0x1.c56cec471865cp+1", "expm-g": "0x1.f82b658bb5a98p+2",
+        "dir-l": "0x1.0b0149bde927cp+1", "dir-g": "0x1.f82b658bb5a98p+2",
+        "eig": "5110dfc518da20f8", "dau": "0x1.f2665ffee8b04p+2",
+        "gdp-l": "0x1.1e8efdb195e8fp+4", "gdp-g": "0x1.35223ef7e4073p+5",
+    },
+    (5.0, 1e-06): {
+        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.8febf2646391ep+2",
+        "expm-l": "0x1.6abd89d279eb0p-1", "expm-g": "0x1.1af61d76a9456p+1",
+        "dir-l": "0x1.ab3542c9750c6p-2", "dir-g": "0x1.1af61d76a9456p+1",
+        "eig": "be1e83e1d65d5e6a", "dau": "0x1.dd3193dcf4434p+0",
+        "gdp-l": "0x1.ca7e62b5bca7ep+1", "gdp-g": "0x1.5aff8094ae9c6p+3",
+    },
+    (5.0, 0.001): {
+        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.6075d9f9d6502p+2",
+        "expm-l": "0x1.6abd89d279eb0p-1", "expm-g": "0x1.9355ead62aee0p+0",
+        "dir-l": "0x1.ab3542c9750c6p-2", "dir-g": "0x1.9355ead62aee0p+0",
+        "eig": "c24a8c22e18fbfa9", "dau": "0x1.08cf84ee247f1p+0",
+        "gdp-l": "0x1.ca7e62b5bca7ep+1", "gdp-g": "0x1.ee9d318ca00b8p+2",
+    },
+}
+
+
+class TestPlanBits:
+    """Every mechanism's plan, pinned bit for bit.
+
+    The other plan tests compare with a tolerance, so a one-ulp drift in a
+    calibration (for example computing c * (k * s) / epsilon instead of
+    ((c * k) * s) / epsilon) would pass them. The covariances are
+    diagonal, so the eigen- and Cholesky factors involved are exact.
+    """
+
+    @staticmethod
+    def family() -> PairFamily:
+        rng = np.random.default_rng(20261018)
+        mu = rng.normal(size=5) * 5.0
+        gap = rng.normal(size=5)
+        var = rng.uniform(0.5, 4.0, size=5)
+        lab_a, lab_b = SecretLabel("income", 0.45), SecretLabel("income", 0.55)
+        return PairFamily(
+            {lab_a: GaussianModel(mu, np.diag(var), 1000),
+             lab_b: GaussianModel(mu - gap, np.diag(1.01 * var), 1000)},
+            [(lab_a, lab_b), (lab_b, lab_a)],
+        )
+
+    @staticmethod
+    def config() -> ExperimentConfig:
+        return ExperimentConfig(
+            dataset="", seed=5, delta_p=[0.1], epsilon=[1.0], delta=[1e-3], mechanisms=["none"],
+            n=333, group_size=7, awass_quantile_draws=4000, modeling_samples=2, repetitions=1,
+        )
+
+    def test_plans_match_pinned_bits(self):
+        fam, cfg = self.family(), self.config()
+        for (eps, delta), want in PINNED_PLAN_BITS.items():
+            got = {}
+            for mech in want:
+                plan = build_plan(mech, fam, PrivacyParams(eps, delta), cfg)
+                if plan.cov is not None:
+                    text = " ".join(float(x).hex() for x in plan.cov.ravel())
+                    got[mech] = hashlib.sha256(text.encode()).hexdigest()[:16]
+                else:
+                    got[mech] = float(plan.scale if plan.sigma is None else plan.sigma).hex()
+            assert got == want, (eps, delta)
+
+    def test_grid_holds_a_reassociation_sensitive_gdp_case(self):
+        cfg = self.config()
+        sens = per_record_sensitivity(cfg.query_components(), cfg.n, 2)
+        k = cfg.group_size
+        sensitive = []
+        for eps, delta in PINNED_PLAN_BITS:
+            c = PrivacyParams(eps, delta).gaussian_c()
+            sensitive.append(c * k * sens / eps != c * (k * sens) / eps)
+        assert any(sensitive)
