@@ -27,7 +27,6 @@ class ShadowConfig:
 
     p_low: float
     p_high: float
-    seed: int
     n: int = 100
     shadow_count: int = 200
     test_count: int = 200

@@ -2,7 +2,8 @@
 
 Subcommands:
   model      estimate Gaussian query models per property value, write a catalog
-  utility    privacy-utility sweep: L2 noise norm per (mechanism, eps, delta, delta_p)
+  utility    privacy-utility sweep: L2 noise norm per (mechanism, eps, delta, delta_p);
+             reads the catalog, not the dataset
   attack     property-inference attack accuracy per (mechanism, eps, delta)
   transport  exact transport report for two discrete distributions
   release    noise one query vector under a chosen mechanism
@@ -12,8 +13,9 @@ A run is a pure function of (config, dataset bytes): the root seed fans
 out to (stage, parameter tuple, repetition) derived generators, and
 outputs are written deterministically. Both sweeps run through one
 cell loop, `_sweep`: each cell is stored under, and checked on load
-against, the config hash and the sha256 of the dataset files, and the
-table is read only when some cell is missing.
+against, the config hash and the sha256 of the dataset files, and a
+stage reads its inputs (the catalog, and for `attack` the table) only
+when some cell is missing.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ class ExperimentConfig:
         for delta in self.delta:
             if not (0.0 <= delta < 1.0):
                 raise ConfigError(f"delta entries must lie in [0, 1), got {delta}")
+        spenders = [mech for mech in self.mechanisms if MECHANISMS[mech][1]]  # spends delta
+        if spenders and min(self.delta) == 0.0:
+            raise ConfigError(f"mechanisms {spenders} spend delta, so delta entries must be "
+                              "positive, got 0")
         if self.n <= 0 or self.modeling_samples < 2 or self.repetitions <= 0:
             raise ConfigError("n, modeling_samples, repetitions must be positive (samples >= 2)")
         if self.group_size < 1 or self.workers < 1:
@@ -169,24 +175,15 @@ class ExperimentConfig:
         return _round_p(self.p_center - dp / 2.0), _round_p(self.p_center + dp / 2.0)
 
     def shadow_config(self) -> ShadowConfig:
-        doc = dict(self.attack)
-        p_low = doc.pop("p_low", None)
-        p_high = doc.pop("p_high", None)
-        low, high = self.pair(self.delta_p[0])
-        kwargs = dict(
-            p_low=low if p_low is None else _round_p(p_low),
-            p_high=high if p_high is None else _round_p(p_high),
-            seed=self.seed,
-            n=doc.pop("n", self.n),
-            shadow_count=doc.pop("shadow_count", 200),
-            test_count=doc.pop("test_count", 200),
-            repetitions=doc.pop("repetitions", self.repetitions),
-            noise_shadow=doc.pop("noise_shadow", True),
-            standardize=doc.pop("standardize", True),
-        )
-        if doc:
-            raise ConfigError(f"unknown attack config keys: {sorted(doc)}")
-        return ShadowConfig(**kwargs)
+        """The `attack` keys over ShadowConfig's defaults; n, repetitions and
+        the property pair default to the experiment's."""
+        doc = {"n": self.n, "repetitions": self.repetitions, **self.attack}
+        unknown = set(doc) - set(ShadowConfig.__dataclass_fields__)
+        if unknown:
+            raise ConfigError(f"unknown attack config keys: {sorted(unknown)}")
+        for name, default in zip(("p_low", "p_high"), self.pair(self.delta_p[0])):
+            doc[name] = default if doc.get(name) is None else _round_p(doc[name])
+        return ShadowConfig(**doc)
 
     def required_p_values(self) -> List[float]:
         values = {p for dp in self.delta_p for p in self.pair(dp)}
@@ -250,8 +247,6 @@ def _approx_wasserstein(
     derived seed so it is reproducible for a given config; the provenance
     records it with its draw count.
     """
-    if params.delta <= 0.0:
-        raise ConfigError("awass requires delta > 0")
     radius = 0.0
     for label in family.sorted_labels():
         model = family.catalog[label]
@@ -265,29 +260,32 @@ def _approx_wasserstein(
     return plan
 
 
-# Mechanism name -> (needs a model catalog, builder(family, params, cfg)).
+# Mechanism name -> (needs a model catalog, spends delta, builder(family,
+# params, cfg)). A plan spends delta when it adds Gaussian noise or, for
+# awass, when its radius is a (1 - delta/2)-quantile; it needs delta > 0.
 # Builders look the calibrations up by name at call time, so rebinding this
 # module's names (as a tracer does) reaches every plan.
 MECHANISMS = {
-    "none": (False, lambda fam, params, cfg: NoisePlan(
+    "none": (False, False, lambda fam, params, cfg: NoisePlan(
         kind="none", provenance={"mechanism": "none"})),
     # Translation pairs make the worst-case transport distance equal the
     # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
-    "wass": (True, lambda fam, params, cfg: calibrate_wasserstein(delta_E(fam, 1), params)),
-    "awass": (True, _approx_wasserstein),
-    "expm-l": (True, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
-    "expm-g": (True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
-    "dir-l": (True, lambda fam, params, cfg: calibrate_directional(
+    "wass": (True, False, lambda fam, params, cfg: calibrate_wasserstein(delta_E(fam, 1), params)),
+    "awass": (True, True, _approx_wasserstein),
+    "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
+    "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
+    "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(
         fam, fit_common_direction(fam), params, "laplace", angle_tol=cfg.angle_tol)),
-    "dir-g": (True, lambda fam, params, cfg: calibrate_directional(
+    "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(
         fam, fit_common_direction(fam), params, "gaussian", angle_tol=cfg.angle_tol)),
-    "eig": (True, lambda fam, params, cfg: eig_plan(fam, params, basis_tol=cfg.eigenbasis_tol)),
-    "dau": (True, lambda fam, params, cfg: dau_plan(
+    "eig": (True, True, lambda fam, params, cfg: eig_plan(
+        fam, params, basis_tol=cfg.eigenbasis_tol)),
+    "dau": (True, True, lambda fam, params, cfg: dau_plan(
         fam, fit_common_direction(fam), params, angle_tol=cfg.angle_tol, cov_tol=cfg.cov_tol)),
-    "gdp-l": (False, lambda fam, params, cfg: group_dp_calibrate(
+    "gdp-l": (False, False, lambda fam, params, cfg: group_dp_calibrate(
         per_record_sensitivity(cfg.query_components(), cfg.n, 1), cfg.group_size, params,
         "laplace")),
-    "gdp-g": (False, lambda fam, params, cfg: group_dp_calibrate(
+    "gdp-g": (False, True, lambda fam, params, cfg: group_dp_calibrate(
         per_record_sensitivity(cfg.query_components(), cfg.n, 2), cfg.group_size, params,
         "gaussian")),
 }
@@ -302,9 +300,11 @@ def build_plan(
     """Resolve a mechanism name from the sweep grid into a noise plan."""
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
-    needs_family, build = MECHANISMS[mechanism]
+    needs_family, spends_delta, build = MECHANISMS[mechanism]
     if needs_family and family is None:
         raise ConfigError(f"mechanism {mechanism!r} requires a model catalog")
+    if spends_delta and params.delta <= 0.0:
+        raise ConfigError(f"mechanism {mechanism!r} spends delta and requires delta > 0")
     return build(family, params, cfg)
 
 
@@ -342,7 +342,11 @@ def cmd_model(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
         )
         fh.write("\n")
     if emit_manifest:
-        _write_manifest(out_dir, "model", manifests)
+        manifest_dir = out_dir / "manifests"
+        manifest_dir.mkdir(parents=True, exist_ok=True)
+        with open(manifest_dir / "model_subsets.json", "w", encoding="utf-8") as fh:
+            json.dump(manifests, fh, sort_keys=True)
+            fh.write("\n")
     _write_run_manifest(cfg, out_dir)
     return catalog_path
 
@@ -391,16 +395,14 @@ def _run_cells(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, compute,
-           manifest=None) -> Path:
+def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute) -> Path:
     """Run one sweep stage and write its CSV and the run manifest.
 
     `grid` lists (cell key parts, (mechanism, epsilon, delta, delta_p))
-    in CSV order; `compute(splits, *parts)` returns a cell's values, one
-    per repetition. Cells are stored under the config hash and the
-    dataset's sha256, and a stored cell is reused only when both match,
-    so the table is read only when a cell is missing or `manifest`, a
-    function of the splits, asks for the sampled subsets.
+    in CSV order; `compute(staged, *row)` returns a row's cell values, one
+    per repetition, where `staged = inputs()` is read once and only when
+    some cell is missing. Cells are stored under the config hash and the
+    dataset's sha256, and a stored cell is reused only when both match.
     """
     out_dir = Path(cfg.out_dir)
     stamp = {"config_hash": cfg.config_hash(),
@@ -409,10 +411,10 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, compute,
              for parts, _ in grid]
     values = [_load_cell(path, stamp) for path in paths]
     missing = [i for i, cell in enumerate(values) if cell is None]
-    splits = load_splits(cfg) if missing or manifest is not None else None
+    staged = inputs() if missing else None
 
     def compute_and_store(i):
-        cell = compute(splits, *grid[i][0])
+        cell = compute(staged, *grid[i][1])
         _store_cell(paths[i], stamp, cell)
         return cell
 
@@ -426,57 +428,56 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, compute,
         lines.append(f"{prefix},mean,{float(np.mean(cell))!r}")
     out_path = out_dir / f"results_{stage}.csv"
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if manifest is not None:
-        _write_manifest(out_dir, stage, manifest(splits))
     _write_run_manifest(cfg, out_dir)
     return out_path
 
 
-def cmd_utility(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
-    """L2 noise norm per (mechanism, epsilon, delta, delta_p) cell and repetition."""
-    catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
-    families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
-                for dp in cfg.delta_p}
-    prop_center = PropertySpec(cfg.property_name, cfg.p_center)
-    grid = [(cell, cell) for cell in itertools.product(
-        cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p)]
+def cmd_utility(cfg: ExperimentConfig) -> Path:
+    """L2 error of the release per (mechanism, epsilon, delta, delta_p) cell and repetition.
 
-    # The generator is keyed by everything except the mechanism, so one
-    # repetition confronts every mechanism with the same subset and
-    # underlying noise draws: mechanism comparisons are paired rather than
-    # smeared by independent streams. The subset is the generator's first draw.
-    def draw(splits, eps, delta, dp, rep):
-        rng = derive_rng(cfg.seed, "utility", eps, delta, dp, rep)
-        return sample_subset_indices(splits.modeling, prop_center, cfg.n, rng), rng
+    Every plan adds noise that does not depend on the query, so a
+    release's error is the norm of its noise: each repetition noises the
+    zero vector of the catalog's dimension, and the stage reads the
+    catalog but no dataset. The generator is keyed by everything except
+    the mechanism, so one repetition confronts every mechanism with the
+    same underlying noise draws: mechanism comparisons are paired rather
+    than smeared by independent streams.
+    """
+    def inputs():
+        catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
+        families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
+                    for dp in cfg.delta_p}
+        return families, np.zeros(next(iter(catalog.values())).mean.size)
 
-    def compute(splits, mech, eps, delta, dp):
+    def compute(staged, mech, eps, delta, dp):
+        families, zero = staged
         plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
-        errors = []
-        for rep in range(cfg.repetitions):
-            idx, rng = draw(splits, eps, delta, dp, rep)
-            query = compute_query(splits.modeling.take(idx))
-            errors.append(float(np.linalg.norm(apply(plan, query, rng) - query)))
-        return errors
+        return [float(np.linalg.norm(
+                    apply(plan, zero, derive_rng(cfg.seed, "utility", eps, delta, dp, rep))))
+                for rep in range(cfg.repetitions)]
 
-    def subsets(splits):
-        return {f"{mech}|{eps}|{delta}|{dp}|{rep}": draw(splits, eps, delta, dp, rep)[0].tolist()
-                for (mech, eps, delta, dp), _ in grid for rep in range(cfg.repetitions)}
-
-    return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, compute,
-                  subsets if emit_manifest else None)
+    # "noise" keeps these cells apart from those of the older stream, which
+    # drew a subset before the noise and so held other values.
+    grid = [(("noise",) + cell, cell) for cell in itertools.product(
+        cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p)]
+    return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, inputs, compute)
 
 
 def cmd_attack(cfg: ExperimentConfig) -> Path:
     """Attack accuracy per (mechanism, epsilon, delta) cell and repetition."""
-    catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
     shadow = cfg.shadow_config()
-    family = family_from_catalog(catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name)
     prop = PropertySpec(cfg.property_name, shadow.p_low)
     dp = _round_p(shadow.p_high - shadow.p_low)
     grid = [(cell, cell + (dp,)) for cell in itertools.product(
         cfg.mechanisms, cfg.epsilon, cfg.delta)]
 
-    def compute(splits, mech, eps, delta):
+    def inputs():
+        catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
+        family = family_from_catalog(catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name)
+        return family, load_splits(cfg)
+
+    def compute(staged, mech, eps, delta, _dp):
+        family, splits = staged
         plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
         return [
             run_attack_trial(splits.aux, splits.test, prop, shadow, plan,
@@ -484,15 +485,7 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
             for rep in range(shadow.repetitions)
         ]
 
-    return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, compute)
-
-
-def _write_manifest(out_dir: Path, stage: str, manifests: dict) -> None:
-    manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(parents=True, exist_ok=True)
-    with open(manifest_dir / f"{stage}_subsets.json", "w", encoding="utf-8") as fh:
-        json.dump(manifests, fh, sort_keys=True)
-        fh.write("\n")
+    return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, inputs, compute)
 
 
 def _write_run_manifest(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -556,9 +549,9 @@ def _family_from_args(models_path, pairs_arg, property_name=None) -> PairFamily:
 
 
 def release_report(args: argparse.Namespace) -> dict:
-    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     cfg = _adhoc_config(args)
-    needs_family, _ = MECHANISMS[args.mechanism]
+    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
+    needs_family = MECHANISMS[args.mechanism][0]
     family = _family_from_args(args.models, args.pairs, args.property) if needs_family else None
     plan = build_plan(args.mechanism, family, params, cfg)
     query = load_query_json(args.query)
@@ -567,8 +560,8 @@ def release_report(args: argparse.Namespace) -> dict:
 
 
 def audit_report_json(args: argparse.Namespace) -> dict:
-    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     cfg = _adhoc_config(args)
+    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     family = _family_from_args(args.models, args.pairs, args.property)
     plan = build_plan(args.mechanism, family, params, cfg)
     rng = derive_rng(args.seed, "audit", args.mechanism)
@@ -591,13 +584,14 @@ def audit_report_json(args: argparse.Namespace) -> dict:
 
 
 def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Minimal config carrying the tolerance and sizing flags of one-shot commands."""
+    """Minimal config carrying the budget, tolerance and sizing flags of one-shot
+    commands; building it rejects a bad budget with ConfigError."""
     return ExperimentConfig(
         dataset="",
         seed=args.seed,
         delta_p=[0.1],
         epsilon=[args.epsilon],
-        delta=[args.delta if args.delta > 0 else 0.001],
+        delta=[args.delta],
         mechanisms=[args.mechanism],
         n=args.n,
         group_size=args.group_size,
@@ -612,15 +606,11 @@ def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
 # --- argparse wiring --------------------------------------------------------
 
 
-def _add_config_command(sub, name, help_text, emit_manifest: bool = True):
+def _add_config_command(sub, name, help_text):
     cmd = sub.add_parser(name, help=help_text)
     cmd.add_argument("--config", required=True, help="experiment config JSON")
     cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     cmd.add_argument("--out", default=None, help="override the config output directory")
-    if emit_manifest:
-        cmd.add_argument(
-            "--emit-manifest", action="store_true", help="also write sampled subset indices"
-        )
     return cmd
 
 
@@ -651,10 +641,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_config_command(sub, "model", "estimate Gaussian query models, write catalog.json")
+    model = _add_config_command(sub, "model", "estimate Gaussian query models, write catalog.json")
+    model.add_argument("--emit-manifest", action="store_true",
+                       help="also write the sampled subset indices")
     _add_config_command(sub, "utility", "privacy-utility sweep to results_utility.csv")
-    _add_config_command(sub, "attack", "attack-accuracy sweep to results_attack.csv",
-                        emit_manifest=False)
+    _add_config_command(sub, "attack", "attack-accuracy sweep to results_attack.csv")
 
     tr = sub.add_parser("transport", help="exact transport report for two distributions")
     tr.add_argument("file_mu", help="first DiscreteDistribution JSON file")
@@ -686,7 +677,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         path = cmd_model(_config_from_args(args), emit_manifest=args.emit_manifest)
         print(str(path))
     elif args.command == "utility":
-        path = cmd_utility(_config_from_args(args), emit_manifest=args.emit_manifest)
+        path = cmd_utility(_config_from_args(args))
         print(str(path))
     elif args.command == "attack":
         path = cmd_attack(_config_from_args(args))

@@ -23,7 +23,7 @@ def synth_splits():
 
 
 def shadow_cfg(**kw):
-    base = dict(p_low=0.45, p_high=0.55, seed=0, repetitions=1)
+    base = dict(p_low=0.45, p_high=0.55, repetitions=1)
     base.update(kw)
     return ShadowConfig(**base)
 

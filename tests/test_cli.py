@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from distpriv import cli
+from distpriv.attack import ShadowConfig
 from distpriv.cli import (
     ATTACK_CSV_HEADER,
     UTILITY_CSV_HEADER,
@@ -17,7 +19,9 @@ from distpriv.cli import (
     transport_report,
 )
 from distpriv.errors import ConfigError, FormatError
-from distpriv.model import PrivacyParams, SecretLabel, load_catalog
+from distpriv.mechanisms import apply
+from distpriv.model import PrivacyParams, SecretLabel, family_from_catalog, load_catalog
+from distpriv.seeding import derive_rng
 
 from helpers import synthetic_census_table, write_simple_csv
 
@@ -82,6 +86,17 @@ class TestConfig:
         cfg = base_config(synth_csv, tmp_path)
         shadow = cfg.shadow_config()
         assert (shadow.p_low, shadow.p_high) == (0.45, 0.55)
+
+    def test_attack_keys_override_shadow_defaults(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path, n=80, repetitions=7, attack={"test_count": 40})
+        shadow = cfg.shadow_config()
+        assert (shadow.n, shadow.repetitions, shadow.test_count) == (80, 7, 40)
+        assert shadow == ShadowConfig(0.45, 0.55, n=80, repetitions=7, test_count=40)
+
+    @pytest.mark.parametrize("attack", [{"seed": 1}, {"shadow_cnt": 10}])
+    def test_unknown_attack_keys_rejected(self, synth_csv, tmp_path, attack):
+        with pytest.raises(ConfigError, match="unknown attack config keys"):
+            base_config(synth_csv, tmp_path, attack=attack).shadow_config()
 
 
 class TestCmdModel:
@@ -265,21 +280,66 @@ class TestSweepResume:
         assert rerun == cmd_attack(fresh_cfg).read_bytes()
         assert rerun != old
 
-    def test_resumed_utility_manifest_matches_fresh(self, synth_csv, tmp_path):
-        cfg = base_config(synth_csv, tmp_path / "out")
-        cmd_model(cfg)
-        manifest = tmp_path / "out" / "manifests" / "utility_subsets.json"
-        cmd_utility(cfg, emit_manifest=True)
-        fresh = json.loads(manifest.read_text())
-        assert len(fresh) == len(cfg.mechanisms) * cfg.repetitions
-        assert all(len(idx) == cfg.n for idx in fresh.values())
-        cmd_utility(cfg, emit_manifest=True)
-        assert json.loads(manifest.read_text()) == fresh
-
     def test_attack_takes_no_manifest_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["attack", "--config", "c.json", "--emit-manifest"])
         capsys.readouterr()
+
+    def test_utility_takes_no_manifest_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["utility", "--config", "c.json", "--emit-manifest"])
+        capsys.readouterr()
+
+
+class TestUtilityNoise:
+    def test_fresh_utility_reads_no_dataset(self, synth_csv, tmp_path, monkeypatch):
+        cfg = base_config(synth_csv, tmp_path / "out")
+        cmd_model(cfg)
+
+        def no_table(cfg):
+            raise AssertionError("the utility stage read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        monkeypatch.setattr(cli, "load_dataset", no_table)
+        path = cmd_utility(cfg)
+        assert len(path.read_text().splitlines()) == 1 + len(cfg.mechanisms) * (
+            cfg.repetitions + 1)
+
+    def test_values_are_noise_norms_of_the_zero_query(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=list(cli.MECHANISMS),
+                          epsilon=[0.5, 2.0], repetitions=3, awass_quantile_draws=2_000)
+        cmd_model(cfg)
+        text = cmd_utility(cfg).read_text()
+        family = family_from_catalog(load_catalog(tmp_path / "out" / "catalog.json"),
+                                     [cfg.pair(0.1)], "income")
+        zeros = np.zeros(5)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        checked = 0
+        for mech, eps, delta, _, dp, rep, value in rows:
+            if rep == "mean":
+                continue
+            eps, delta, dp, rep = float(eps), float(delta), float(dp), int(rep)
+            plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
+            rng = derive_rng(cfg.seed, "utility", eps, delta, dp, rep)
+            assert float(value) == float(np.linalg.norm(apply(plan, zeros, rng))), (mech, eps, rep)
+            assert (float(value) == 0.0) == (mech == "none")
+            checked += 1
+        assert checked == len(cli.MECHANISMS) * 2 * 3
+
+    def test_cells_of_the_subset_stream_are_not_reused(self, synth_csv, tmp_path):
+        from distpriv.dataio import dataset_sha256
+
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
+        cmd_model(cfg)
+        stamp = {"config_hash": cfg.config_hash(),
+                 "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
+        # where a utility cell was stored when repetitions drew a subset first
+        old = cli._cell_path(tmp_path / "out", "utility", stamp["config_hash"],
+                             stamp["dataset_sha256"], "expm-g", 1.0, 0.001, 0.1)
+        cli._store_cell(old, stamp, [123.5] * cfg.repetitions)
+        text = cmd_utility(cfg).read_text()
+        assert ",123.5" not in text
+        assert len(list(old.parent.glob("utility-*.json"))) == 2
 
 
 class TestSweepVariants:
@@ -444,6 +504,71 @@ class TestReleaseAndAudit:
         assert main(args) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["plan"]["kind"] == "gaussian_iid"
+
+
+class TestBudgetErrors:
+    SPEND_DELTA = ("awass", "expm-g", "dir-g", "eig", "dau", "gdp-g")
+
+    def args(self, catalog_dir, mechanism, *budget):
+        return [
+            "release", "--mechanism", mechanism, *budget,
+            "--models", str(catalog_dir / "catalog.json"),
+            "--pairs", str(catalog_dir / "pairs.json"),
+            "--query", str(catalog_dir / "query.json"),
+        ]
+
+    @pytest.mark.parametrize("mechanism,budget", [
+        ("expm-g", ("--epsilon", "1")),
+        ("expm-l", ("--epsilon", "0")),
+        ("expm-l", ("--epsilon", "1", "--delta", "1.5")),
+        ("awass", ("--epsilon", "1", "--delta", "0")),
+    ])
+    def test_release_rejects_bad_budget(self, catalog_dir, capsys, mechanism, budget):
+        with pytest.raises(ConfigError):
+            main(self.args(catalog_dir, mechanism, *budget))
+        assert capsys.readouterr().out == ""
+
+    def test_audit_rejects_gaussian_without_delta(self, catalog_dir, capsys):
+        args = ["audit", "--mechanism", "dir-g", "--epsilon", "1",
+                "--models", str(catalog_dir / "catalog.json"),
+                "--pairs", str(catalog_dir / "pairs.json"), "--trials", "100"]
+        with pytest.raises(ConfigError):
+            main(args)
+        capsys.readouterr()
+
+    def test_release_without_delta_for_laplace(self, catalog_dir, capsys):
+        assert main(self.args(catalog_dir, "expm-l", "--epsilon", "1")) == 0
+        assert json.loads(capsys.readouterr().out)["plan"]["kind"] == "laplace_iid"
+
+    def test_sweep_rejects_zero_delta_before_reading_the_table(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        def no_table(cfg):
+            raise AssertionError("a rejected config read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        doc = base_config(synth_csv, tmp_path / "out").__dict__.copy()
+        doc.update(property=doc.pop("property_name"), delta=[0.0, 0.001])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("model", "utility", "attack"):
+            with pytest.raises(ConfigError, match="expm-g"):
+                main([command, "--config", str(cfg_path)])
+
+    def test_sweep_accepts_zero_delta_without_delta_spenders(self, synth_csv, tmp_path):
+        laplace = [m for m in cli.MECHANISMS if m not in self.SPEND_DELTA]
+        base_config(synth_csv, tmp_path, mechanisms=laplace, delta=[0.0])
+        for mech in self.SPEND_DELTA:
+            with pytest.raises(ConfigError):
+                base_config(synth_csv, tmp_path, mechanisms=["none", mech], delta=[0.0])
+
+    @pytest.mark.parametrize("mechanism", SPEND_DELTA)
+    def test_build_plan_rejects_zero_delta(self, synth_csv, tmp_path, mechanism):
+        from helpers import worked_example_family
+
+        cfg = base_config(synth_csv, tmp_path)
+        with pytest.raises(ConfigError, match="delta"):
+            build_plan(mechanism, worked_example_family(), PrivacyParams(1.0, 0.0), cfg)
 
 
 class TestBuildPlan:
