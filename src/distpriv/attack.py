@@ -5,14 +5,21 @@ property value, observes the (noised) released statistics, trains a
 logistic-regression meta-classifier on them, and is scored on fresh
 subsets from held-out test data. Attack accuracy near one half means the
 release leaks nothing usable about the property.
+
+The subsets do not depend on the mechanism, so drawing them
+(`draw_attack_queries`) is kept apart from noising, training and
+scoring (`run_attack_trial`): one repetition's query matrices can serve
+every mechanism and budget of a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
+
 import numpy as np
 
-from .dataio import PropertySpec, Table, compute_query, sample_subset_indices
+from .dataio import SubsetSampler
 from .errors import TrainingError
 from .mechanisms import NoisePlan, apply_batch
 
@@ -156,51 +163,53 @@ def evaluate_attack(clf: LinearClassifier, features, labels) -> float:
     return float((clf.predict(features) == y).mean())
 
 
-def _labeled_features(
-    table: Table,
-    which: str,
-    cfg: ShadowConfig,
-    count: int,
-    plan: NoisePlan,
-    noised: bool,
-    rng: np.random.Generator,
-):
-    """count subsets, exactly half at p_low and half at p_high."""
-    half = count // 2
-    rows = []
-    labels = np.zeros(count, dtype=int)
-    for i in range(count):
-        p = cfg.p_low if i < half else cfg.p_high
-        labels[i] = 0 if i < half else 1
-        idx = sample_subset_indices(table, PropertySpec(which, p), cfg.n, rng)
-        rows.append(compute_query(table.take(idx)))
-    features = np.vstack(rows)
-    if noised:
-        features = apply_batch(plan, features, rng)
-    return features, labels
+def draw_attack_queries(
+    aux: SubsetSampler, test: SubsetSampler, cfg: ShadowConfig, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One repetition's shadow and test query matrices, before any noise.
+
+    Shadow subsets come from the auxiliary table, test subsets from the
+    held-out test table; each matrix holds its p_low half, then its
+    p_high half. One generator draws them in that order: shadow p_low,
+    shadow p_high, test p_low, test p_high.
+    """
+    def halves(sampler, count):
+        return np.vstack([sampler.draw(p, cfg.n, count // 2, rng)[1]
+                          for p in (cfg.p_low, cfg.p_high)])
+
+    return halves(aux, cfg.shadow_count), halves(test, cfg.test_count)
 
 
 def run_attack_trial(
-    aux_table: Table,
-    test_table: Table,
-    prop: PropertySpec,
+    shadow_queries,
+    test_queries,
     cfg: ShadowConfig,
     plan: NoisePlan,
     rng: np.random.Generator,
 ) -> float:
     """One shadow-train / test-evaluate round; returns attack accuracy.
 
-    Shadow subsets come from the auxiliary table and are noised when
-    cfg.noise_shadow is set; test subsets come from the test table and
-    always receive fresh noise, matching what an attacker observing the
-    release would see. Averaging across cfg.repetitions with derived
-    per-repetition seeds is the caller's job.
+    The query matrices are those of `draw_attack_queries`: the first half
+    of each is labeled p_low (0), the second half p_high (1). The rng
+    noises the shadow queries when cfg.noise_shadow is set, then the test
+    queries, which always receive fresh noise, matching what an attacker
+    observing the release would see. The meta-classifier trains on the
+    shadow releases and is scored on the test releases. Averaging across
+    cfg.repetitions with derived per-repetition seeds is the caller's job.
     """
-    shadow_x, shadow_y = _labeled_features(
-        aux_table, prop.which, cfg, cfg.shadow_count, plan, cfg.noise_shadow, rng
-    )
-    clf = train_meta_classifier(shadow_x, shadow_y, standardize=cfg.standardize)
-    test_x, test_y = _labeled_features(
-        test_table, prop.which, cfg, cfg.test_count, plan, True, rng
-    )
-    return evaluate_attack(clf, test_x, test_y)
+    shadow_x = np.asarray(shadow_queries, dtype=float)
+    test_x = np.asarray(test_queries, dtype=float)
+    for name, x, count in (("shadow", shadow_x, cfg.shadow_count),
+                           ("test", test_x, cfg.test_count)):
+        if x.ndim != 2 or x.shape[0] != count:
+            raise ValueError(f"{name} queries must be a matrix of {count} rows, got {x.shape}")
+    if cfg.noise_shadow:
+        shadow_x = apply_batch(plan, shadow_x, rng)
+    test_x = apply_batch(plan, test_x, rng)
+    clf = train_meta_classifier(shadow_x, _half_labels(cfg.shadow_count),
+                                standardize=cfg.standardize)
+    return evaluate_attack(clf, test_x, _half_labels(cfg.test_count))
+
+
+def _half_labels(count: int) -> np.ndarray:
+    return np.repeat([0, 1], count // 2)

@@ -4,7 +4,8 @@ Subcommands:
   model      estimate Gaussian query models per property value, write a catalog
   utility    privacy-utility sweep: L2 noise norm per (mechanism, eps, delta, delta_p);
              reads the catalog, not the dataset
-  attack     property-inference attack accuracy per (mechanism, eps, delta)
+  attack     property-inference attack accuracy per (mechanism, eps, delta); each
+             repetition's subsets are drawn once and shared by every cell
   transport  exact transport report for two discrete distributions
   release    noise one query vector under a chosen mechanism
   audit      empirical indistinguishability check for a calibrated plan
@@ -14,8 +15,9 @@ out to (stage, parameter tuple, repetition) derived generators, and
 outputs are written deterministically. Both sweeps run through one
 cell loop, `_sweep`: each cell is stored under, and checked on load
 against, the config hash and the sha256 of the dataset files, and a
-stage reads its inputs (the catalog, and for `attack` the table) only
-when some cell is missing.
+stage reads its inputs only when some cell is missing: the catalog,
+and for `attack` the table, from which it draws every repetition's
+shadow and test subsets once for all cells.
 """
 
 from __future__ import annotations
@@ -36,20 +38,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .attack import ShadowConfig, run_attack_trial
+from .attack import ShadowConfig, draw_attack_queries, run_attack_trial
 from .dataio import (
     AGE_BOUNDS,
     EDUCATION_BOUNDS,
     HOURS_BOUNDS,
-    PropertySpec,
     SplitTables,
+    SubsetSampler,
     Table,
-    compute_query,
     dataset_sha256,
     load_adult,
     load_query_json,
     load_simple_csv,
-    sample_subset_indices,
     split_dataset,
 )
 from .errors import ConfigError
@@ -152,6 +152,7 @@ class ExperimentConfig:
             raise ConfigError("n, modeling_samples, repetitions must be positive (samples >= 2)")
         if self.group_size < 1 or self.workers < 1:
             raise ConfigError("group_size and workers must be >= 1")
+        self.shadow_config()
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -183,7 +184,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown attack config keys: {sorted(unknown)}")
         for name, default in zip(("p_low", "p_high"), self.pair(self.delta_p[0])):
             doc[name] = default if doc.get(name) is None else _round_p(doc[name])
-        return ShadowConfig(**doc)
+        try:
+            return ShadowConfig(**doc)
+        except ValueError as exc:
+            raise ConfigError(f"attack config: {exc}") from exc
 
     def required_p_values(self) -> List[float]:
         values = {p for dp in self.delta_p for p in self.pair(dp)}
@@ -319,17 +323,13 @@ def cmd_model(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
 
     catalog = {}
     manifests = {}
+    sampler = SubsetSampler(splits.modeling, cfg.property_name)
     for p in cfg.required_p_values():
         rng = derive_rng(cfg.seed, "model", cfg.property_name, p)
-        prop = PropertySpec(cfg.property_name, p)
-        index_sets = [
-            sample_subset_indices(splits.modeling, prop, cfg.n, rng)
-            for _ in range(cfg.modeling_samples)
-        ]
-        queries = np.vstack([compute_query(splits.modeling.take(idx)) for idx in index_sets])
+        index_sets, queries = sampler.draw(p, cfg.n, cfg.modeling_samples, rng)
         catalog[SecretLabel(cfg.property_name, p)] = estimate_gaussian(queries)
         if emit_manifest:
-            manifests[str(p)] = [idx.tolist() for idx in index_sets]
+            manifests[str(p)] = index_sets.tolist()
 
     catalog_path = out_dir / "catalog.json"
     save_catalog(catalog, catalog_path)
@@ -464,25 +464,41 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_attack(cfg: ExperimentConfig) -> Path:
-    """Attack accuracy per (mechanism, epsilon, delta) cell and repetition."""
+    """Attack accuracy per (mechanism, epsilon, delta) cell and repetition.
+
+    The subsets do not depend on the mechanism or the budget, so each
+    repetition's shadow and test query matrices are drawn once, from a
+    generator keyed by (seed, repetition), and every cell noises those
+    same matrices. The noise generator is keyed by (epsilon, delta,
+    repetition) and not by the mechanism, so one repetition confronts
+    every mechanism with the same subsets and the same underlying noise
+    draws, as in `cmd_utility`: mechanism comparisons are paired.
+    """
     shadow = cfg.shadow_config()
-    prop = PropertySpec(cfg.property_name, shadow.p_low)
     dp = _round_p(shadow.p_high - shadow.p_low)
-    grid = [(cell, cell + (dp,)) for cell in itertools.product(
+    # "shared-subsets" keeps these cells apart from those of the older
+    # streams, which drew fresh subsets for every mechanism.
+    grid = [(("shared-subsets",) + cell, cell + (dp,)) for cell in itertools.product(
         cfg.mechanisms, cfg.epsilon, cfg.delta)]
 
     def inputs():
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
         family = family_from_catalog(catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name)
-        return family, load_splits(cfg)
+        splits = load_splits(cfg)
+        aux = SubsetSampler(splits.aux, cfg.property_name)
+        test = SubsetSampler(splits.test, cfg.property_name)
+        queries = [draw_attack_queries(aux, test, shadow,
+                                       derive_rng(cfg.seed, "attack-subsets", rep))
+                   for rep in range(shadow.repetitions)]
+        return family, queries
 
     def compute(staged, mech, eps, delta, _dp):
-        family, splits = staged
+        family, queries = staged
         plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
         return [
-            run_attack_trial(splits.aux, splits.test, prop, shadow, plan,
-                             derive_rng(cfg.seed, "attack", mech, eps, delta, rep))
-            for rep in range(shadow.repetitions)
+            run_attack_trial(shadow_x, test_x, shadow, plan,
+                             derive_rng(cfg.seed, "attack", eps, delta, rep))
+            for rep, (shadow_x, test_x) in enumerate(queries)
         ]
 
     return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, inputs, compute)

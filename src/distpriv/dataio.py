@@ -250,19 +250,15 @@ def split_dataset(table: Table, seed: int, aux_size: int = 10000, test_size: int
     )
 
 
-def sample_subset_indices(
-    table: Table, prop: PropertySpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices of a subset of size n with exactly round(n*p) positives.
+def _strata(table: Table, which: str):
+    mask = table.property_mask(which)
+    return np.nonzero(mask)[0], np.nonzero(~mask)[0]
 
-    Rounding is half-to-even. Both strata are drawn uniformly without
-    replacement, so the subset proportion is exact, not binomial.
-    """
-    mask = table.property_mask(prop.which)
+
+def _stratified_draw(strata, prop: PropertySpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    pos_pool, neg_pool = strata
     n_pos = int(round(n * prop.p))
     n_neg = n - n_pos
-    pos_pool = np.nonzero(mask)[0]
-    neg_pool = np.nonzero(~mask)[0]
     if len(pos_pool) < n_pos:
         raise SamplingError(
             f"table has {len(pos_pool)} records with {prop.which} positive; need {n_pos}"
@@ -276,6 +272,49 @@ def sample_subset_indices(
     return np.concatenate([chosen_pos, chosen_neg])
 
 
+def sample_subset_indices(
+    table: Table, prop: PropertySpec, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of a subset of size n with exactly round(n*p) positives.
+
+    Rounding is half-to-even. Both strata are drawn uniformly without
+    replacement, so the subset proportion is exact, not binomial.
+    """
+    return _stratified_draw(_strata(table, prop.which), prop, n, rng)
+
+
+def _query_features(table: Table) -> np.ndarray:
+    """Rows x 5 integer contributions to the query's sums, in query order."""
+    return np.column_stack([table.age, table.education_num, table.never_married,
+                            table.female, table.hours_per_week]).astype(np.int64)
+
+
+def _gather_queries(features: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    # Exact int64 sums divided in float64 round as int(sum) / n does.
+    n = indices.shape[1]
+    return features[indices].sum(axis=1) / np.array([n, n, 1, 1, n], dtype=float)
+
+
+class SubsetSampler:
+    """Stratified subsets of one table by one property, drawn in batches.
+
+    The strata and the table's query features are computed once. Each
+    subset takes exactly the generator calls of `sample_subset_indices`,
+    so a batch equals that many calls in a row on the same generator.
+    """
+
+    def __init__(self, table: Table, which: str):
+        self.which = which
+        self.strata = _strata(table, which)
+        self.features = _query_features(table)
+
+    def draw(self, p: float, n: int, count: int, rng: np.random.Generator):
+        """(count x n indices, count x 5 queries) of count subsets at proportion p."""
+        prop = PropertySpec(self.which, p)
+        indices = np.stack([_stratified_draw(self.strata, prop, n, rng) for _ in range(count)])
+        return indices, _gather_queries(self.features, indices)
+
+
 def compute_query(subset: Table) -> np.ndarray:
     """The five released statistics of a subset, in fixed order.
 
@@ -286,15 +325,7 @@ def compute_query(subset: Table) -> np.ndarray:
     n = len(subset)
     if n == 0:
         raise ValueError("query subset must be nonempty")
-    return np.array(
-        [
-            int(subset.age.sum()) / n,
-            int(subset.education_num.sum()) / n,
-            float(int(subset.never_married.sum())),
-            float(int(subset.female.sum())),
-            int(subset.hours_per_week.sum()) / n,
-        ]
-    )
+    return _gather_queries(_query_features(subset), np.arange(n)[None, :])[0]
 
 
 def load_query_json(path) -> np.ndarray:

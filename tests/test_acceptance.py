@@ -107,6 +107,7 @@ def adult_attack(adult_path, tmp_path_factory):
     return _mean_rows(path), elapsed
 
 
+@pytest.mark.timing
 def test_criterion_1_transport_golden():
     points = [[1.0], [2.0], [3.0], [100.0]]
     mu = DiscreteDistribution(points, [6, 2, 0, 2], 10)

@@ -4,11 +4,12 @@ import pytest
 from distpriv.attack import (
     LinearClassifier,
     ShadowConfig,
+    draw_attack_queries,
     evaluate_attack,
     run_attack_trial,
     train_meta_classifier,
 )
-from distpriv.dataio import PropertySpec, split_dataset
+from distpriv.dataio import PropertySpec, SubsetSampler, split_dataset
 from distpriv.errors import TrainingError
 from distpriv.mechanisms import NoisePlan, calibrate_expm
 from distpriv.model import PrivacyParams, SecretLabel, estimate_gaussian, family_from_catalog
@@ -20,6 +21,11 @@ from helpers import synthetic_census_table
 @pytest.fixture(scope="module")
 def synth_splits():
     return split_dataset(synthetic_census_table(30_000, seed=11), seed=5)
+
+
+@pytest.fixture(scope="module")
+def samplers(synth_splits):
+    return SubsetSampler(synth_splits.aux, "income"), SubsetSampler(synth_splits.test, "income")
 
 
 def shadow_cfg(**kw):
@@ -145,36 +151,32 @@ class TestEvaluate:
             clf.predict(np.zeros((3, 5)))
 
 
+def trial(samplers, cfg, plan, rng):
+    """Draw one repetition's query matrices, then noise, train and score."""
+    return run_attack_trial(*draw_attack_queries(*samplers, cfg, rng), cfg, plan, rng)
+
+
 class TestAttackTrial:
-    def test_undefended_attack_beats_chance(self, synth_splits):
+    def test_undefended_attack_beats_chance(self, samplers):
         accs = [
-            run_attack_trial(
-                synth_splits.aux, synth_splits.test, PropertySpec("income", 0.45),
-                shadow_cfg(), NoisePlan(kind="none"), derive_rng(1, "trial", rep),
-            )
+            trial(samplers, shadow_cfg(), NoisePlan(kind="none"), derive_rng(1, "trial", rep))
             for rep in range(5)
         ]
         assert np.mean(accs) > 0.65
 
-    def test_huge_noise_destroys_attack(self, synth_splits):
+    def test_huge_noise_destroys_attack(self, samplers):
         plan = NoisePlan(kind="gaussian_iid", sigma=1e9)
         accs = [
-            run_attack_trial(
-                synth_splits.aux, synth_splits.test, PropertySpec("income", 0.45),
-                shadow_cfg(), plan, derive_rng(2, "noise", rep),
-            )
+            trial(samplers, shadow_cfg(), plan, derive_rng(2, "noise", rep))
             for rep in range(5)
         ]
         assert abs(np.mean(accs) - 0.5) < 0.08
 
-    def test_deterministic_given_seed(self, synth_splits):
-        args = (
-            synth_splits.aux, synth_splits.test, PropertySpec("income", 0.45),
-            shadow_cfg(), NoisePlan(kind="none"),
-        )
-        assert run_attack_trial(*args, derive_rng(3)) == run_attack_trial(*args, derive_rng(3))
+    def test_deterministic_given_seed(self, samplers):
+        args = (samplers, shadow_cfg(), NoisePlan(kind="none"))
+        assert trial(*args, derive_rng(3)) == trial(*args, derive_rng(3))
 
-    def test_defense_weakens_as_epsilon_grows(self, synth_splits):
+    def test_defense_weakens_as_epsilon_grows(self, synth_splits, samplers):
         # calibrated Gaussian noise at eps = 0.2 must defend at least as
         # well as at eps = 5 (with margin), mirroring the utility trend
         catalog = {}
@@ -192,24 +194,37 @@ class TestAttackTrial:
         for eps in (0.2, 5.0):
             plan = calibrate_expm(family, PrivacyParams(eps, 0.001), "gaussian")
             accs = [
-                run_attack_trial(
-                    synth_splits.aux, synth_splits.test, PropertySpec("income", 0.45),
-                    shadow_cfg(), plan, derive_rng(5, "eps", eps, rep),
-                )
+                trial(samplers, shadow_cfg(), plan, derive_rng(5, "eps", eps, rep))
                 for rep in range(10)
             ]
             means[eps] = float(np.mean(accs))
         assert means[0.2] <= means[5.0] - 0.01
 
-    def test_label_balance(self, synth_splits):
-        from distpriv.attack import _labeled_features
-
+    def test_label_balance(self, samplers):
+        # Each matrix's first half is labeled p_low and its second half
+        # p_high: queries that one feature splits at the halves are scored
+        # exactly right, and exactly wrong with the test halves swapped.
         cfg = shadow_cfg()
-        _, labels = _labeled_features(
-            synth_splits.aux, "income", cfg, cfg.shadow_count,
-            NoisePlan(kind="none"), False, derive_rng(6),
-        )
-        assert labels.sum() == cfg.shadow_count // 2
+        shadow_x, test_x = draw_attack_queries(*samplers, cfg, derive_rng(6))
+        assert shadow_x.shape == (cfg.shadow_count, 5)
+        assert test_x.shape == (cfg.test_count, 5)
+
+        def halves(count):
+            return np.repeat([[0.0] * 5, [1.0] * 5], count // 2, axis=0)
+
+        none = NoisePlan(kind="none")
+        shadow = halves(cfg.shadow_count)
+        assert run_attack_trial(shadow, halves(cfg.test_count), cfg, none, derive_rng(6)) == 1.0
+        assert run_attack_trial(shadow, 1.0 - halves(cfg.test_count), cfg, none,
+                                derive_rng(6)) == 0.0
+
+    def test_row_counts_must_match_config(self, samplers):
+        cfg = shadow_cfg()
+        shadow_x, test_x = draw_attack_queries(*samplers, cfg, derive_rng(7))
+        with pytest.raises(ValueError, match="shadow queries"):
+            run_attack_trial(shadow_x[1:], test_x, cfg, NoisePlan(kind="none"), derive_rng(7))
+        with pytest.raises(ValueError, match="test queries"):
+            run_attack_trial(shadow_x, test_x[:, 0], cfg, NoisePlan(kind="none"), derive_rng(7))
 
 
 def run_attack_query(table, p, rng):

@@ -99,6 +99,26 @@ class TestConfig:
             base_config(synth_csv, tmp_path, attack=attack).shadow_config()
 
 
+    @pytest.mark.parametrize("attack", [{"shadow_count": 199}, {"test_count": 0},
+                                        {"p_low": 0.6, "p_high": 0.4}])
+    def test_bad_attack_sizes_rejected_before_reading_the_table(
+        self, synth_csv, tmp_path, monkeypatch, attack
+    ):
+        def no_table(cfg):
+            raise AssertionError("a rejected config read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        monkeypatch.setattr(cli, "load_dataset", no_table)
+        with pytest.raises(ConfigError, match="attack config"):
+            base_config(synth_csv, tmp_path, attack=attack)
+        doc = base_config(synth_csv, tmp_path / "out").__dict__.copy()
+        doc.update(property=doc.pop("property_name"), attack=attack)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="attack config"):
+            main(["model", "--config", str(cfg_path)])
+
+
 class TestCmdModel:
     def test_catalog_holds_required_values(self, synth_csv, tmp_path):
         cfg = base_config(synth_csv, tmp_path / "out")
@@ -410,6 +430,63 @@ class TestCmdAttack:
         assert means[("none", 0.2)] > 0.65
         assert abs(means[("expm-g", 0.2)] - 0.5) < 0.12
         assert all(0.0 <= v <= 1.0 for v in means.values())
+
+
+    def test_subsets_are_drawn_once_for_every_mechanism(self, synth_csv, tmp_path, monkeypatch):
+        from distpriv import dataio
+
+        draws = []
+        draw = dataio._stratified_draw
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(dataio, "_stratified_draw", counting_draw)
+        counts = []
+        for name, mechanisms in (("one", ["none"]), ("three", ["none", "expm-l", "expm-g"])):
+            cfg = base_config(synth_csv, tmp_path / name, mechanisms=mechanisms,
+                              epsilon=[0.5, 2.0])
+            cmd_model(cfg)
+            draws.clear()
+            cmd_attack(cfg)
+            counts.append(len(draws))
+        shadow = cfg.shadow_config()
+        assert counts == [shadow.repetitions * (shadow.shadow_count + shadow.test_count)] * 2
+
+    def test_cells_are_paired(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["none", "wass", "expm-l"],
+                          epsilon=[0.2, 1.0, 5.0])
+        cmd_model(cfg)
+        cells = {}  # (mechanism, epsilon) -> per-repetition accuracies
+        for line in cmd_attack(cfg).read_text().splitlines()[1:]:
+            mech, eps, _, _, _, rep, value = line.split(",")
+            if rep != "mean":
+                cells.setdefault((mech, float(eps)), []).append(float(value))
+        # no noise: every budget scores the same subsets alike
+        assert cells[("none", 0.2)] == cells[("none", 1.0)] == cells[("none", 5.0)]
+        family = family_from_catalog(load_catalog(tmp_path / "out" / "catalog.json"),
+                                     [cfg.pair(0.1)], "income")
+        for eps in cfg.epsilon:
+            wass, expm_l = (build_plan(mech, family, PrivacyParams(eps, 0.001), cfg)
+                            for mech in ("wass", "expm-l"))
+            assert (wass.kind, wass.scale) == (expm_l.kind, expm_l.scale)
+            assert cells[("wass", eps)] == cells[("expm-l", eps)]
+
+    def test_cells_of_the_per_mechanism_streams_are_not_reused(self, synth_csv, tmp_path):
+        from distpriv.dataio import dataset_sha256
+
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
+        cmd_model(cfg)
+        stamp = {"config_hash": cfg.config_hash(),
+                 "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
+        # where an attack cell was stored when each mechanism drew its own subsets
+        old = cli._cell_path(tmp_path / "out", "attack", stamp["config_hash"],
+                             stamp["dataset_sha256"], "expm-g", 1.0, 0.001)
+        cli._store_cell(old, stamp, [0.125] * cfg.shadow_config().repetitions)
+        text = cmd_attack(cfg).read_text()
+        assert ",0.125" not in text
+        assert len(list(old.parent.glob("attack-*.json"))) == 2
 
 
 class TestTransportCommand:

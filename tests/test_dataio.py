@@ -6,6 +6,7 @@ import pytest
 from distpriv.dataio import (
     CANONICAL_ROW_COUNT,
     PropertySpec,
+    SubsetSampler,
     Table,
     compute_query,
     dataset_sha256,
@@ -273,6 +274,25 @@ class TestComputeQuery:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             compute_query(synthetic_census_table(5, seed=12).take([]))
+
+
+class TestSubsetSampler:
+    @pytest.mark.parametrize("which,p,n", [("income", 0.45, 100), ("workclass", 0.3, 37)])
+    def test_batch_equals_repeated_single_draws(self, which, p, n):
+        table = synthetic_census_table(5_000, seed=14)
+        indices, queries = SubsetSampler(table, which).draw(p, n, 25, derive_rng(9, which))
+        rng = derive_rng(9, which)
+        singles = [sample_subset_indices(table, PropertySpec(which, p), n, rng) for _ in range(25)]
+        assert indices.dtype == singles[0].dtype
+        assert indices.tobytes() == np.stack(singles).tobytes()
+        for idx, query in zip(indices, queries):
+            subset = table.take(idx)
+            assert query.tobytes() == compute_query(subset).tobytes()
+            # the Python-integer arithmetic the query is defined by
+            reference = [int(subset.age.sum()) / n, int(subset.education_num.sum()) / n,
+                         float(int(subset.never_married.sum())),
+                         float(int(subset.female.sum())), int(subset.hours_per_week.sum()) / n]
+            assert query.tobytes() == np.array(reference).tobytes()
 
 
 class TestTable:

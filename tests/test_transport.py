@@ -436,6 +436,7 @@ class TestExactness:
         assert is_w_delta_close(mu, nu, 1.0, Fraction(1, 10))[0]
 
 
+@pytest.mark.timing
 class TestPerformanceBudget:
     def test_two_hundred_points_per_side_under_one_second(self):
         import time
