@@ -559,7 +559,9 @@ def relaxed_budget_wasserstein(params: PrivacyParams, lam: float, w_dev: float) 
 _AUDIT_QUANTILES = np.linspace(0.025, 0.975, 41)
 _AUDIT_EVENT_FAMILY = (
     "axis-aligned half-spaces at 41 pooled quantiles per axis (both tails) "
-    "plus likelihood-ratio half-spaces between the two models; "
+    "plus half-spaces along the Mahalanobis direction of the mean gap under "
+    "the first model's covariance (likelihood-ratio events only when the two "
+    "covariances are equal); "
     "3-sigma binomial slack subtracted; any finite family only lower-bounds "
     "the true violation"
 )
@@ -594,7 +596,8 @@ def audit(
     worst = -math.inf
     for a_i, a_j in axes:
         pooled = np.concatenate([a_i, a_j])
-        thresholds = np.quantile(pooled, _AUDIT_QUANTILES)
+        # The same order statistics as the unsorted pool, found far faster.
+        thresholds = np.quantile(np.sort(pooled), _AUDIT_QUANTILES)
         s_i = np.sort(a_i)
         s_j = np.sort(a_j)
         for lower_tail in (True, False):

@@ -9,15 +9,19 @@ finite set of realized pairwise distances. Only the distances themselves
 are floating point; no feasibility decision ever depends on float
 rounding.
 
-The search builds the flow network once per call, with its transport
-edges sorted by length, and bisects over thresholds with a warm start: a
-flow feasible within t stays feasible within every larger threshold, so
-each probe adds only the edges between the largest infeasible threshold
-seen so far and its own, and resumes max flow from that threshold's
-residual. A probe that reaches the needed mass stops there and is undone;
-one that falls short becomes the new base. In one dimension W-infinity
-needs no flow at all: it is the largest gap between the two quantile
-functions, found by walking the sorted supports in integer masses.
+The flow network is dense and bipartite: rows are the positive-mass
+points of mu, columns those of nu, and one integer matrix holds the flow
+between them, beside the residual supply and demand vectors. A threshold
+is the mask dist <= t. The search bisects over thresholds with a warm
+start: a flow feasible within t stays feasible within every larger
+threshold, so a probe that falls short keeps its maximum flow as the base
+of every later probe, which lies above it. A probe that reaches the
+needed mass is undone by restoring a copy of the flow, supply and demand
+taken before it, and it lowers the upper end of the bisection to the
+longest edge its flow uses, a threshold that flow shows feasible. In one
+dimension W-infinity needs no flow at all: it is the largest gap between
+the two quantile functions, found by walking the sorted supports in
+integer masses.
 
 The relaxed notion, (W, delta)-closeness, asks for a coupling that moves
 all but delta of the mass by at most W; it is decided by the same flow
@@ -159,105 +163,132 @@ class ClosenessCertificate:
 
 
 class _Dinic:
-    """Max flow with arbitrary-precision integer capacities.
+    """Max flow on the dense bipartite transport network of one pair.
 
-    Edges live in flat parallel arrays; the reverse of edge e is e ^ 1.
-    The blocking-flow search is iterative, so support sizes are limited
-    by time, not recursion depth, and capacities are Python integers, so
-    no scale of masses can overflow. Edges can be added to a network that
-    already carries flow, and dropped again by restoring a saved copy of
-    the capacities.
+    Rows are the positive-mass points of mu, columns those of nu. One
+    matrix `flow` holds the flow on every transport edge, and two vectors
+    the residual supply of each row (the source edge) and the residual
+    demand of each column (the sink edge). Transport edges have no
+    capacity of their own: conservation already bounds flow[i, j] by
+    min(supply_i, demand_j). So the residual network has an edge i -> j
+    wherever the threshold allows one and an edge j -> i wherever
+    flow[i, j] > 0. Entries are int64, or Python integers once the common
+    mass scale reaches 2**63, so no scale of masses can overflow.
+
+    BFS levels come from numpy reductions over whole rows and columns.
+    The blocking flow is an iterative DFS over candidate lists that each
+    node computes once per phase, so support sizes are limited by time,
+    not recursion depth. Undoing flow is keeping a copy.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: List[int] = []
-        self.cap: List[int] = []
-        self.head: List[List[int]] = [[] for _ in range(n)]
+    def __init__(self, supply: np.ndarray, demand: np.ndarray, flow: np.ndarray):
+        self.supply = supply
+        self.demand = demand
+        self.flow = flow
 
-    def add_edges(self, tails: List[int], heads: List[int], caps: List[int]) -> None:
-        """Append edges tails[q] -> heads[q]; edge q gets handle len(to) + 2q."""
-        e = len(self.to)
-        head = self.head
-        for u, v in zip(tails, heads):
-            head[u].append(e)
-            head[v].append(e + 1)
-            e += 2
-        pairs = [0] * (2 * len(caps))
-        pairs[0::2] = heads
-        pairs[1::2] = tails
-        self.to.extend(pairs)
-        pairs[0::2] = caps
-        pairs[1::2] = [0] * len(caps)
-        self.cap.extend(pairs)
+    def copy(self) -> "_Dinic":
+        return _Dinic(self.supply.copy(), self.demand.copy(), self.flow.copy())
 
-    def restore(self, cap: List[int]) -> None:
-        """Return to a saved capacity list, dropping the edges added since."""
-        to, head = self.to, self.head
-        for e in range(len(to) - 2, len(cap) - 2, -2):
-            head[to[e]].pop()
-            head[to[e + 1]].pop()
-        del to[len(cap):]
-        self.cap = cap
-
-    def max_flow(self, s: int, t: int, limit: Optional[int] = None) -> int:
-        """Augment the current flow until it is maximal, or until it has
-        grown by at least `limit`; return how much it grew."""
-        to, cap, head = self.to, self.cap, self.head
+    def max_flow(self, allowed: np.ndarray, limit: Optional[int] = None) -> int:
+        """Augment the flow over the allowed transport edges until it is
+        maximal, or until it has grown by at least `limit`; return how much
+        it grew."""
         total = 0
         while limit is None or total < limit:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                nxt = level[u] + 1
-                for e in head[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = nxt
-                        queue.append(v)
-            if level[t] < 0:
+            layers = self._levels(allowed)
+            if layers is None:
                 return total
-            it = [0] * self.n
-            path: List[int] = []
-            u = s
-            while True:
-                if u == t:
-                    bottleneck = min(cap[e] for e in path)
-                    total += bottleneck
-                    for e in path:
-                        cap[e] -= bottleneck
-                        cap[e ^ 1] += bottleneck
+            total += self._blocking_flow(allowed, *layers, None if limit is None else limit - total)
+        return total
+
+    def _levels(self, allowed: np.ndarray):
+        """Rows and columns by BFS depth, as masks: rows of depth t reach
+        columns of depth t over allowed edges, and those reach rows of
+        depth t + 1 over edges carrying flow. The last column mask keeps
+        only the columns with residual demand, which reach the sink.
+        None when the sink is out of reach."""
+        rows = self.supply > 0
+        seen_rows, seen_cols = rows.copy(), np.zeros(self.demand.size, dtype=bool)
+        row_layers: List[np.ndarray] = []
+        col_layers: List[np.ndarray] = []
+        while True:
+            cols = allowed[rows].any(axis=0) & ~seen_cols
+            if not cols.any():
+                return None
+            row_layers.append(rows)
+            ends = cols & (self.demand > 0)
+            if ends.any():
+                col_layers.append(ends)
+                return row_layers, col_layers
+            col_layers.append(cols)
+            seen_cols |= cols
+            rows = (self.flow[:, cols] > 0).any(axis=1) & ~seen_rows
+            seen_rows |= rows
+
+    def _blocking_flow(self, allowed, row_layers, col_layers, limit: Optional[int]) -> int:
+        """Augment along shortest paths until none is left in the level
+        graph, or until the flow has grown by at least `limit`.
+
+        A path alternates rows (even positions) and columns (odd ones).
+        Each node's candidate list holds its next-layer neighbours, with
+        the one to try next at its end. A node found to be a dead end
+        leaves its layer mask, so candidate lists skip it from then on;
+        so does an edge back to a row once it carries no flow.
+        """
+        flow, supply, demand = self.flow, self.supply, self.demand
+        last = len(col_layers) - 1
+        row_next: dict = {}
+        col_next: dict = {}
+        total = 0
+        for root in np.flatnonzero(row_layers[0]).tolist():
+            path = [root]
+            while path:
+                node = path[-1]
+                depth = (len(path) - 1) // 2
+                if len(path) % 2:  # a row
+                    live = col_layers[depth]
+                    nxt = row_next.get(node)
+                    if nxt is None:
+                        nxt = row_next[node] = np.flatnonzero(allowed[node] & live).tolist()
+                    while nxt and not live[nxt[-1]]:
+                        nxt.pop()
+                    if nxt:
+                        path.append(nxt[-1])
+                        continue
+                    row_layers[depth][node] = False
+                elif depth < last:  # a column short of the sink
+                    live = row_layers[depth + 1]
+                    nxt = col_next.get(node)
+                    if nxt is None:
+                        nxt = col_next[node] = np.flatnonzero((flow[:, node] > 0) & live).tolist()
+                    while nxt and not (live[nxt[-1]] and flow[nxt[-1], node] > 0):
+                        nxt.pop()
+                    if nxt:
+                        path.append(nxt[-1])
+                        continue
+                    col_layers[depth][node] = False
+                else:  # a column that drains to the sink
+                    forward = list(zip(path[0::2], path[1::2]))
+                    backward = list(zip(path[2::2], path[1::2]))
+                    push = min(supply[root], demand[node], *(flow[e] for e in backward))
+                    supply[root] -= push
+                    demand[node] -= push
+                    for e in forward:
+                        flow[e] += push
+                    for e in backward:
+                        flow[e] -= push
+                    total += int(push)
                     if limit is not None and total >= limit:
                         return total
-                    # Retreat to the first saturated edge on the path.
-                    cut = next(idx for idx, e in enumerate(path) if cap[e] == 0)
-                    u = to[path[cut] ^ 1]
+                    if supply[root] == 0:
+                        break
+                    if demand[node] == 0:
+                        col_layers[last][node] = False
+                    # Retreat to the tail of the first edge the push ran dry.
+                    cut = next((2 * q + 2 for q, e in enumerate(backward) if flow[e] == 0), len(path) - 1)
                     del path[cut:]
                     continue
-                advanced = False
-                edges = head[u]
-                end = len(edges)
-                i = it[u]
-                base = level[u] + 1
-                while i < end:
-                    e = edges[i]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == base:
-                        it[u] = i
-                        path.append(e)
-                        u = v
-                        advanced = True
-                        break
-                    i += 1
-                if not advanced:
-                    it[u] = i
-                    if u == s:
-                        break
-                    level[u] = -1
-                    e = path.pop()
-                    u = to[e ^ 1]
-                    it[u] += 1
+                path.pop()
         return total
 
 
@@ -275,76 +306,55 @@ def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
 
 
 class _ThresholdNetwork:
-    """The transport flow network of one pair, grown as the threshold rises.
+    """The transport network of one pair, probed at rising thresholds.
 
-    Node 0 is the source, 1..k the support of mu, k+1..k+l that of nu and
-    k+l+1 the sink. Transport edges join positive-mass points only and are
-    sorted by L1 length once, so the edges within a threshold are a prefix
-    of them. A flow feasible within some threshold stays feasible within
-    every larger one, so `augment` only adds the missing part of the
-    prefix and resumes from the flow already carried.
+    Holds the L1 distances between the positive-mass points of mu (rows)
+    and of nu (columns), and the flow carried so far. A threshold is the
+    mask dist <= w. A flow feasible within some threshold stays feasible
+    within every larger one, so each probe resumes max flow from the flow
+    already carried.
     """
 
     def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution, dist: np.ndarray):
         supplies, demands, self.scale = _scaled_masses(mu, nu)
-        k, l = mu.size, nu.size
-        self.k, self.sink = k, k + l + 1
         dtype = np.int64 if self.scale < 2**63 else object  # exact either way
         sup = np.array(supplies, dtype=dtype)
         dem = np.array(demands, dtype=dtype)
-        src, dst = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
-        self.net = _Dinic(k + l + 2)
-        self.net.add_edges([0] * src.size, (1 + src).tolist(), sup[src].tolist())
-        self.net.add_edges((1 + k + dst).tolist(), [self.sink] * dst.size, dem[dst].tolist())
-        self.first = len(self.net.to)  # handle of the shortest transport edge
-
-        rows = np.repeat(src, dst.size)
-        cols = np.tile(dst, src.size)
-        lengths = dist[rows, cols]
-        order = np.argsort(lengths)
-        self.lengths, self.rows, self.cols = lengths[order], rows[order], cols[order]
-        self.caps = np.minimum(sup[self.rows], dem[self.cols])
-        self.built = 0  # transport edges in the network
+        self.rows, self.cols = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
+        self.dist = dist[np.ix_(self.rows, self.cols)]
+        self.net = _Dinic(sup[self.rows], dem[self.cols],
+                          np.zeros((self.rows.size, self.cols.size), dtype=dtype))
         self.flow = 0
 
     def augment(self, w: float, limit: Optional[int] = None) -> int:
         """Flow within threshold w: the maximum, or at least `limit` if that fits."""
-        count = int(np.searchsorted(self.lengths, w, side="right"))
-        if count > self.built:
-            new = slice(self.built, count)
-            self.net.add_edges(
-                (1 + self.rows[new]).tolist(),
-                (1 + self.k + self.cols[new]).tolist(),
-                self.caps[new].tolist(),
-            )
-            self.built = count
         rest = None if limit is None else limit - self.flow
-        self.flow += self.net.max_flow(0, self.sink, rest)
+        self.flow += self.net.max_flow(self.dist <= w, rest)
         return self.flow
 
-    def reaches(self, w: float, needed: int) -> bool:
-        """Whether a flow of `needed` fits within w.
+    def longest_edge(self, w: float, needed: int) -> Optional[float]:
+        """The longest edge of a flow of `needed` within w; None if none fits.
 
         A probe that falls short leaves its maximum flow in place as the
         base for every later probe, which lies above it. A probe that
-        succeeds stops early and is undone.
+        succeeds is undone by restoring the copy taken before it. The
+        edge it reports is itself a feasible threshold, because the
+        probe's flow fits within it.
         """
-        cap, built, flow = self.net.cap[:], self.built, self.flow
+        base, flow = self.net.copy(), self.flow
         if self.augment(w, needed) < needed:
-            return False
-        self.net.restore(cap)
-        self.built, self.flow = built, flow
-        return True
+            return None
+        longest = float(self.dist[self.net.flow > 0].max(initial=0.0))
+        self.net, self.flow = base, flow
+        return longest
 
     def coupling(self) -> List[Tuple[int, int, Fraction]]:
         """(i, j, mass) for every transport edge carrying flow, sorted."""
-        cap = self.net.cap
-        edges = []
-        for q in range(self.built):
-            f = cap[self.first + 2 * q + 1]
-            if f > 0:
-                edges.append((int(self.rows[q]), int(self.cols[q]), Fraction(f, self.scale)))
-        return sorted(edges)
+        flow = self.net.flow
+        return [
+            (int(self.rows[a]), int(self.cols[b]), Fraction(int(flow[a, b]), self.scale))
+            for a, b in zip(*np.nonzero(flow > 0))  # row-major, so already sorted
+        ]
 
 
 def _flow_within(mu, nu, dist, w):
@@ -359,10 +369,11 @@ def _smallest_feasible_threshold(mu, nu, dist, needed_of_scale) -> float:
 
     Bisects over the distances between positive-mass points, plus 0; the
     flow only changes at those, so no other distance can be the answer.
+    A feasible probe lowers the upper end to the longest edge its flow
+    uses, which is feasible too.
     """
     net = _ThresholdNetwork(mu, nu, dist)
-    lengths = net.lengths  # sorted, so equal lengths are adjacent
-    thresholds = lengths[np.concatenate(([True], lengths[1:] != lengths[:-1]))]
+    thresholds = np.unique(net.dist)
     if thresholds[0] > 0.0:
         thresholds = np.concatenate(([0.0], thresholds))
     needed = needed_of_scale(net.scale)
@@ -371,23 +382,19 @@ def _smallest_feasible_threshold(mu, nu, dist, needed_of_scale) -> float:
     if needed >= net.scale:
         # Full transport: every positive-mass point needs an edge within the
         # threshold, so the covering radius is a cheap search floor.
-        src = np.array(mu.mass_num) > 0
-        dst = np.array(nu.mass_num) > 0
-        cover = max(
-            float(dist[src][:, dst].min(axis=1).max()),
-            float(dist[src][:, dst].min(axis=0).max()),
-        )
+        cover = max(float(net.dist.min(axis=1).max()), float(net.dist.min(axis=0).max()))
         lo = int(np.searchsorted(thresholds, cover))
 
-    if net.reaches(float(thresholds[lo]), needed):
+    if net.longest_edge(float(thresholds[lo]), needed) is not None:
         return float(thresholds[lo])
     # Invariant: lo infeasible, hi feasible (full transport always is).
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if net.reaches(float(thresholds[mid]), needed):
-            hi = mid
-        else:
+        longest = net.longest_edge(float(thresholds[mid]), needed)
+        if longest is None:
             lo = mid
+        else:
+            hi = int(np.searchsorted(thresholds, longest))
     return float(thresholds[hi])
 
 

@@ -681,6 +681,30 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit(NoisePlan(kind="none"), model, model, PARAMS, 100, derive_rng(14))
 
+    # float.hex of estimated_violation per mechanism, at (1, 1e-3). The two
+    # models have diagonal covariances and means that differ along one axis,
+    # so every draw, noise vector and projection has one nonzero term per
+    # entry and no BLAS summation order can move a bit.
+    PINNED_VIOLATIONS = {
+        "none": "0x1.c1aa71652521ap-4", "expm-l": "-0x1.b9cc306338798p-7",
+        "expm-g": "-0x1.ba416a254bfa4p-6", "dir-l": "-0x1.38a9cd69e43c0p-6",
+    }
+
+    def test_violations_match_pinned_bits(self):
+        lab_a, lab_b = SecretLabel("income", 0.45), SecretLabel("income", 0.55)
+        mean = np.array([4.0, -1.0, 2.5, 0.0, 7.0])
+        cov = np.diag([2.0, 0.5, 1.5, 3.0, 1.0])
+        model_a = GaussianModel(mean, cov, 1000)
+        model_b = GaussianModel(mean - [1.5, 0.0, 0.0, 0.0, 0.0], cov, 1000)
+        fam = PairFamily({lab_a: model_a, lab_b: model_b}, [(lab_a, lab_b), (lab_b, lab_a)])
+        params = PrivacyParams(1.0, 1e-3)
+        got = {}
+        for mech in self.PINNED_VIOLATIONS:
+            plan = build_plan(mech, fam, params, TestPlanBits.config())
+            report = audit(plan, model_a, model_b, params, 10_000, derive_rng(19, mech))
+            got[mech] = report.estimated_violation.hex()
+        assert got == self.PINNED_VIOLATIONS
+
 
 @pytest.mark.parametrize("calibrate", [
     lambda noise: calibrate_expm(worked_example_family(), PARAMS, noise),

@@ -292,6 +292,21 @@ class TestThresholdMinimality:
                 ok, cert = is_w_delta_close(mu, nu, w, delta)
                 assert ok and cert.verify(mu, nu, w, delta)
 
+    def test_thousand_equal_masses_in_five_dimensions(self):
+        # Two empirical query laws of 1,000 distinct draws each: every mass
+        # is 1/1000, so each probe is a unit-capacity matching on a million
+        # candidate edges.
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(97)
+        mu = discretize_samples(rng.normal(size=(1000, 5)) * 10, 1000)
+        nu = discretize_samples(rng.normal(size=(1000, 5)) * 10 + 1.0, 1000)
+        self.assert_least(mu, nu, winf_distance(mu, nu), 1, scipy_max_mass)
+        delta = 1e-3
+        w = min_w_for_delta(mu, nu, delta)
+        self.assert_least(mu, nu, w, 1 - Fraction(delta), scipy_max_mass)
+        ok, cert = is_w_delta_close(mu, nu, w, delta)
+        assert ok and cert.verify(mu, nu, w, delta)
+
 
 class TestWinfOnLine:
     """1-D inputs take the quantile walk; it must return the flow path's float."""
