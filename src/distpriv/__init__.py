@@ -49,14 +49,11 @@ from .mechanisms import (  # noqa: F401
     dau_sigma,
     eig_plan,
     group_dp_calibrate,
-    min_eig_check,
     no_noise_check,
     added_cov_check,
     per_record_sensitivity,
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,
-    sample_gaussian_cov,
-    sample_laplace_vec,
 )
 from .attack import (  # noqa: F401
     LinearClassifier,

@@ -38,10 +38,12 @@ class ShadowConfig:
     shadow_count: int = 200
     test_count: int = 200
     repetitions: int = 50
-    noise_shadow: bool = True
-    standardize: bool = True
 
     def __post_init__(self):
+        for name in ("n", "shadow_count", "test_count", "repetitions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("shadow_count", "test_count"):
             count = getattr(self, name)
             if count <= 0 or count % 2 != 0:
@@ -79,16 +81,15 @@ class LinearClassifier:
         return (self.decision_scores(features) >= 0.0).astype(int)
 
 
-def train_meta_classifier(features, labels, standardize: bool = True) -> LinearClassifier:
+def train_meta_classifier(features, labels) -> LinearClassifier:
     """Fit L2-regularized logistic regression by full-batch Newton steps.
 
     Features are standardized to zero mean and unit variance first
-    (noised counts and averages live on very different scales); pass
-    standardize=False to train on raw features. The penalty (strength
-    1.0, bias excluded) applies on the training scale. Training is
-    deterministic: it starts from zero weights and runs damped Newton
-    iterations until the gradient norm falls below 1e-6 or 500
-    iterations elapse.
+    (noised counts and averages live on very different scales). The
+    penalty (strength 1.0, bias excluded) applies on the standardized
+    scale. Training is deterministic: it starts from zero weights and
+    runs damped Newton iterations until the gradient norm falls below
+    1e-6 or 500 iterations elapse.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -102,13 +103,9 @@ def train_meta_classifier(features, labels, standardize: bool = True) -> LinearC
     if len(classes) < 2 or counts.min() < 2:
         raise TrainingError("need at least 2 examples of each class")
 
-    if standardize:
-        means = x.mean(axis=0)
-        scales = x.std(axis=0)
-        scales = np.where(scales > 0.0, scales, 1.0)
-    else:
-        means = np.zeros(x.shape[1])
-        scales = np.ones(x.shape[1])
+    means = x.mean(axis=0)
+    scales = x.std(axis=0)
+    scales = np.where(scales > 0.0, scales, 1.0)
     z = (x - means) / scales
 
     n, m = z.shape
@@ -191,11 +188,11 @@ def run_attack_trial(
 
     The query matrices are those of `draw_attack_queries`: the first half
     of each is labeled p_low (0), the second half p_high (1). The rng
-    noises the shadow queries when cfg.noise_shadow is set, then the test
-    queries, which always receive fresh noise, matching what an attacker
-    observing the release would see. The meta-classifier trains on the
-    shadow releases and is scored on the test releases. Averaging across
-    cfg.repetitions with derived per-repetition seeds is the caller's job.
+    noises the shadow queries, then the test queries, each with fresh
+    draws, as an attacker simulating the release would see them. The
+    meta-classifier trains on the shadow releases and is scored on the
+    test releases. Averaging across cfg.repetitions with derived
+    per-repetition seeds is the caller's job.
     """
     shadow_x = np.asarray(shadow_queries, dtype=float)
     test_x = np.asarray(test_queries, dtype=float)
@@ -203,11 +200,9 @@ def run_attack_trial(
                            ("test", test_x, cfg.test_count)):
         if x.ndim != 2 or x.shape[0] != count:
             raise ValueError(f"{name} queries must be a matrix of {count} rows, got {x.shape}")
-    if cfg.noise_shadow:
-        shadow_x = apply_batch(plan, shadow_x, rng)
+    shadow_x = apply_batch(plan, shadow_x, rng)
     test_x = apply_batch(plan, test_x, rng)
-    clf = train_meta_classifier(shadow_x, _half_labels(cfg.shadow_count),
-                                standardize=cfg.standardize)
+    clf = train_meta_classifier(shadow_x, _half_labels(cfg.shadow_count))
     return evaluate_attack(clf, test_x, _half_labels(cfg.test_count))
 
 

@@ -31,7 +31,7 @@ import platform
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -148,10 +148,17 @@ class ExperimentConfig:
         if spenders and min(self.delta) == 0.0:
             raise ConfigError(f"mechanisms {spenders} spend delta, so delta entries must be "
                               "positive, got 0")
+        for name in ("seed", "n", "modeling_samples", "repetitions", "group_size", "workers",
+                     "awass_quantile_draws"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # derive_rng keeps the low 64 bits
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n <= 0 or self.modeling_samples < 2 or self.repetitions <= 0:
             raise ConfigError("n, modeling_samples, repetitions must be positive (samples >= 2)")
-        if self.group_size < 1 or self.workers < 1:
-            raise ConfigError("group_size and workers must be >= 1")
+        if self.group_size < 1 or self.workers < 1 or self.awass_quantile_draws < 1:
+            raise ConfigError("group_size, workers and awass_quantile_draws must be >= 1")
         self.shadow_config()
 
     @classmethod
@@ -680,11 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

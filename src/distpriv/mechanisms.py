@@ -153,21 +153,7 @@ class AuditReport:
     event_family: str
 
 
-# --- samplers -------------------------------------------------------------
-
-
-def sample_laplace_vec(scale: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m independent centered Laplace draws with the given scale."""
-    if scale <= 0:
-        raise ValueError(f"laplace scale must be positive, got {scale}")
-    return rng.laplace(0.0, scale, size=m)
-
-
-def sample_gaussian_cov(cov, rng: np.random.Generator) -> np.ndarray:
-    """One centered Gaussian draw with the given covariance."""
-    transform = _cov_transform(np.asarray(cov, dtype=float))
-    m = transform.shape[0]
-    return transform @ rng.standard_normal(m)
+# --- Gaussian draws -------------------------------------------------------
 
 
 def _cov_transform(cov: np.ndarray) -> np.ndarray:
@@ -343,23 +329,6 @@ def added_cov_check(
         total = family.catalog[a].cov + sigma_add
         mahal = float(gap @ solve_spd(total, gap))
         if mahal > bound:
-            return False
-    return True
-
-
-def min_eig_check(family: PairFamily, sigma_add, params: PrivacyParams) -> bool:
-    """Sufficient condition: min eigenvalue of every Sigma_theta + sigma_add
-    is at least (c * delta_E2 / epsilon)^2.
-
-    Comparison allows 1e-9 relative slack so plans constructed to bind
-    with equality pass.
-    """
-    required = _noise_scale("gaussian", params, delta_E(family, 2))[0] ** 2
-    sigma_add = np.asarray(sigma_add, dtype=float)
-    for label in family.sorted_labels():
-        total = family.catalog[label].cov + sigma_add
-        lam_min = float(np.linalg.eigvalsh(0.5 * (total + total.T))[0])
-        if lam_min < required * (1.0 - 1e-9):
             return False
     return True
 

@@ -31,13 +31,12 @@ machinery and witnessed by an explicit coupling certificate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
-
-from .model import solve_spd
 
 __all__ = [
     "DiscreteDistribution",
@@ -48,7 +47,6 @@ __all__ = [
     "min_w_for_delta",
     "closeness_from_bounds",
     "discretize_samples",
-    "discretize_gaussian",
 ]
 
 
@@ -73,8 +71,11 @@ class DiscreteDistribution:
         if not np.all(np.isfinite(pts)):
             raise ValueError("support points must be finite")
         pts = pts + 0.0  # fold -0.0 into 0.0 so distinctness is numeric
-        nums = tuple(int(n) for n in mass_num)
-        den = int(mass_den)
+        try:
+            nums = tuple(map(operator.index, mass_num))
+            den = operator.index(mass_den)
+        except TypeError:
+            raise ValueError("masses and their denominator must be integers") from None
         if len(nums) != pts.shape[0]:
             raise ValueError("one mass per support point required")
         if den < 1:
@@ -104,13 +105,6 @@ class DiscreteDistribution:
 
     def masses(self) -> List[Fraction]:
         return [Fraction(n, self.mass_den) for n in self.mass_num]
-
-    @classmethod
-    def from_fractions(cls, points, masses: Sequence[Fraction]) -> "DiscreteDistribution":
-        fracs = [Fraction(m) for m in masses]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        nums = [int(f * den) for f in fracs]
-        return cls(points, nums, den)
 
     def to_json(self) -> dict:
         return {
@@ -292,12 +286,6 @@ class _Dinic:
         return total
 
 
-def _pairwise_l1(mu: DiscreteDistribution, nu: DiscreteDistribution) -> np.ndarray:
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    return np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
-
-
 def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
     scale = math.lcm(mu.mass_den, nu.mass_den)
     supplies = [n * (scale // mu.mass_den) for n in mu.mass_num]
@@ -315,13 +303,18 @@ class _ThresholdNetwork:
     already carried.
     """
 
-    def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution, dist: np.ndarray):
+    def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution):
+        if mu.dim != nu.dim:
+            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
         supplies, demands, self.scale = _scaled_masses(mu, nu)
         dtype = np.int64 if self.scale < 2**63 else object  # exact either way
         sup = np.array(supplies, dtype=dtype)
         dem = np.array(demands, dtype=dtype)
         self.rows, self.cols = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
-        self.dist = dist[np.ix_(self.rows, self.cols)]
+        # Summed over the last axis, as ClosenessCertificate.verify sums one
+        # edge, so each distance is bit-equal to the one verify recomputes.
+        diff = mu.points[self.rows][:, None, :] - nu.points[self.cols][None, :, :]
+        self.dist = np.abs(diff).sum(axis=2)
         self.net = _Dinic(sup[self.rows], dem[self.cols],
                           np.zeros((self.rows.size, self.cols.size), dtype=dtype))
         self.flow = 0
@@ -344,9 +337,13 @@ class _ThresholdNetwork:
         base, flow = self.net.copy(), self.flow
         if self.augment(w, needed) < needed:
             return None
-        longest = float(self.dist[self.net.flow > 0].max(initial=0.0))
+        longest = self.longest_used()
         self.net, self.flow = base, flow
         return longest
+
+    def longest_used(self) -> float:
+        """The longest transport edge carrying flow; 0.0 when none does."""
+        return float(self.dist[self.net.flow > 0].max(initial=0.0))
 
     def coupling(self) -> List[Tuple[int, int, Fraction]]:
         """(i, j, mass) for every transport edge carrying flow, sorted."""
@@ -357,14 +354,7 @@ class _ThresholdNetwork:
         ]
 
 
-def _flow_within(mu, nu, dist, w):
-    """Max transportable integer mass using only edges of distance <= w."""
-    net = _ThresholdNetwork(mu, nu, dist)
-    flow = net.augment(w)
-    return flow, net.scale, net.coupling()
-
-
-def _smallest_feasible_threshold(mu, nu, dist, needed_of_scale) -> float:
+def _smallest_feasible_threshold(mu, nu, needed_of_scale) -> float:
     """Least realized distance t whose flow reaches the needed fraction.
 
     Bisects over the distances between positive-mass points, plus 0; the
@@ -372,7 +362,7 @@ def _smallest_feasible_threshold(mu, nu, dist, needed_of_scale) -> float:
     A feasible probe lowers the upper end to the longest edge its flow
     uses, which is feasible too.
     """
-    net = _ThresholdNetwork(mu, nu, dist)
+    net = _ThresholdNetwork(mu, nu)
     thresholds = np.unique(net.dist)
     if thresholds[0] > 0.0:
         thresholds = np.concatenate(([0.0], thresholds))
@@ -440,16 +430,14 @@ def winf_distance(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     """
     if mu.dim == 1 and nu.dim == 1:
         return _winf_on_line(mu, nu)
-    dist = _pairwise_l1(mu, nu)
-    return _smallest_feasible_threshold(mu, nu, dist, lambda scale: scale)
+    return _smallest_feasible_threshold(mu, nu, lambda scale: scale)
 
 
 def max_mass_within(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float) -> Fraction:
     """Largest coupling mass placeable on pairs with L1 distance <= w."""
     w = _check_radius(w)
-    dist = _pairwise_l1(mu, nu)
-    flow, scale, _ = _flow_within(mu, nu, dist, w)
-    return Fraction(flow, scale)
+    net = _ThresholdNetwork(mu, nu)
+    return Fraction(net.augment(w), net.scale)
 
 
 def is_w_delta_close(
@@ -465,16 +453,14 @@ def is_w_delta_close(
     delta_frac = Fraction(delta)
     if not (0 <= delta_frac <= 1):
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    dist = _pairwise_l1(mu, nu)
-    flow, scale, edges = _flow_within(mu, nu, dist, w)
-    ok = Fraction(flow, scale) >= 1 - delta_frac
-    if not ok:
+    net = _ThresholdNetwork(mu, nu)
+    retained = Fraction(net.augment(w), net.scale)
+    if retained < 1 - delta_frac:
         return False, None
-    max_dist = max((float(dist[i, j]) for i, j, _ in edges), default=0.0)
     cert = ClosenessCertificate(
-        coupling_edges=tuple(edges),
-        retained_mass=Fraction(flow, scale),
-        max_retained_distance=max_dist,
+        coupling_edges=tuple(net.coupling()),
+        retained_mass=retained,
+        max_retained_distance=net.longest_used(),
     )
     return True, cert
 
@@ -487,12 +473,11 @@ def min_w_for_delta(mu: DiscreteDistribution, nu: DiscreteDistribution, delta) -
     delta_frac = Fraction(delta)
     if not (0 <= delta_frac <= 1):
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
-    dist = _pairwise_l1(mu, nu)
 
     def needed(scale: int) -> int:
         return scale - math.floor(delta_frac * scale)
 
-    return _smallest_feasible_threshold(mu, nu, dist, needed)
+    return _smallest_feasible_threshold(mu, nu, needed)
 
 
 def closeness_from_bounds(delta_e1: float, c: float) -> float:
@@ -539,42 +524,3 @@ def discretize_samples(samples, mass_resolution: int) -> DiscreteDistribution:
     points = np.vstack([rows[k] for k in order])
     nums = [multiplicity[k] * unit for k in order]
     return DiscreteDistribution(points, nums, resolution)
-
-
-def discretize_gaussian(
-    mean,
-    cov,
-    points_per_axis: int = 41,
-    half_width_sds: float = 6.0,
-    mass_resolution: int = 10**6,
-) -> DiscreteDistribution:
-    """Axis-aligned grid approximation of a Gaussian.
-
-    Covers each axis to +/- half_width_sds standard deviations and
-    assigns rational masses proportional to the density. This is a
-    bridging approximation for cross-checking transport bounds against
-    Gaussian models; it is never an exact representation.
-    """
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    m = mean.size
-    sds = np.sqrt(np.maximum(np.diag(cov), 1e-300))
-    axes = [
-        np.linspace(mean[k] - half_width_sds * sds[k], mean[k] + half_width_sds * sds[k], points_per_axis)
-        for k in range(m)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([g.ravel() for g in mesh])
-    centered = points - mean
-    mahal = np.einsum("ij,ji->i", centered, solve_spd(cov, centered.T))
-    weights = np.exp(-0.5 * (mahal - mahal.min()))
-    shares = weights / weights.sum()
-    nums = np.floor(shares * mass_resolution).astype(object)
-    shortfall = mass_resolution - int(nums.sum())
-    # Hand the rounding remainder to the heaviest cells, deterministically.
-    for idx in np.argsort(-shares, kind="stable")[:shortfall]:
-        nums[idx] += 1
-    keep = np.nonzero(nums > 0)[0]
-    return DiscreteDistribution(
-        points[keep], [int(nums[i]) for i in keep], mass_resolution
-    )

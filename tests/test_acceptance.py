@@ -16,14 +16,13 @@ from distpriv.cli import ExperimentConfig, cmd_attack, cmd_model, cmd_utility
 from distpriv.mechanisms import (
     NoisePlan,
     apply,
+    apply_batch,
     audit,
     calibrate_expm,
     dau_plan,
     eig_plan,
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,
-    sample_gaussian_cov,
-    sample_laplace_vec,
 )
 from distpriv.model import GaussianModel, PrivacyParams
 from distpriv.seeding import derive_rng
@@ -297,22 +296,20 @@ def test_criterion_8_relaxation_arithmetic():
 def test_criterion_9_sampler_moments_and_directionality():
     problems = []
     scale = 3.0
-    laplace = sample_laplace_vec(scale, 10**6, derive_rng(ACCEPTANCE_SEED, "lap"))
+    laplace = apply_batch(NoisePlan(kind="laplace_iid", scale=scale), np.zeros((1, 10**6)),
+                          derive_rng(ACCEPTANCE_SEED, "lap"))
     lap_var = float(np.var(laplace))
     if abs(lap_var - 2.0 * scale**2) > 0.03 * 2.0 * scale**2:
         problems.append(f"laplace variance {lap_var:.3f} vs {2 * scale**2}")
 
     cov = np.array([[4.0, 1.0, 0.0], [1.0, 2.0, -0.5], [0.0, -0.5, 1.0]])
-    rng = derive_rng(ACCEPTANCE_SEED, "gauss")
-    draws = rng.standard_normal((10**6, 3))
-    from distpriv.mechanisms import _cov_transform
-
-    gauss = draws @ _cov_transform(cov).T
+    cov_plan = NoisePlan(kind="gaussian_cov", cov=cov)
+    gauss = apply_batch(cov_plan, np.zeros((10**6, 3)), derive_rng(ACCEPTANCE_SEED, "gauss"))
     sample_cov = np.cov(gauss.T)
     rel = float(np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov))
     if rel > 0.03:
         problems.append(f"gaussian covariance off by {rel:.4f} relative")
-    single = sample_gaussian_cov(cov, derive_rng(ACCEPTANCE_SEED, "gauss-one"))
+    single = apply(cov_plan, np.zeros(3), derive_rng(ACCEPTANCE_SEED, "gauss-one"))
     if single.shape != (3,):
         problems.append("gaussian sampler shape")
 

@@ -92,15 +92,6 @@ class TestTraining:
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias == b.bias
 
-    def test_standardization_can_be_disabled(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(200, 3)) * [1000.0, 1.0, 0.01]
-        y = (x[:, 1] > 0).astype(int)
-        raw = train_meta_classifier(x, y, standardize=False)
-        assert np.array_equal(raw.feature_means, np.zeros(3))
-        assert np.array_equal(raw.feature_scales, np.ones(3))
-        assert evaluate_attack(raw, x, y) > 0.9
-
 
 class TestEvaluate:
     def test_all_correct_and_inverted(self):

@@ -118,6 +118,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="attack config"):
             main(["model", "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", 2**64), ("n", 2.5),
+        ("modeling_samples", 200.0), ("repetitions", True), ("group_size", 1.5), ("workers", True),
+        ("awass_quantile_draws", 2.5), ("awass_quantile_draws", 0),
+    ])
+    def test_integer_fields_and_seed_range(self, synth_csv, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            base_config(synth_csv, tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("attack", [{"n": 2.5}, {"shadow_count": 60.0},
+                                        {"test_count": 60.0}, {"repetitions": True}])
+    def test_integer_attack_sizes(self, synth_csv, tmp_path, attack):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            base_config(synth_csv, tmp_path, attack=attack)
+
+    def test_seed_override_is_validated_before_reading_the_table(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        def no_table(cfg):
+            raise AssertionError("a rejected config read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        doc = base_config(synth_csv, tmp_path / "out").__dict__.copy()
+        doc.update(property=doc.pop("property_name"))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="seed"):
+            main(["model", "--config", str(cfg_path), "--seed", "-1"])
+
 
 class TestCmdModel:
     def test_catalog_holds_required_values(self, synth_csv, tmp_path):

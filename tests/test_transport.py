@@ -8,7 +8,6 @@ from distpriv.transport import (
     ClosenessCertificate,
     DiscreteDistribution,
     closeness_from_bounds,
-    discretize_gaussian,
     discretize_samples,
     is_w_delta_close,
     max_mass_within,
@@ -57,12 +56,15 @@ class TestDiscreteDistribution:
         assert back.mass_num == mu.mass_num
         assert back.mass_den == mu.mass_den
 
-    def test_from_fractions(self):
-        dist = DiscreteDistribution.from_fractions(
-            [[0.0], [1.0]], [Fraction(1, 3), Fraction(2, 3)]
-        )
-        assert dist.mass_den == 3
-        assert dist.mass_num == (1, 2)
+    @pytest.mark.parametrize("nums,den", [([1.9, 1.9, 0.2], 2), ([1, 1, 1], 3.0), ([1.0, 2, 0], 3)])
+    def test_masses_must_be_integers(self, nums, den):
+        with pytest.raises(ValueError, match="integers"):
+            DiscreteDistribution([[0.0], [1.0], [2.0]], nums, den)
+
+    def test_numpy_integer_masses_accepted(self):
+        dist = DiscreteDistribution([[0.0], [1.0]], np.array([1, 2]), np.int64(3))
+        assert dist.mass_num == (1, 2) and dist.mass_den == 3
+        assert all(type(n) is int for n in (*dist.mass_num, dist.mass_den))
 
 
 class TestWinfDistance:
@@ -77,8 +79,14 @@ class TestWinfDistance:
     def test_dimension_mismatch(self):
         mu, _ = fig1_pair()
         flat = DiscreteDistribution([[0.0, 0.0]], [1], 1)
-        with pytest.raises(ValueError):
-            winf_distance(mu, flat)
+        for solve in (
+            winf_distance,
+            lambda mu, nu: max_mass_within(mu, nu, 1.0),
+            lambda mu, nu: is_w_delta_close(mu, nu, 1.0, 0.1),
+            lambda mu, nu: min_w_for_delta(mu, nu, 0.1),
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                solve(mu, flat)
 
     def test_symmetry_and_identity(self):
         rng = np.random.default_rng(31)
@@ -249,6 +257,21 @@ class TestMinWForDelta:
             ok, cert = is_w_delta_close(mu, nu, w, delta)
             assert ok and cert.verify(mu, nu, w, delta)
 
+    @pytest.mark.parametrize("dim", [9, 12])
+    def test_result_is_certified_in_high_dimensions(self, dim):
+        # From eight coordinates on, numpy sums an L1 distance pairwise, not
+        # left to right; the solver must sum each edge as verify does, or a
+        # certificate at the least threshold can fail its own check.
+        rng = np.random.default_rng(73 + dim)
+        for _ in range(8):
+            pts = rng.normal(size=(30, dim)) * 10
+            mu = DiscreteDistribution(pts, random_masses(rng, 30, 10**6), 10**6)
+            nu = DiscreteDistribution(pts + rng.normal(size=(30, dim)), random_masses(rng, 30, 10**6), 10**6)
+            for delta in (0, 0.05, 0.25):
+                w = min_w_for_delta(mu, nu, delta)
+                ok, cert = is_w_delta_close(mu, nu, w, delta)
+                assert ok and cert.verify(mu, nu, w, delta)
+
 
 class TestThresholdMinimality:
     """The threshold moves the mass it must, and the next smaller realized
@@ -354,17 +377,19 @@ class TestClosenessFromBounds:
             closeness_from_bounds(0.0, -2.0)
 
     def test_bound_dominates_discretized_gaussians(self):
-        # 1-D Gaussians with an L1 mean gap of 4; c is the empirical
-        # (1 - delta/2)-quantile of |X - mean|, so the concentration bound
-        # must sit at or above the exact closeness radius of fine grids.
+        # Samples of two 1-D Gaussians with an L1 mean gap of 4. Each
+        # empirical law puts mass at least 1 - delta/2 within c of its true
+        # mean, so by the triangle inequality the two are
+        # (4 + 2c, delta)-close, which bounds the exact radius.
         delta = 0.1
         sigma = 1.5
+        count = 400
         rng = np.random.default_rng(61)
-        draws = rng.normal(0.0, sigma, size=200_000)
-        c = float(np.quantile(np.abs(draws), 1.0 - delta / 2.0))
+        samples = [rng.normal(mean, sigma, size=count) for mean in (0.0, 4.0)]
+        within = math.ceil((1.0 - delta / 2.0) * count)  # samples needed inside c
+        c = max(float(np.sort(np.abs(x - mean))[within - 1]) for x, mean in zip(samples, (0.0, 4.0)))
         bound = closeness_from_bounds(4.0, c)
-        mu = discretize_gaussian([0.0], [[sigma**2]], points_per_axis=101, mass_resolution=10**4)
-        nu = discretize_gaussian([4.0], [[sigma**2]], points_per_axis=101, mass_resolution=10**4)
+        mu, nu = (discretize_samples(x, count) for x in samples)
         assert bound >= min_w_for_delta(mu, nu, delta)
 
 
@@ -424,8 +449,9 @@ class TestExactness:
         for _ in range(3):
             k = 6
             halves = zip(random_masses(rng, k, p1), random_masses(rng, k, p2))
-            mu = DiscreteDistribution.from_fractions(
-                rng.normal(size=(k, dim)), [(Fraction(a, p1) + Fraction(b, p2)) / 2 for a, b in halves]
+            # Each mass is (a / p1 + b / p2) / 2, over the common denominator.
+            mu = DiscreteDistribution(
+                rng.normal(size=(k, dim)), [a * p2 + b * p1 for a, b in halves], 2 * p1 * p2
             )
             nu = DiscreteDistribution(rng.normal(size=(k, dim)), random_masses(rng, k, p3), p3)
             assert math.lcm(mu.mass_den, nu.mass_den) > 2**63
