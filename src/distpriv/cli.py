@@ -40,9 +40,7 @@ import numpy as np
 from . import __version__
 from .attack import ShadowConfig, draw_attack_queries, run_attack_trial
 from .dataio import (
-    AGE_BOUNDS,
-    EDUCATION_BOUNDS,
-    HOURS_BOUNDS,
+    QUERY_COMPONENTS,
     SplitTables,
     SubsetSampler,
     Table,
@@ -89,6 +87,8 @@ from .transport import (
 
 UTILITY_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,l2_error"
 ATTACK_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,accuracy"
+ATTACK_KEYS = ("shadow_count", "test_count", "repetitions")
+AWASS_RADIUS_DRAWS = 200_000
 
 
 def _round_p(value: float) -> float:
@@ -114,12 +114,9 @@ class ExperimentConfig:
     allow_variant_dataset: bool = False
     out_dir: str = "out"
     group_size: int = 100
-    angle_tol: float = 1e-6
     cov_tol: float = 0.5
     eigenbasis_tol: float = 0.5
-    awass_quantile_draws: int = 200_000
     workers: int = 1
-    attribute_bounds: Dict[str, List[int]] = field(default_factory=dict)
     attack: Dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -148,8 +145,7 @@ class ExperimentConfig:
         if spenders and min(self.delta) == 0.0:
             raise ConfigError(f"mechanisms {spenders} spend delta, so delta entries must be "
                               "positive, got 0")
-        for name in ("seed", "n", "modeling_samples", "repetitions", "group_size", "workers",
-                     "awass_quantile_draws"):
+        for name in ("seed", "n", "modeling_samples", "repetitions", "group_size", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -157,8 +153,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n <= 0 or self.modeling_samples < 2 or self.repetitions <= 0:
             raise ConfigError("n, modeling_samples, repetitions must be positive (samples >= 2)")
-        if self.group_size < 1 or self.workers < 1 or self.awass_quantile_draws < 1:
-            raise ConfigError("group_size, workers and awass_quantile_draws must be >= 1")
+        if self.group_size < 1 or self.workers < 1:
+            raise ConfigError("group_size and workers must be >= 1")
         self.shadow_config()
 
     @classmethod
@@ -183,24 +179,20 @@ class ExperimentConfig:
         return _round_p(self.p_center - dp / 2.0), _round_p(self.p_center + dp / 2.0)
 
     def shadow_config(self) -> ShadowConfig:
-        """The `attack` keys over ShadowConfig's defaults; n, repetitions and
-        the property pair default to the experiment's."""
-        doc = {"n": self.n, "repetitions": self.repetitions, **self.attack}
-        unknown = set(doc) - set(ShadowConfig.__dataclass_fields__)
+        """The attack on the pair of the first delta_p, with subsets of n records:
+        the `attack` keys (ATTACK_KEYS) over ShadowConfig's defaults, and
+        repetitions defaulting to the experiment's."""
+        unknown = set(self.attack) - set(ATTACK_KEYS)
         if unknown:
             raise ConfigError(f"unknown attack config keys: {sorted(unknown)}")
-        for name, default in zip(("p_low", "p_high"), self.pair(self.delta_p[0])):
-            doc[name] = default if doc.get(name) is None else _round_p(doc[name])
         try:
-            return ShadowConfig(**doc)
+            return ShadowConfig(*self.pair(self.delta_p[0]), n=self.n,
+                                **{"repetitions": self.repetitions, **self.attack})
         except ValueError as exc:
             raise ConfigError(f"attack config: {exc}") from exc
 
     def required_p_values(self) -> List[float]:
-        values = {p for dp in self.delta_p for p in self.pair(dp)}
-        shadow = self.shadow_config()
-        values.update((shadow.p_low, shadow.p_high))
-        return sorted(values)
+        return sorted({p for dp in self.delta_p for p in self.pair(dp)})
 
     def pair_values(self) -> List[Tuple[float, float]]:
         """Ordered (low, high) and (high, low) pairs, one set per delta_p."""
@@ -209,20 +201,6 @@ class ExperimentConfig:
             low, high = self.pair(dp)
             pairs += [(low, high), (high, low)]
         return pairs
-
-    def query_components(self):
-        bounds = {
-            "age": tuple(self.attribute_bounds.get("age", AGE_BOUNDS)),
-            "education_num": tuple(self.attribute_bounds.get("education_num", EDUCATION_BOUNDS)),
-            "hours_per_week": tuple(self.attribute_bounds.get("hours_per_week", HOURS_BOUNDS)),
-        }
-        return (
-            ("avg",) + bounds["age"],
-            ("avg",) + bounds["education_num"],
-            ("count",),
-            ("count",),
-            ("avg",) + bounds["hours_per_week"],
-        )
 
     def canonical_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -254,20 +232,20 @@ def _approx_wasserstein(
     """Laplace scaled to the L1 mean gap plus twice a high-probability L1 radius.
 
     The radius is a Monte Carlo (1 - delta/2)-quantile of the L1 deviation
-    from the mean, worst case over the family's models, drawn with a
-    derived seed so it is reproducible for a given config; the provenance
-    records it with its draw count.
+    from the mean over AWASS_RADIUS_DRAWS draws, worst case over the
+    family's models, drawn with a derived seed so it is reproducible for a
+    given config; the provenance records it with its draw count.
     """
     radius = 0.0
     for label in family.sorted_labels():
         model = family.catalog[label]
         rng = derive_rng(cfg.seed, "awass-radius", label.property_id, label.value)
-        draws = gaussian_model_draws(model, cfg.awass_quantile_draws, rng)
+        draws = gaussian_model_draws(model, AWASS_RADIUS_DRAWS, rng)
         radii = np.abs(draws - model.mean).sum(axis=1)
         radius = max(radius, float(np.quantile(radii, 1.0 - params.delta / 2.0)))
     plan = calibrate_approx_wasserstein(closeness_from_bounds(delta_E(family, 1), radius), params)
     plan.provenance.update(l1_radius=radius, l1_radius_method="monte_carlo_quantile",
-                           l1_radius_draws=cfg.awass_quantile_draws)
+                           l1_radius_draws=AWASS_RADIUS_DRAWS)
     return plan
 
 
@@ -286,18 +264,18 @@ MECHANISMS = {
     "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
     "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
     "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(
-        fam, fit_common_direction(fam), params, "laplace", angle_tol=cfg.angle_tol)),
+        fam, fit_common_direction(fam), params, "laplace")),
     "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(
-        fam, fit_common_direction(fam), params, "gaussian", angle_tol=cfg.angle_tol)),
+        fam, fit_common_direction(fam), params, "gaussian")),
     "eig": (True, True, lambda fam, params, cfg: eig_plan(
         fam, params, basis_tol=cfg.eigenbasis_tol)),
     "dau": (True, True, lambda fam, params, cfg: dau_plan(
-        fam, fit_common_direction(fam), params, angle_tol=cfg.angle_tol, cov_tol=cfg.cov_tol)),
+        fam, fit_common_direction(fam), params, cov_tol=cfg.cov_tol)),
     "gdp-l": (False, False, lambda fam, params, cfg: group_dp_calibrate(
-        per_record_sensitivity(cfg.query_components(), cfg.n, 1), cfg.group_size, params,
+        per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 1), cfg.group_size, params,
         "laplace")),
     "gdp-g": (False, True, lambda fam, params, cfg: group_dp_calibrate(
-        per_record_sensitivity(cfg.query_components(), cfg.n, 2), cfg.group_size, params,
+        per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 2), cfg.group_size, params,
         "gaussian")),
 }
 
@@ -322,21 +300,18 @@ def build_plan(
 # --- model stage ----------------------------------------------------------
 
 
-def cmd_model(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
+def cmd_model(cfg: ExperimentConfig) -> Path:
     """Estimate one Gaussian model per required property value."""
     splits = load_splits(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     catalog = {}
-    manifests = {}
     sampler = SubsetSampler(splits.modeling, cfg.property_name)
     for p in cfg.required_p_values():
         rng = derive_rng(cfg.seed, "model", cfg.property_name, p)
-        index_sets, queries = sampler.draw(p, cfg.n, cfg.modeling_samples, rng)
+        _, queries = sampler.draw(p, cfg.n, cfg.modeling_samples, rng)
         catalog[SecretLabel(cfg.property_name, p)] = estimate_gaussian(queries)
-        if emit_manifest:
-            manifests[str(p)] = index_sets.tolist()
 
     catalog_path = out_dir / "catalog.json"
     save_catalog(catalog, catalog_path)
@@ -348,12 +323,6 @@ def cmd_model(cfg: ExperimentConfig, emit_manifest: bool = False) -> Path:
             sort_keys=True,
         )
         fh.write("\n")
-    if emit_manifest:
-        manifest_dir = out_dir / "manifests"
-        manifest_dir.mkdir(parents=True, exist_ok=True)
-        with open(manifest_dir / "model_subsets.json", "w", encoding="utf-8") as fh:
-            json.dump(manifests, fh, sort_keys=True)
-            fh.write("\n")
     _write_run_manifest(cfg, out_dir)
     return catalog_path
 
@@ -405,8 +374,8 @@ def _run_cells(fn, items, workers: int):
 def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute) -> Path:
     """Run one sweep stage and write its CSV and the run manifest.
 
-    `grid` lists (cell key parts, (mechanism, epsilon, delta, delta_p))
-    in CSV order; `compute(staged, *row)` returns a row's cell values, one
+    `grid` lists the cells' (mechanism, epsilon, delta, delta_p) rows in
+    CSV order; `compute(staged, *row)` returns a row's cell values, one
     per repetition, where `staged = inputs()` is read once and only when
     some cell is missing. Cells are stored under the config hash and the
     dataset's sha256, and a stored cell is reused only when both match.
@@ -414,14 +383,14 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute
     out_dir = Path(cfg.out_dir)
     stamp = {"config_hash": cfg.config_hash(),
              "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
-    paths = [_cell_path(out_dir, stage, stamp["config_hash"], stamp["dataset_sha256"], *parts)
-             for parts, _ in grid]
+    paths = [_cell_path(out_dir, stage, stamp["config_hash"], stamp["dataset_sha256"], *row)
+             for row in grid]
     values = [_load_cell(path, stamp) for path in paths]
     missing = [i for i, cell in enumerate(values) if cell is None]
     staged = inputs() if missing else None
 
     def compute_and_store(i):
-        cell = compute(staged, *grid[i][1])
+        cell = compute(staged, *grid[i])
         _store_cell(paths[i], stamp, cell)
         return cell
 
@@ -429,7 +398,7 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute
         values[i] = cell
 
     lines = [header]
-    for (_, (mech, eps, delta, dp)), cell in zip(grid, values):
+    for (mech, eps, delta, dp), cell in zip(grid, values):
         prefix = f"{mech},{eps},{delta},{cfg.property_name},{dp}"
         lines += [f"{prefix},{rep},{value!r}" for rep, value in enumerate(cell)]
         lines.append(f"{prefix},mean,{float(np.mean(cell))!r}")
@@ -463,10 +432,7 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
                     apply(plan, zero, derive_rng(cfg.seed, "utility", eps, delta, dp, rep))))
                 for rep in range(cfg.repetitions)]
 
-    # "noise" keeps these cells apart from those of the older stream, which
-    # drew a subset before the noise and so held other values.
-    grid = [(("noise",) + cell, cell) for cell in itertools.product(
-        cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p)]
+    grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p))
     return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, inputs, compute)
 
 
@@ -482,11 +448,8 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
     draws, as in `cmd_utility`: mechanism comparisons are paired.
     """
     shadow = cfg.shadow_config()
-    dp = _round_p(shadow.p_high - shadow.p_low)
-    # "shared-subsets" keeps these cells apart from those of the older
-    # streams, which drew fresh subsets for every mechanism.
-    grid = [(("shared-subsets",) + cell, cell + (dp,)) for cell in itertools.product(
-        cfg.mechanisms, cfg.epsilon, cfg.delta)]
+    grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta,
+                                  [_round_p(shadow.p_high - shadow.p_low)]))
 
     def inputs():
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
@@ -618,7 +581,6 @@ def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
         mechanisms=[args.mechanism],
         n=args.n,
         group_size=args.group_size,
-        angle_tol=args.angle_tol,
         cov_tol=args.cov_tol,
         eigenbasis_tol=args.eigenbasis_tol,
         modeling_samples=2,
@@ -651,7 +613,6 @@ def _add_adhoc_flags(cmd, with_query: bool):
     cmd.add_argument("--n", type=int, default=defaults["n"],
                      help="subset size for group-DP sensitivity")
     cmd.add_argument("--group-size", dest="group_size", type=int, default=defaults["group_size"])
-    cmd.add_argument("--angle-tol", dest="angle_tol", type=float, default=defaults["angle_tol"])
     cmd.add_argument("--cov-tol", dest="cov_tol", type=float, default=defaults["cov_tol"])
     cmd.add_argument("--eigenbasis-tol", dest="eigenbasis_tol", type=float,
                      default=defaults["eigenbasis_tol"])
@@ -664,9 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    model = _add_config_command(sub, "model", "estimate Gaussian query models, write catalog.json")
-    model.add_argument("--emit-manifest", action="store_true",
-                       help="also write the sampled subset indices")
+    _add_config_command(sub, "model", "estimate Gaussian query models, write catalog.json")
     _add_config_command(sub, "utility", "privacy-utility sweep to results_utility.csv")
     _add_config_command(sub, "attack", "attack-accuracy sweep to results_attack.csv")
 
@@ -694,7 +653,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "model":
-        path = cmd_model(_config_from_args(args), emit_manifest=args.emit_manifest)
+        path = cmd_model(_config_from_args(args))
         print(str(path))
     elif args.command == "utility":
         path = cmd_utility(_config_from_args(args))

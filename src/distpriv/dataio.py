@@ -26,6 +26,11 @@ logger = logging.getLogger(__name__)
 AGE_BOUNDS = (17, 90)
 EDUCATION_BOUNDS = (1, 16)
 HOURS_BOUNDS = (1, 99)
+# The query's components in release order: ("avg", low, high) averages a
+# column both loaders hold to [low, high]; ("count",) counts a flag. Group-DP
+# sensitivities scale to these bounds.
+QUERY_COMPONENTS = (("avg",) + AGE_BOUNDS, ("avg",) + EDUCATION_BOUNDS, ("count",), ("count",),
+                    ("avg",) + HOURS_BOUNDS)
 CANONICAL_ROW_COUNT = 45222
 
 _ADULT_COLUMNS = 15
@@ -207,7 +212,9 @@ def load_simple_csv(path) -> Table:
     """Escape-hatch loader: headered CSV with the seven canonical columns.
 
     Intended for synthetic tables in tests and demos; booleans accept
-    0/1 or true/false.
+    0/1 or true/false. A value outside the bounds of its query component
+    (`QUERY_COMPONENTS`) raises ParseError, since the group-DP baselines
+    scale their noise to those bounds.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -225,6 +232,14 @@ def load_simple_csv(path) -> Table:
                 columns[6].append(_parse_bool(row["private_workclass"]))
             except (ValueError, TypeError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+    for name, values, (kind, *bounds) in zip(_FIELD_NAMES, columns, QUERY_COMPONENTS):
+        if kind == "avg":
+            low, high = bounds
+            column = np.asarray(values)
+            outside = np.flatnonzero((column < low) | (column > high))
+            if outside.size:
+                raise ParseError(f"{name} {column[outside[0]]} outside its bounds [{low}, {high}]",
+                                 line=int(outside[0]) + 2)
     return Table(*columns)
 
 

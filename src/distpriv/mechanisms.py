@@ -36,7 +36,9 @@ from .model import (
 )
 
 PLAN_KINDS = ("laplace_iid", "gaussian_iid", "gaussian_cov", "scalar_along_direction", "none")
-DEFAULT_ANGLE_TOL = 1e-6
+# Largest angle (rad) a protected mean gap may make with a directional
+# plan's noise direction: a gap off the direction is left un-noised.
+ANGLE_TOL = 1e-6
 DEFAULT_COV_TOL = 0.1
 DEFAULT_BASIS_TOL = 0.1
 MIN_AUDIT_TRIALS = 10_000
@@ -277,11 +279,10 @@ def calibrate_directional(
     v,
     params: PrivacyParams,
     noise: str,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
 ) -> NoisePlan:
     """Scalar noise along a single unit direction v.
 
-    Every protected mean gap must be parallel to v within angle_tol
+    Every protected mean gap must be parallel to v within ANGLE_TOL
     radians (sign ignored); otherwise the worst pair is reported.
     The scale is delta_E2 / epsilon for Laplace noise and
     c * delta_E2 / epsilon for Gaussian noise.
@@ -292,7 +293,7 @@ def calibrate_directional(
     plan's delta are then not met. Covariance equality is not checked.
     """
     v = _unit_vector(v)
-    _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
+    _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
     d2 = delta_E(family, 2)
     scale, budget = _noise_scale(noise, params, d2)
     return NoisePlan(
@@ -402,14 +403,14 @@ def dau_plan(
     family: PairFamily,
     v,
     params: PrivacyParams,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
     cov_tol: float = DEFAULT_COV_TOL,
 ) -> NoisePlan:
     """Directional Gaussian noise with adversarial-uncertainty credit.
 
-    For each protected pair, alpha is the signed projection of the mean
-    gap on v and the required variance comes from dau_sigma on the first
-    model of the pair; the plan takes the worst case over pairs.
+    Every protected mean gap must be parallel to v within ANGLE_TOL
+    radians. For each protected pair, alpha is the signed projection of
+    the mean gap on v and the required variance comes from dau_sigma on
+    the first model of the pair; the plan takes the worst case over pairs.
 
     The guarantee holds only when the pair covariances are exactly equal,
     since a covariance that differs off v leaks through the directions
@@ -417,7 +418,7 @@ def dau_plan(
     nothing.
     """
     v = _unit_vector(v)
-    _require_within(gap_angle(family, v), angle_tol, "mean-gap angle (rad) to the noise direction")
+    _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
     _require_within(cov_discrepancy(family), cov_tol, "relative covariance discrepancy")
     _, budget = _noise_scale("gaussian", params)
     sigma_sq = 0.0

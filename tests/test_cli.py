@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,8 +75,19 @@ class TestConfig:
             base_config(synth_csv, tmp_path, mechanisms=["privacy-magic"])
 
     def test_unknown_keys_rejected(self, synth_csv, tmp_path):
-        with pytest.raises(ConfigError):
-            base_config(synth_csv, tmp_path, typo_key=1)
+        # the last three were fields once; a config that still sets one is refused
+        for key, value in (("typo_key", 1), ("angle_tol", 1e-6),
+                           ("awass_quantile_draws", 200_000), ("attribute_bounds", {})):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                base_config(synth_csv, tmp_path, **{key: value})
+
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = readme.split("```json\n")[1:]
+        assert len(blocks) == 1
+        cfg = ExperimentConfig.from_dict(json.loads(blocks[0].split("```", 1)[0]))
+        assert cfg.shadow_config() == ShadowConfig(0.45, 0.55, n=100, shadow_count=200,
+                                                   test_count=200, repetitions=50)
 
     def test_hash_ignores_out_dir_and_workers(self, synth_csv, tmp_path):
         a = base_config(synth_csv, tmp_path / "a")
@@ -93,7 +105,8 @@ class TestConfig:
         assert (shadow.n, shadow.repetitions, shadow.test_count) == (80, 7, 40)
         assert shadow == ShadowConfig(0.45, 0.55, n=80, repetitions=7, test_count=40)
 
-    @pytest.mark.parametrize("attack", [{"seed": 1}, {"shadow_cnt": 10}])
+    @pytest.mark.parametrize("attack", [{"seed": 1}, {"shadow_cnt": 10}, {"n": 100},
+                                        {"p_low": 0.45}])
     def test_unknown_attack_keys_rejected(self, synth_csv, tmp_path, attack):
         with pytest.raises(ConfigError, match="unknown attack config keys"):
             base_config(synth_csv, tmp_path, attack=attack).shadow_config()
@@ -121,14 +134,13 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", 2**64), ("n", 2.5),
         ("modeling_samples", 200.0), ("repetitions", True), ("group_size", 1.5), ("workers", True),
-        ("awass_quantile_draws", 2.5), ("awass_quantile_draws", 0),
     ])
     def test_integer_fields_and_seed_range(self, synth_csv, tmp_path, field, value):
         with pytest.raises(ConfigError, match=field):
             base_config(synth_csv, tmp_path, **{field: value})
 
-    @pytest.mark.parametrize("attack", [{"n": 2.5}, {"shadow_count": 60.0},
-                                        {"test_count": 60.0}, {"repetitions": True}])
+    @pytest.mark.parametrize("attack", [{"shadow_count": 60.0}, {"test_count": 60.0},
+                                        {"repetitions": True}])
     def test_integer_attack_sizes(self, synth_csv, tmp_path, attack):
         with pytest.raises(ConfigError, match="must be an integer"):
             base_config(synth_csv, tmp_path, attack=attack)
@@ -163,12 +175,6 @@ class TestCmdModel:
         first = cmd_model(cfg).read_bytes()
         second = cmd_model(cfg).read_bytes()
         assert first == second
-
-    def test_manifest_emission(self, synth_csv, tmp_path):
-        cfg = base_config(synth_csv, tmp_path / "out", modeling_samples=10)
-        cmd_model(cfg, emit_manifest=True)
-        doc = json.loads((tmp_path / "out" / "manifests" / "model_subsets.json").read_text())
-        assert "0.45" in doc and len(doc["0.45"]) == 10
 
 
 @pytest.fixture(scope="module")
@@ -329,15 +335,20 @@ class TestSweepResume:
         assert rerun == cmd_attack(fresh_cfg).read_bytes()
         assert rerun != old
 
-    def test_attack_takes_no_manifest_flag(self, capsys):
+    @staticmethod
+    def rejects_manifest_flag(command, capsys):
         with pytest.raises(SystemExit):
-            main(["attack", "--config", "c.json", "--emit-manifest"])
-        capsys.readouterr()
+            main([command, "--config", "c.json", "--emit-manifest"])
+        assert "unrecognized arguments: --emit-manifest" in capsys.readouterr().err
+
+    def test_model_takes_no_manifest_flag(self, capsys):
+        self.rejects_manifest_flag("model", capsys)
+
+    def test_attack_takes_no_manifest_flag(self, capsys):
+        self.rejects_manifest_flag("attack", capsys)
 
     def test_utility_takes_no_manifest_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["utility", "--config", "c.json", "--emit-manifest"])
-        capsys.readouterr()
+        self.rejects_manifest_flag("utility", capsys)
 
 
 class TestUtilityNoise:
@@ -356,7 +367,7 @@ class TestUtilityNoise:
 
     def test_values_are_noise_norms_of_the_zero_query(self, synth_csv, tmp_path):
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=list(cli.MECHANISMS),
-                          epsilon=[0.5, 2.0], repetitions=3, awass_quantile_draws=2_000)
+                          epsilon=[0.5, 2.0], repetitions=3)
         cmd_model(cfg)
         text = cmd_utility(cfg).read_text()
         family = family_from_catalog(load_catalog(tmp_path / "out" / "catalog.json"),
@@ -376,19 +387,28 @@ class TestUtilityNoise:
         assert checked == len(cli.MECHANISMS) * 2 * 3
 
     def test_cells_of_the_subset_stream_are_not_reused(self, synth_csv, tmp_path):
+        import hashlib
+
         from distpriv.dataio import dataset_sha256
 
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
         cmd_model(cfg)
-        stamp = {"config_hash": cfg.config_hash(),
-                 "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
-        # where a utility cell was stored when repetitions drew a subset first
-        old = cli._cell_path(tmp_path / "out", "utility", stamp["config_hash"],
-                             stamp["dataset_sha256"], "expm-g", 1.0, 0.001, 0.1)
-        cli._store_cell(old, stamp, [123.5] * cfg.repetitions)
+        sha = dataset_sha256(cfg.dataset, cfg.dataset_format)
+        # Every older config hash covered three fields since deleted, so a
+        # cell of the older streams (a subset drawn before the noise) carries
+        # a hash the current config cannot produce.
+        older = {**cfg.canonical_dict(), "angle_tol": 1e-6, "awass_quantile_draws": 200_000,
+                 "attribute_bounds": {}}
+        older_hash = hashlib.sha256(json.dumps(older, sort_keys=True).encode()).hexdigest()
+        assert older_hash != cfg.config_hash()
+        path = cli._cell_path(tmp_path / "out", "utility", cfg.config_hash(), sha,
+                              "expm-g", 1.0, 0.001, 0.1)
+        cli._store_cell(path, {"config_hash": older_hash, "dataset_sha256": sha},
+                        [123.5] * cfg.repetitions)
         text = cmd_utility(cfg).read_text()
         assert ",123.5" not in text
-        assert len(list(old.parent.glob("utility-*.json"))) == 2
+        assert json.loads(path.read_text())["config_hash"] == cfg.config_hash()
+        assert list(path.parent.glob("utility-*.json")) == [path]
 
 
 class TestSweepVariants:
@@ -418,16 +438,6 @@ class TestSweepVariants:
                 means[float(parts[4])] = float(parts[6])
         # wider protected gaps force more noise
         assert means[0.3] > means[0.1]
-
-    def test_attribute_bounds_override_scales_gdp(self, synth_csv, tmp_path):
-        cfg = base_config(synth_csv, tmp_path)
-        wide = base_config(
-            synth_csv, tmp_path,
-            attribute_bounds={"age": [17, 890]},
-        )
-        base = build_plan("gdp-g", None, PrivacyParams(1.0, 0.001), cfg)
-        scaled = build_plan("gdp-g", None, PrivacyParams(1.0, 0.001), wide)
-        assert scaled.sigma > base.sigma
 
     def test_main_seed_and_out_overrides(self, synth_csv, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -700,12 +710,12 @@ class TestBuildPlan:
     def test_awass_radius_exceeds_mean_gap(self, synth_csv, tmp_path):
         from helpers import worked_example_family
 
-        cfg = base_config(synth_csv, tmp_path, awass_quantile_draws=20_000)
+        cfg = base_config(synth_csv, tmp_path)
         plan = build_plan("awass", worked_example_family(), PrivacyParams(1.0, 0.1), cfg)
         assert plan.scale > 2.0  # mean gap plus a positive Monte Carlo radius
         prov = plan.provenance
         assert prov["l1_radius_method"] == "monte_carlo_quantile"
-        assert prov["l1_radius_draws"] == 20_000
+        assert prov["l1_radius_draws"] == 200_000
         assert plan.scale == pytest.approx(2.0 + 2.0 * prov["l1_radius"])
 
 

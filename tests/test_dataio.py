@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,31 @@ class TestSimpleCsv:
             load_simple_csv(path)
         assert err.value.line == 3
 
+    @staticmethod
+    def write_with(path, **values):
+        """A three-row simple CSV whose last row takes the given column values."""
+        cols = columns(synthetic_census_table(3, seed=2))
+        for name, value in values.items():
+            cols[name][-1] = value
+        return write_simple_csv(Table(**cols), path)
+
+    @pytest.mark.parametrize("column,value,bounds", [
+        ("age", 91, "[17, 90]"), ("age", 16, "[17, 90]"), ("age", 200, "[17, 90]"),
+        ("age", -5, "[17, 90]"), ("education_num", 17, "[1, 16]"), ("education_num", 0, "[1, 16]"),
+        ("hours_per_week", 100, "[1, 99]"), ("hours_per_week", 0, "[1, 99]"),
+    ])
+    def test_values_outside_the_query_bounds_rejected(self, tmp_path, column, value, bounds):
+        path = self.write_with(tmp_path / "t.csv", **{column: value})
+        message = f"{column} {value} outside its bounds {bounds}"
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_simple_csv(path)
+        assert err.value.line == 4
+
+    def test_query_bounds_are_inclusive(self, tmp_path):
+        for ends in ({"age": 17, "education_num": 1, "hours_per_week": 1},
+                     {"age": 90, "education_num": 16, "hours_per_week": 99}):
+            table = load_simple_csv(self.write_with(tmp_path / "t.csv", **ends))
+            assert {name: getattr(table, name)[-1] for name in ends} == ends
 
 
 class TestQueryJson:
