@@ -32,38 +32,6 @@ table = {
     "private_workclass": (rng.random(n_rows) < 0.7).astype(int),
 }
 
-workdir = Path(tempfile.mkdtemp(prefix="distpriv-demo-"))
-csv_path = workdir / "synthetic_census.csv"
-with open(csv_path, "w", newline="") as fh:
-    writer = csv.writer(fh)
-    writer.writerow(table.keys())
-    writer.writerows(zip(*table.values()))
-print(f"Synthetic table with {n_rows} rows written to {csv_path}")
-
-config = ExperimentConfig.from_dict({
-    "dataset": str(csv_path),
-    "dataset_format": "simple",
-    "seed": 7,
-    "property": "income",
-    "p_center": 0.5,
-    "delta_p": [0.1],
-    "epsilon": [0.2, 1.0, 5.0],
-    "delta": [0.001],
-    "mechanisms": ["none", "expm-l", "expm-g", "dir-g", "eig", "dau", "gdp-g"],
-    "n": 100,
-    "modeling_samples": 500,
-    "repetitions": 20,
-    "attack": {"repetitions": 5},
-    "out_dir": str(workdir / "out"),
-})
-
-print("\nEstimating query models at income proportions 0.45 and 0.55 ...")
-cmd_model(config)
-print("Running the privacy-utility sweep ...")
-utility_csv = cmd_utility(config)
-print("Running the property inference attack ...")
-attack_csv = cmd_attack(config)
-
 
 def mean_table(path):
     means = {}
@@ -74,8 +42,40 @@ def mean_table(path):
     return means
 
 
-utility = mean_table(utility_csv)
-attack = mean_table(attack_csv)
+# The table and the sweep's outputs live in a temporary directory that is
+# removed when the sweep is done; only the mean rows are kept.
+with tempfile.TemporaryDirectory(prefix="distpriv-demo-") as work:
+    workdir = Path(work)
+    csv_path = workdir / "synthetic_census.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.keys())
+        writer.writerows(zip(*table.values()))
+    print(f"Synthetic census table with {n_rows} rows")
+
+    config = ExperimentConfig.from_dict({
+        "dataset": str(csv_path),
+        "dataset_format": "simple",
+        "seed": 7,
+        "property": "income",
+        "p_center": 0.5,
+        "delta_p": [0.1],
+        "epsilon": [0.2, 1.0, 5.0],
+        "delta": [0.001],
+        "mechanisms": ["none", "expm-l", "expm-g", "dir-g", "eig", "dau", "gdp-g"],
+        "n": 100,
+        "modeling_samples": 500,
+        "repetitions": 20,
+        "attack": {"repetitions": 5},
+        "out_dir": str(workdir / "out"),
+    })
+
+    print("\nEstimating query models at income proportions 0.45 and 0.55 ...")
+    cmd_model(config)
+    print("Running the privacy-utility sweep ...")
+    utility = mean_table(cmd_utility(config))
+    print("Running the property inference attack ...")
+    attack = mean_table(cmd_attack(config))
 
 mechs = ["none", "expm-l", "expm-g", "dir-g", "eig", "dau", "gdp-g"]
 print("\nmean L2 noise norm (lower is better utility)")
@@ -93,4 +93,3 @@ for mech in mechs:
 print("\nReading the tables: the direction-aware variants keep utility close to")
 print("the unprotected release while pinning the attack near coin-flipping,")
 print("and the group-DP baseline pays an order of magnitude more noise.")
-print(f"Raw per-repetition rows: {utility_csv} and {attack_csv}")

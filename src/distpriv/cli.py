@@ -17,7 +17,10 @@ cell loop, `_sweep`: each cell is stored under, and checked on load
 against, the config hash and the sha256 of the dataset files, and a
 stage reads its inputs only when some cell is missing: the catalog,
 and for `attack` the table, from which it draws every repetition's
-shadow and test subsets once for all cells.
+shadow and test subsets once for all cells. Among a stage's inputs is
+the `awass` radius memo, so the stage draws each label's radius sample
+once for every epsilon and delta. Outputs go through
+`dataio.output_file`, which leaves a file holding the same bytes alone.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import platform
 import sys
-import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -48,6 +50,7 @@ from .dataio import (
     load_adult,
     load_query_json,
     load_simple_csv,
+    output_file,
     split_dataset,
 )
 from .errors import ConfigError
@@ -226,23 +229,55 @@ def load_splits(cfg: ExperimentConfig) -> SplitTables:
 # --- plan construction ----------------------------------------------------
 
 
+class AwassRadii:
+    """The `awass` L1 radii of one seed, each label's sample drawn at most once.
+
+    A label's sample is the L1 deviation from its model's mean of
+    AWASS_RADIUS_DRAWS draws from derive_rng(seed, "awass-radius",
+    property, value); its radius at delta is the sample's
+    (1 - delta/2)-quantile. The sample does not depend on epsilon or
+    delta, so a sweep stage keeps one instance among its inputs and every
+    awass plan it builds shares it. Labels are looked up by name, so an
+    instance must not outlive the catalog its models came from.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._samples: Dict[SecretLabel, np.ndarray] = {}
+        self._lock = threading.Lock()  # sweep cells may run on a worker pool
+
+    def radius(self, family: PairFamily, delta: float) -> float:
+        """The largest radius at delta over the family's models."""
+        radius = 0.0
+        for label in family.sorted_labels():
+            radius = max(radius, float(np.quantile(self._sample(label, family.catalog[label]),
+                                                   1.0 - delta / 2.0)))
+        return radius
+
+    def _sample(self, label: SecretLabel, model) -> np.ndarray:
+        with self._lock:
+            if label not in self._samples:
+                rng = derive_rng(self.seed, "awass-radius", label.property_id, label.value)
+                draws = gaussian_model_draws(model, AWASS_RADIUS_DRAWS, rng)
+                self._samples[label] = np.abs(draws - model.mean).sum(axis=1)
+            return self._samples[label]
+
+
 def _approx_wasserstein(
-    family: PairFamily, params: PrivacyParams, cfg: ExperimentConfig
+    family: PairFamily, params: PrivacyParams, cfg: ExperimentConfig,
+    radii: Optional[AwassRadii],
 ) -> NoisePlan:
     """Laplace scaled to the L1 mean gap plus twice a high-probability L1 radius.
 
     The radius is a Monte Carlo (1 - delta/2)-quantile of the L1 deviation
     from the mean over AWASS_RADIUS_DRAWS draws, worst case over the
     family's models, drawn with a derived seed so it is reproducible for a
-    given config; the provenance records it with its draw count.
+    given config; it comes from `radii`, or from a fresh `AwassRadii` when
+    that is None. The provenance records it with its draw count.
     """
-    radius = 0.0
-    for label in family.sorted_labels():
-        model = family.catalog[label]
-        rng = derive_rng(cfg.seed, "awass-radius", label.property_id, label.value)
-        draws = gaussian_model_draws(model, AWASS_RADIUS_DRAWS, rng)
-        radii = np.abs(draws - model.mean).sum(axis=1)
-        radius = max(radius, float(np.quantile(radii, 1.0 - params.delta / 2.0)))
+    if radii is None:
+        radii = AwassRadii(cfg.seed)
+    radius = radii.radius(family, params.delta)
     plan = calibrate_approx_wasserstein(closeness_from_bounds(delta_E(family, 1), radius), params)
     plan.provenance.update(l1_radius=radius, l1_radius_method="monte_carlo_quantile",
                            l1_radius_draws=AWASS_RADIUS_DRAWS)
@@ -250,31 +285,33 @@ def _approx_wasserstein(
 
 
 # Mechanism name -> (needs a model catalog, spends delta, builder(family,
-# params, cfg)). A plan spends delta when it adds Gaussian noise or, for
-# awass, when its radius is a (1 - delta/2)-quantile; it needs delta > 0.
-# Builders look the calibrations up by name at call time, so rebinding this
-# module's names (as a tracer does) reaches every plan.
+# params, cfg, radii)), where radii is the caller's AwassRadii or None. A
+# plan spends delta when it adds Gaussian noise or, for awass, when its
+# radius is a (1 - delta/2)-quantile; it needs delta > 0. Builders look the
+# calibrations up by name at call time, so rebinding this module's names
+# (as a tracer does) reaches every plan.
 MECHANISMS = {
-    "none": (False, False, lambda fam, params, cfg: NoisePlan(
+    "none": (False, False, lambda fam, params, cfg, _: NoisePlan(
         kind="none", provenance={"mechanism": "none"})),
     # Translation pairs make the worst-case transport distance equal the
     # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
-    "wass": (True, False, lambda fam, params, cfg: calibrate_wasserstein(delta_E(fam, 1), params)),
+    "wass": (True, False, lambda fam, params, cfg, _: calibrate_wasserstein(
+        delta_E(fam, 1), params)),
     "awass": (True, True, _approx_wasserstein),
-    "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
-    "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
-    "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(
+    "expm-l": (True, False, lambda fam, params, cfg, _: calibrate_expm(fam, params, "laplace")),
+    "expm-g": (True, True, lambda fam, params, cfg, _: calibrate_expm(fam, params, "gaussian")),
+    "dir-l": (True, False, lambda fam, params, cfg, _: calibrate_directional(
         fam, fit_common_direction(fam), params, "laplace")),
-    "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(
+    "dir-g": (True, True, lambda fam, params, cfg, _: calibrate_directional(
         fam, fit_common_direction(fam), params, "gaussian")),
-    "eig": (True, True, lambda fam, params, cfg: eig_plan(
+    "eig": (True, True, lambda fam, params, cfg, _: eig_plan(
         fam, params, basis_tol=cfg.eigenbasis_tol)),
-    "dau": (True, True, lambda fam, params, cfg: dau_plan(
+    "dau": (True, True, lambda fam, params, cfg, _: dau_plan(
         fam, fit_common_direction(fam), params, cov_tol=cfg.cov_tol)),
-    "gdp-l": (False, False, lambda fam, params, cfg: group_dp_calibrate(
+    "gdp-l": (False, False, lambda fam, params, cfg, _: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 1), cfg.group_size, params,
         "laplace")),
-    "gdp-g": (False, True, lambda fam, params, cfg: group_dp_calibrate(
+    "gdp-g": (False, True, lambda fam, params, cfg, _: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 2), cfg.group_size, params,
         "gaussian")),
 }
@@ -285,8 +322,13 @@ def build_plan(
     family: Optional[PairFamily],
     params: PrivacyParams,
     cfg: ExperimentConfig,
+    radii: Optional[AwassRadii] = None,
 ) -> NoisePlan:
-    """Resolve a mechanism name from the sweep grid into a noise plan."""
+    """Resolve a mechanism name from the sweep grid into a noise plan.
+
+    `radii` lets the plans of one sweep stage share awass's radius draws;
+    without it, an awass plan makes its own.
+    """
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
     needs_family, spends_delta, build = MECHANISMS[mechanism]
@@ -294,7 +336,7 @@ def build_plan(
         raise ConfigError(f"mechanism {mechanism!r} requires a model catalog")
     if spends_delta and params.delta <= 0.0:
         raise ConfigError(f"mechanism {mechanism!r} spends delta and requires delta > 0")
-    return build(family, params, cfg)
+    return build(family, params, cfg, radii)
 
 
 # --- model stage ----------------------------------------------------------
@@ -315,7 +357,7 @@ def cmd_model(cfg: ExperimentConfig) -> Path:
 
     catalog_path = out_dir / "catalog.json"
     save_catalog(catalog, catalog_path)
-    with open(out_dir / "pairs.json", "w", encoding="utf-8") as fh:
+    with output_file(out_dir / "pairs.json") as fh:
         json.dump(
             {"property": cfg.property_name, "pairs": [list(p) for p in cfg.pair_values()]},
             fh,
@@ -351,17 +393,9 @@ def _load_cell(path: Path, stamp: dict):
 
 
 def _store_cell(path: Path, stamp: dict, values) -> None:
-    # Write beside the cell and rename, so a crash or a concurrent writer
-    # never leaves a truncated file under the cell's name.
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            json.dump({**stamp, "values": values}, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with output_file(path) as fh:
+        json.dump({**stamp, "values": values}, fh)
+        fh.write("\n")
 
 
 def _run_cells(fn, items, workers: int):
@@ -403,7 +437,8 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute
         lines += [f"{prefix},{rep},{value!r}" for rep, value in enumerate(cell)]
         lines.append(f"{prefix},mean,{float(np.mean(cell))!r}")
     out_path = out_dir / f"results_{stage}.csv"
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with output_file(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     _write_run_manifest(cfg, out_dir)
     return out_path
 
@@ -423,11 +458,11 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
         families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
                     for dp in cfg.delta_p}
-        return families, np.zeros(next(iter(catalog.values())).mean.size)
+        return families, np.zeros(next(iter(catalog.values())).mean.size), AwassRadii(cfg.seed)
 
     def compute(staged, mech, eps, delta, dp):
-        families, zero = staged
-        plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
+        families, zero, radii = staged
+        plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg, radii)
         return [float(np.linalg.norm(
                     apply(plan, zero, derive_rng(cfg.seed, "utility", eps, delta, dp, rep))))
                 for rep in range(cfg.repetitions)]
@@ -460,11 +495,11 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
         queries = [draw_attack_queries(aux, test, shadow,
                                        derive_rng(cfg.seed, "attack-subsets", rep))
                    for rep in range(shadow.repetitions)]
-        return family, queries
+        return family, queries, AwassRadii(cfg.seed)
 
     def compute(staged, mech, eps, delta, _dp):
-        family, queries = staged
-        plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
+        family, queries, radii = staged
+        plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg, radii)
         return [
             run_attack_trial(shadow_x, test_x, shadow, plan,
                              derive_rng(cfg.seed, "attack", eps, delta, rep))
@@ -485,7 +520,7 @@ def _write_run_manifest(cfg: ExperimentConfig, out_dir: Path) -> None:
             "distpriv": __version__,
         },
     }
-    with open(out_dir / "run_manifest.json", "w", encoding="utf-8") as fh:
+    with output_file(out_dir / "run_manifest.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

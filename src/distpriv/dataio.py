@@ -4,15 +4,20 @@ The released statistic is a five-component vector over a subset of
 records: average age, average years of education, number never married,
 number of female individuals, and average hours worked per week. The
 sensitive global properties are the subset's proportion of high earners
-(income) and of private-sector workers (workclass).
+(income) and of private-sector workers (workclass). `output_file` is the
+one writer of the files a run produces.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -355,3 +360,34 @@ def load_query_json(path) -> np.ndarray:
             or any(isinstance(x, bool) for x in doc)):
         raise FormatError(f"{path}: query must be a nonempty JSON array of finite numbers")
     return value
+
+
+@contextmanager
+def output_file(path):
+    """Yield a text buffer whose contents become the file at `path`.
+
+    A file that already holds the same bytes is left untouched, so a
+    rerun rewrites nothing. Otherwise the bytes go to a temporary file
+    beside the target, which is renamed over it, so a crash or a
+    concurrent writer never leaves a truncated file under the name. If
+    the body raises, nothing is written.
+    """
+    path = Path(path)
+    buf = io.StringIO()
+    yield buf
+    data = buf.getvalue().encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    # A fresh name opened exclusively, not mkstemp, so the file gets the
+    # umask's permissions as open(path, "w") would give it, not 0600.
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

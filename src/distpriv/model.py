@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .dataio import output_file
 from .errors import ConfigError, EstimationError, NumericError
 
 SYMMETRY_RTOL = 1e-9
@@ -365,7 +366,7 @@ def model_from_doc(doc: dict) -> Tuple[SecretLabel, GaussianModel]:
 
 def save_catalog(catalog: Mapping[SecretLabel, GaussianModel], path) -> None:
     docs = [model_to_doc(lab, catalog[lab]) for lab in sorted(catalog)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(docs, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -336,6 +337,39 @@ class TestSweepResume:
         assert rerun != old
 
     @staticmethod
+    def files_under(out):
+        """(mtime_ns, bytes) of every file under out, by relative path."""
+        return {str(p.relative_to(out)): (p.stat().st_mtime_ns, p.read_bytes())
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_resume_writes_nothing(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["none", "awass"])
+        cmd_model(cfg)
+        cmd_utility(cfg)
+        cmd_attack(cfg)
+        out = Path(cfg.out_dir)
+        for path in out.rglob("*"):  # an old mtime shows any rewrite, however quick
+            if path.is_file():
+                os.utime(path, ns=(10**9, 10**9))
+        before = self.files_under(out)
+        assert "run_manifest.json" in before and "results_attack.csv" in before
+        cmd_utility(cfg)
+        cmd_attack(cfg)
+        assert self.files_under(out) == before
+        assert not list(out.rglob("*.tmp"))
+
+    def test_changed_config_rewrites_the_manifest(self, synth_csv, tmp_path):
+        cfg = base_config(synth_csv, tmp_path / "out")
+        cmd_model(cfg)
+        cmd_utility(cfg)
+        manifest = Path(cfg.out_dir) / "run_manifest.json"
+        assert json.loads(manifest.read_text())["config_hash"] == cfg.config_hash()
+        wider = base_config(synth_csv, tmp_path / "out", epsilon=[1.0, 2.0])
+        cmd_utility(wider)
+        assert json.loads(manifest.read_text())["config_hash"] == wider.config_hash()
+        assert not list(Path(cfg.out_dir).rglob("*.tmp"))
+
+    @staticmethod
     def rejects_manifest_flag(command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--config", "c.json", "--emit-manifest"])
@@ -420,6 +454,28 @@ class TestSweepVariants:
             cmd_model(cfg)
             outputs.append([cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()])
         assert outputs[0] == outputs[1]
+
+    def test_worker_pool_draws_each_radius_sample_once(self, synth_csv, tmp_path, monkeypatch):
+        # More workers than cores and a short switch interval, so a lost
+        # check-then-act in the shared radius memo would show as extra draws.
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["awass"], workers=8,
+                          epsilon=[0.2, 0.5, 1.0, 2.0], delta=[1e-6, 1e-3])
+        cmd_model(cfg)
+        draws = []
+        model_draws = cli.gaussian_model_draws
+
+        def counting_draws(model, n, rng):
+            draws.append(n)
+            return model_draws(model, n, rng)
+
+        monkeypatch.setattr(cli, "gaussian_model_draws", counting_draws)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cmd_utility(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(draws) == 2
 
     def test_multiple_delta_p_sweep(self, synth_csv, tmp_path):
         cfg = base_config(
@@ -717,6 +773,34 @@ class TestBuildPlan:
         assert prov["l1_radius_method"] == "monte_carlo_quantile"
         assert prov["l1_radius_draws"] == 200_000
         assert plan.scale == pytest.approx(2.0 + 2.0 * prov["l1_radius"])
+
+    def test_awass_radius_is_drawn_once_per_stage(self, synth_csv, tmp_path, monkeypatch):
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["awass"],
+                          epsilon=[0.2, 1.0, 5.0], delta=[1e-6, 1e-3])
+        cmd_model(cfg)
+        draws, plans = [], []
+        model_draws, plan_for = cli.gaussian_model_draws, cli.build_plan
+
+        def counting_draws(model, n, rng):
+            draws.append(n)
+            return model_draws(model, n, rng)
+
+        def recording_plan(mech, family, params, *args):
+            plan = plan_for(mech, family, params, *args)
+            plans.append((family, params, plan))
+            return plan
+
+        monkeypatch.setattr(cli, "gaussian_model_draws", counting_draws)
+        monkeypatch.setattr(cli, "build_plan", recording_plan)
+        cmd_utility(cfg)
+        assert draws == [cli.AWASS_RADIUS_DRAWS] * 2  # one sample per label
+        assert len(plans) == 6
+        for family, params, plan in plans:
+            fresh = plan_for("awass", family, params, cfg)
+            assert (plan.provenance["l1_radius"].hex()
+                    == fresh.provenance["l1_radius"].hex())
+            assert plan.scale.hex() == fresh.scale.hex()
+        assert len(draws) == 2 + 2 * len(plans)  # each fresh plan draws its own
 
 
 class TestSubprocessEntry:

@@ -303,6 +303,22 @@ class TestCatalogSerialization:
         for label, model in fam.catalog.items():
             assert loaded[label] == model
 
+    def test_failed_save_keeps_the_old_catalog(self, tmp_path, monkeypatch):
+        fam = worked_example_family()
+        path = tmp_path / "catalog.json"
+        save_catalog(fam.catalog, path)
+        saved = path.read_bytes()
+
+        def broken_dump(doc, fh, **kwargs):
+            fh.write("[{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            save_catalog({SecretLabel("income", 0.3): fam.catalog[fam.sorted_labels()[0]]}, path)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+
     def test_doc_schema(self):
         label = SecretLabel("income", 0.45)
         model = GaussianModel([1.0, 2.0], np.eye(2), 7)
