@@ -51,10 +51,12 @@ from .dataio import (
     load_query_json,
     load_simple_csv,
     output_file,
+    read_json,
     split_dataset,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .mechanisms import (
+    MIN_AUDIT_TRIALS,
     NoisePlan,
     apply,
     audit,
@@ -114,11 +116,8 @@ class ExperimentConfig:
     modeling_samples: int = 1000
     repetitions: int = 50
     dataset_format: str = "adult"
-    allow_variant_dataset: bool = False
     out_dir: str = "out"
     group_size: int = 100
-    cov_tol: float = 0.5
-    eigenbasis_tol: float = 0.5
     workers: int = 1
     attack: Dict = field(default_factory=dict)
 
@@ -162,20 +161,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object, got {type(doc).__name__}")
         return cls.from_dict(doc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """The config a JSON object describes; the property is keyed `property`."""
         doc = dict(doc)
-        if "property" in doc:
-            doc["property_name"] = doc.pop("property")
-        known = set(cls.__dataclass_fields__)
+        known = (set(cls.__dataclass_fields__) - {"property_name"}) | {"property"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
+        if "property" in doc:
+            doc["property_name"] = doc.pop("property")
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # a required key missing, or a value of the wrong type
+            raise ConfigError(f"config: {exc}") from exc
 
     def pair(self, dp: float) -> Tuple[float, float]:
         """The (low, high) property values that dp separates around p_center."""
@@ -218,7 +222,7 @@ class ExperimentConfig:
 
 def load_dataset(cfg: ExperimentConfig) -> Table:
     if cfg.dataset_format == "adult":
-        return load_adult(cfg.dataset, allow_variant=cfg.allow_variant_dataset)
+        return load_adult(cfg.dataset)
     return load_simple_csv(cfg.dataset)
 
 
@@ -304,10 +308,9 @@ MECHANISMS = {
         fam, fit_common_direction(fam), params, "laplace")),
     "dir-g": (True, True, lambda fam, params, cfg, _: calibrate_directional(
         fam, fit_common_direction(fam), params, "gaussian")),
-    "eig": (True, True, lambda fam, params, cfg, _: eig_plan(
-        fam, params, basis_tol=cfg.eigenbasis_tol)),
+    "eig": (True, True, lambda fam, params, cfg, _: eig_plan(fam, params)),
     "dau": (True, True, lambda fam, params, cfg, _: dau_plan(
-        fam, fit_common_direction(fam), params, cov_tol=cfg.cov_tol)),
+        fam, fit_common_direction(fam), params)),
     "gdp-l": (False, False, lambda fam, params, cfg, _: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 1), cfg.group_size, params,
         "laplace")),
@@ -383,9 +386,8 @@ def _load_cell(path: Path, stamp: dict):
     if not path.exists():
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        doc = read_json(path)
+    except (OSError, FormatError):
         return None
     if not isinstance(doc, dict) or any(doc.get(name) != value for name, value in stamp.items()):
         return None
@@ -539,10 +541,8 @@ def _certificate_json(cert) -> dict:
 
 
 def transport_report(file_mu, file_nu, delta: float) -> dict:
-    with open(file_mu, "r", encoding="utf-8") as fh:
-        mu = DiscreteDistribution.from_json(json.load(fh))
-    with open(file_nu, "r", encoding="utf-8") as fh:
-        nu = DiscreteDistribution.from_json(json.load(fh))
+    mu = read_json(file_mu, DiscreteDistribution.from_json)
+    nu = read_json(file_nu, DiscreteDistribution.from_json)
     winf = winf_distance(mu, nu)
     w = min_w_for_delta(mu, nu, delta)
     ok, cert = is_w_delta_close(mu, nu, w, delta)
@@ -556,24 +556,18 @@ def transport_report(file_mu, file_nu, delta: float) -> dict:
     return report
 
 
-def _family_from_args(models_path, pairs_arg, property_name=None) -> PairFamily:
-    catalog = load_catalog(models_path)
-    text = pairs_arg
-    path = Path(pairs_arg)
-    if path.exists():
-        text = path.read_text(encoding="utf-8")
-    doc = json.loads(text)
-    if isinstance(doc, dict):
-        property_name = doc.get("property", property_name)
-        doc = doc["pairs"]
-    return family_from_catalog(catalog, doc, property_name)
+def _family_from_args(models_path, pairs_path) -> PairFamily:
+    """The catalog's family for the {"property", "pairs"} file `model` writes."""
+    property_name, pairs = read_json(pairs_path, lambda doc: (
+        doc["property"], [(float(lo), float(hi)) for lo, hi in doc["pairs"]]))
+    return family_from_catalog(load_catalog(models_path), pairs, property_name)
 
 
 def release_report(args: argparse.Namespace) -> dict:
     cfg = _adhoc_config(args)
     params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
     needs_family = MECHANISMS[args.mechanism][0]
-    family = _family_from_args(args.models, args.pairs, args.property) if needs_family else None
+    family = _family_from_args(args.models, args.pairs) if needs_family else None
     plan = build_plan(args.mechanism, family, params, cfg)
     query = load_query_json(args.query)
     noised = apply(plan, query, derive_rng(args.seed, "release", args.mechanism))
@@ -582,8 +576,10 @@ def release_report(args: argparse.Namespace) -> dict:
 
 def audit_report_json(args: argparse.Namespace) -> dict:
     cfg = _adhoc_config(args)
+    if args.trials < MIN_AUDIT_TRIALS:
+        raise ConfigError(f"audit needs at least {MIN_AUDIT_TRIALS} trials, got {args.trials}")
     params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
-    family = _family_from_args(args.models, args.pairs, args.property)
+    family = _family_from_args(args.models, args.pairs)
     plan = build_plan(args.mechanism, family, params, cfg)
     rng = derive_rng(args.seed, "audit", args.mechanism)
     per_pair = []
@@ -605,8 +601,8 @@ def audit_report_json(args: argparse.Namespace) -> dict:
 
 
 def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Minimal config carrying the budget, tolerance and sizing flags of one-shot
-    commands; building it rejects a bad budget with ConfigError."""
+    """Minimal config carrying the budget and sizing flags of one-shot commands;
+    building it rejects a bad budget with ConfigError."""
     return ExperimentConfig(
         dataset="",
         seed=args.seed,
@@ -616,8 +612,6 @@ def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
         mechanisms=[args.mechanism],
         n=args.n,
         group_size=args.group_size,
-        cov_tol=args.cov_tol,
-        eigenbasis_tol=args.eigenbasis_tol,
         modeling_samples=2,
         repetitions=1,
     )
@@ -640,17 +634,13 @@ def _add_adhoc_flags(cmd, with_query: bool):
     cmd.add_argument("--epsilon", type=float, required=True)
     cmd.add_argument("--delta", type=float, default=0.0)
     cmd.add_argument("--models", required=True, help="model catalog JSON")
-    cmd.add_argument("--pairs", required=True, help="pairs JSON (inline or a file path)")
-    cmd.add_argument("--property", default=None, help="property id when the catalog holds several")
+    cmd.add_argument("--pairs", required=True, help="pairs.json as written by `model`")
     if with_query:
         cmd.add_argument("--query", required=True, help="query vector JSON file")
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--n", type=int, default=defaults["n"],
                      help="subset size for group-DP sensitivity")
     cmd.add_argument("--group-size", dest="group_size", type=int, default=defaults["group_size"])
-    cmd.add_argument("--cov-tol", dest="cov_tol", type=float, default=defaults["cov_tol"])
-    cmd.add_argument("--eigenbasis-tol", dest="eigenbasis_tol", type=float,
-                     default=defaults["eigenbasis_tol"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,8 @@ records: average age, average years of education, number never married,
 number of female individuals, and average hours worked per week. The
 sensitive global properties are the subset's proportion of high earners
 (income) and of private-sector workers (workclass). `output_file` is the
-one writer of the files a run produces.
+one writer of the files a run produces, and `read_json` the one reader of
+the JSON files it is given.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ HOURS_BOUNDS = (1, 99)
 QUERY_COMPONENTS = (("avg",) + AGE_BOUNDS, ("avg",) + EDUCATION_BOUNDS, ("count",), ("count",),
                     ("avg",) + HOURS_BOUNDS)
 CANONICAL_ROW_COUNT = 45222
+# Rows of the auxiliary and testing tables; the modeling table takes the rest.
+AUX_SIZE = 10_000
+TEST_SIZE = 10_000
 
 _ADULT_COLUMNS = 15
 _FIELD_NAMES = (
@@ -257,16 +261,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean from {text!r}")
 
 
-def split_dataset(table: Table, seed: int, aux_size: int = 10000, test_size: int = 10000) -> SplitTables:
-    """Seeded uniform split into auxiliary, testing, and modeling tables."""
+def split_dataset(table: Table, seed: int) -> SplitTables:
+    """Seeded uniform split into AUX_SIZE auxiliary rows, TEST_SIZE testing
+    rows, and the rest for modeling."""
     n = len(table)
-    if n < aux_size + test_size:
-        raise ValueError(f"table has {n} rows; need at least {aux_size + test_size}")
+    if n < AUX_SIZE + TEST_SIZE:
+        raise ValueError(f"table has {n} rows; need at least {AUX_SIZE + TEST_SIZE}")
     perm = np.random.default_rng(seed).permutation(n)
     return SplitTables(
-        aux=table.take(perm[:aux_size]),
-        test=table.take(perm[aux_size : aux_size + test_size]),
-        modeling=table.take(perm[aux_size + test_size :]),
+        aux=table.take(perm[:AUX_SIZE]),
+        test=table.take(perm[AUX_SIZE : AUX_SIZE + TEST_SIZE]),
+        modeling=table.take(perm[AUX_SIZE + TEST_SIZE :]),
     )
 
 
@@ -348,18 +353,33 @@ def compute_query(subset: Table) -> np.ndarray:
     return _gather_queries(_query_features(subset), np.arange(n)[None, :])[0]
 
 
+def read_json(path, parse=None):
+    """The document in the JSON file at `path`, passed through `parse` if given.
+
+    Text that is not JSON, and a `parse` that finds a key missing or a
+    value of the wrong shape, raise FormatError naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return doc if parse is None else parse(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _query_vector(doc) -> np.ndarray:
+    value = np.asarray(doc, dtype=float)
+    if (value.ndim != 1 or value.size == 0 or not np.all(np.isfinite(value))
+            or any(isinstance(x, bool) for x in doc)):
+        raise ValueError("query must be a nonempty JSON array of finite numbers")
+    return value
+
+
 def load_query_json(path) -> np.ndarray:
     """A query vector from a file holding a nonempty JSON array of finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-            value = np.asarray(doc, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # not JSON, or not numbers
-            value = None
-    if (value is None or value.ndim != 1 or value.size == 0 or not np.all(np.isfinite(value))
-            or any(isinstance(x, bool) for x in doc)):
-        raise FormatError(f"{path}: query must be a nonempty JSON array of finite numbers")
-    return value
+    return read_json(path, _query_vector)
 
 
 @contextmanager

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataio import output_file
+from .dataio import output_file, read_json
 from .errors import ConfigError, EstimationError, NumericError
 
 SYMMETRY_RTOL = 1e-9
@@ -372,13 +372,7 @@ def save_catalog(catalog: Mapping[SecretLabel, GaussianModel], path) -> None:
 
 
 def load_catalog(path) -> Dict[SecretLabel, GaussianModel]:
-    with open(path, "r", encoding="utf-8") as fh:
-        docs = json.load(fh)
-    catalog: Dict[SecretLabel, GaussianModel] = {}
-    for doc in docs:
-        label, model = model_from_doc(doc)
-        catalog[label] = model
-    return catalog
+    return read_json(path, lambda docs: dict(map(model_from_doc, docs)))
 
 
 def family_from_catalog(

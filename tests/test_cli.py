@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -76,9 +77,12 @@ class TestConfig:
             base_config(synth_csv, tmp_path, mechanisms=["privacy-magic"])
 
     def test_unknown_keys_rejected(self, synth_csv, tmp_path):
-        # the last three were fields once; a config that still sets one is refused
+        # all but the first were fields or spellings once; a config that still
+        # sets one is refused
         for key, value in (("typo_key", 1), ("angle_tol", 1e-6),
-                           ("awass_quantile_draws", 200_000), ("attribute_bounds", {})):
+                           ("awass_quantile_draws", 200_000), ("attribute_bounds", {}),
+                           ("cov_tol", 0.5), ("eigenbasis_tol", 0.5),
+                           ("allow_variant_dataset", False), ("property_name", "income")):
             with pytest.raises(ConfigError, match="unknown config keys"):
                 base_config(synth_csv, tmp_path, **{key: value})
 
@@ -89,6 +93,17 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(json.loads(blocks[0].split("```", 1)[0]))
         assert cfg.shadow_config() == ShadowConfig(0.45, 0.55, n=100, shadow_count=200,
                                                    test_count=200, repetitions=50)
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        commands = []
+        for block in readme.split("```console\n")[1:]:
+            for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+                if line.startswith("distpriv "):
+                    commands.append(shlex.split(line, comments=True)[1:])
+        assert len(commands) >= 3
+        for argv in commands:
+            cli.build_parser().parse_args(argv)
 
     def test_hash_ignores_out_dir_and_workers(self, synth_csv, tmp_path):
         a = base_config(synth_csv, tmp_path / "a")
@@ -428,11 +443,12 @@ class TestUtilityNoise:
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
         cmd_model(cfg)
         sha = dataset_sha256(cfg.dataset, cfg.dataset_format)
-        # Every older config hash covered three fields since deleted, so a
-        # cell of the older streams (a subset drawn before the noise) carries
-        # a hash the current config cannot produce.
+        # Every older config hash covered fields since deleted, so a cell of
+        # the older streams (a subset drawn before the noise) carries a hash
+        # the current config cannot produce.
         older = {**cfg.canonical_dict(), "angle_tol": 1e-6, "awass_quantile_draws": 200_000,
-                 "attribute_bounds": {}}
+                 "attribute_bounds": {}, "allow_variant_dataset": False, "cov_tol": 0.5,
+                 "eigenbasis_tol": 0.5}
         older_hash = hashlib.sha256(json.dumps(older, sort_keys=True).encode()).hexdigest()
         assert older_hash != cfg.config_hash()
         path = cli._cell_path(tmp_path / "out", "utility", cfg.config_hash(), sha,
@@ -669,13 +685,78 @@ class TestReleaseAndAudit:
         assert (doc["pair"], doc["estimated_violation"]) == (
             worst["pair"], worst["estimated_violation"])
 
-    def test_inline_pairs_accepted(self, catalog_dir, capsys):
+    # Inline pairs JSON and the flags that once set the property and the
+    # assumption tolerances are refused: --pairs names model's pairs.json.
+    @pytest.mark.parametrize("flag,value,error", [
+        ("--pairs", json.dumps([[0.45, 0.55]]), FileNotFoundError),
+        ("--property", "income", SystemExit),
+        ("--cov-tol", "0.5", SystemExit),
+        ("--eigenbasis-tol", "0.5", SystemExit),
+    ])
+    def test_removed_pair_and_tolerance_inputs_refused(self, catalog_dir, capsys, flag, value,
+                                                       error):
         args = self.release_args(catalog_dir)
-        idx = args.index("--pairs")
-        args[idx + 1] = json.dumps([[0.45, 0.55]])
-        assert main(args) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["plan"]["kind"] == "gaussian_iid"
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+        with pytest.raises(error):
+            main(args)
+        assert capsys.readouterr().out == ""
+
+
+class TestMalformedInputs:
+    """A malformed JSON input fails with a typed error that names the file."""
+
+    @staticmethod
+    def argv(case, tmp_path, catalog_dir):
+        bad = tmp_path / f"{case}.json"
+        models, pairs = catalog_dir / "catalog.json", catalog_dir / "pairs.json"
+        if case == "config-list":
+            bad.write_text("[1, 2]")
+            return ["model", "--config", str(bad)]
+        if case == "config-not-json":
+            bad.write_text('{"seed": ')
+            return ["model", "--config", str(bad)]
+        if case == "config-without-dataset":
+            bad.write_text(json.dumps({"seed": 1, "delta_p": [0.1], "epsilon": [1.0],
+                                       "delta": [0.001], "mechanisms": ["none"]}))
+            return ["model", "--config", str(bad)]
+        if case == "transport-without-mass_num":
+            bad.write_text(json.dumps({"points": [[1.0]], "mass_den": 1}))
+            return ["transport", str(bad), str(bad)]
+        if case == "audit-trials-below-minimum":
+            absent = str(tmp_path / "absent.json")  # reading any file would raise first
+            return ["audit", "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
+                    "--models", absent, "--pairs", absent, "--trials", "5"]
+        if case == "pairs-without-pairs":
+            bad.write_text(json.dumps({"property": "income"}))
+            pairs = bad
+        elif case == "catalog-entry-without-mean":
+            docs = json.loads(models.read_text())
+            del docs[0]["mean"]
+            bad.write_text(json.dumps(docs))
+            models = bad
+        return ["release", "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
+                "--models", str(models), "--pairs", str(pairs),
+                "--query", str(catalog_dir / "query.json")]
+
+    @pytest.mark.parametrize("case,error,named", [
+        ("config-list", ConfigError, "config-list.json"),
+        ("config-not-json", FormatError, "config-not-json.json"),
+        ("config-without-dataset", ConfigError, "'dataset'"),
+        ("pairs-without-pairs", FormatError, "missing key 'pairs'"),
+        ("transport-without-mass_num", FormatError, "missing key 'mass_num'"),
+        ("catalog-entry-without-mean", FormatError, "missing key 'mean'"),
+        ("audit-trials-below-minimum", ConfigError, "at least 10000 trials"),
+    ])
+    def test_typed_error(self, tmp_path, catalog_dir, capsys, case, error, named):
+        with pytest.raises(error) as err:
+            main(self.argv(case, tmp_path, catalog_dir))
+        assert named in str(err.value)
+        if error is FormatError:
+            assert f"{case}.json" in str(err.value)
+        assert capsys.readouterr().out == ""
 
 
 class TestBudgetErrors:

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from distpriv.cli import ExperimentConfig, build_plan
 from distpriv.dataio import QUERY_COMPONENTS
 from distpriv.errors import AssumptionViolation, NumericError
 from distpriv.mechanisms import (
+    BASIS_TOL,
+    COV_TOL,
     NoisePlan,
     added_cov_check,
     apply,
@@ -26,7 +30,17 @@ from distpriv.mechanisms import (
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,
 )
-from distpriv.model import GaussianModel, PairFamily, PrivacyParams, SecretLabel
+from distpriv.model import (
+    GaussianModel,
+    PairFamily,
+    PrivacyParams,
+    SecretLabel,
+    check_assumptions,
+    cov_discrepancy,
+    family_from_catalog,
+    fit_common_direction,
+    load_catalog,
+)
 from distpriv.seeding import derive_rng
 
 from helpers import WORKED_COV, translation_family, worked_example_family
@@ -359,7 +373,7 @@ class TestEigPlan:
     def test_rejects_mismatched_eigenbases(self):
         lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
         rot = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
-        cov_b = rot @ np.diag([22.0, 3.0]) @ rot.T
+        cov_b = rot @ np.diag([44.0, 3.0]) @ rot.T
         fam = PairFamily(
             {
                 lab_a: GaussianModel([1.0, 0.0], np.diag([22.0, 3.0]), 10),
@@ -367,8 +381,9 @@ class TestEigPlan:
             },
             [(lab_a, lab_b), (lab_b, lab_a)],
         )
-        with pytest.raises(AssumptionViolation):
-            eig_plan(fam, PARAMS, basis_tol=0.05)
+        assert check_assumptions(fam).common_eigenbasis_residual > BASIS_TOL
+        with pytest.raises(AssumptionViolation, match="eigenbasis"):
+            eig_plan(fam, PARAMS)
 
 
 class TestDauSigma:
@@ -453,17 +468,74 @@ class TestDauPlan:
         lambda fam: no_noise_check(fam, PARAMS),
     ])
     def test_unshared_covariance_rejected_with_pair(self, check):
-        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
-        fam = PairFamily(
-            {
-                lab_a: GaussianModel([1.0, 0.0], np.eye(2), 10),
-                lab_b: GaussianModel([0.0, 0.0], 2.0 * np.eye(2), 10),
-            },
-            [(lab_a, lab_b), (lab_b, lab_a)],
-        )
+        fam = scaled_cov_family(3.0)
+        assert cov_discrepancy(fam)[0] > COV_TOL
         with pytest.raises(AssumptionViolation) as err:
             check(fam)
         assert err.value.pair in fam.pairs
+
+
+def scaled_cov_family(scale: float) -> PairFamily:
+    """Means one apart along the first axis, covariances I and scale * I."""
+    lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+    return PairFamily(
+        {
+            lab_a: GaussianModel([1.0, 0.0], np.eye(2), 10),
+            lab_b: GaussianModel([0.0, 0.0], scale * np.eye(2), 10),
+        },
+        [(lab_a, lab_b), (lab_b, lab_a)],
+    )
+
+
+def tilted_basis_family(off: float) -> PairFamily:
+    """Reference covariance diag(2, 1); the other has off-diagonal `off` in that basis."""
+    lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+    return PairFamily(
+        {
+            lab_a: GaussianModel([1.0, 0.0], np.diag([2.0, 1.0]), 10),
+            lab_b: GaussianModel([0.0, 0.0], [[2.0, off], [off, 2.0]], 10),
+        },
+        [(lab_a, lab_b), (lab_b, lab_a)],
+    )
+
+
+class TestAssumptionTolerances:
+    """One tolerance per assumption, the same for direct calls and the CLI."""
+
+    @pytest.mark.parametrize("check", [
+        lambda fam: dau_plan(fam, np.array([1.0, 0.0]), PARAMS),
+        lambda fam: no_noise_check(fam, PARAMS),
+    ], ids=["dau_plan", "no_noise_check"])
+    def test_cov_tol_is_inclusive(self, check):
+        at, above = scaled_cov_family(2.0), scaled_cov_family(2.0 + 1e-9)
+        assert cov_discrepancy(at)[0] == COV_TOL < cov_discrepancy(above)[0]
+        check(at)
+        with pytest.raises(AssumptionViolation) as err:
+            check(above)
+        assert err.value.pair in above.pairs
+
+    def test_basis_tol_is_inclusive(self):
+        at, above = tilted_basis_family(1.0), tilted_basis_family(1.0 + 1e-9)
+        residual = lambda fam: check_assumptions(fam).common_eigenbasis_residual  # noqa: E731
+        assert residual(at) == BASIS_TOL < residual(above)
+        eig_plan(at, PARAMS)
+        with pytest.raises(AssumptionViolation, match="eigenbasis"):
+            eig_plan(above, PARAMS)
+
+    def test_direct_calls_match_build_plan_on_the_golden_catalog(self):
+        golden = Path(__file__).resolve().parent / "golden"
+        pairs = json.loads((golden / "pairs.json").read_text(encoding="utf-8"))
+        fam = family_from_catalog(load_catalog(golden / "catalog.json"), pairs["pairs"],
+                                  pairs["property"])
+        report = check_assumptions(fam)
+        assert 0.1 < report.max_cov_discrepancy <= COV_TOL
+        assert 0.1 < report.common_eigenbasis_residual <= BASIS_TOL
+        cfg = TestPlanBits.config()
+        direct = {"eig": eig_plan(fam, PARAMS),
+                  "dau": dau_plan(fam, fit_common_direction(fam), PARAMS)}
+        for mech, plan in direct.items():
+            assert plan.to_json() == build_plan(mech, fam, PARAMS, cfg).to_json()
+        assert isinstance(no_noise_check(fam, PARAMS), bool)
 
 
 class TestGroupDpBaseline:
