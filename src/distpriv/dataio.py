@@ -43,6 +43,29 @@ AUX_SIZE = 10_000
 TEST_SIZE = 10_000
 
 _ADULT_COLUMNS = 15
+# The Adult fields load_adult reads, by position: age, workclass,
+# education-num, marital-status, sex, hours-per-week, income. Entries 0, 2
+# and 5 of that list are the integers.
+_READ_FIELDS = np.array([0, 1, 4, 5, 9, 12, 14])
+_INTEGER_FIELDS = [0, 2, 5]
+_INTEGER_NAMES = ("age", "education-num", "hours-per-week")
+_INTEGER_LOW = np.array([AGE_BOUNDS[0], EDUCATION_BOUNDS[0], HOURS_BOUNDS[0]])
+_INTEGER_HIGH = np.array([AGE_BOUNDS[1], EDUCATION_BOUNDS[1], HOURS_BOUNDS[1]])
+# load_adult parses each file in blocks of about this many bytes, cut at a
+# newline, so its temporaries stay small beside the table. Parsing each
+# file whole was no faster in the paper-sweep benchmark and held 1-2 MB
+# more peak RSS.
+_BLOCK_BYTES = 1 << 18
+# The ASCII characters str.strip removes.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(_WHITESPACE.encode())] = True
+_IS_DOT = np.zeros(256, dtype=bool)
+_IS_DOT[ord(".")] = True
+_NEWLINE, _CR, _COMMA, _PIPE, _QUESTION, _PLUS, _MINUS = b"\n\r,|?+-"
+# Digits an integer field may hold: with them every value fits in int64.
+_MAX_DIGITS = 18
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 _FIELD_NAMES = (
     "age",
     "education_num",
@@ -162,53 +185,35 @@ def load_adult(path, allow_variant: bool = False) -> Table:
     rows are rejected; both rejection counts are logged. The canonical
     files yield exactly 45222 records, which is asserted unless
     allow_variant is set.
+
+    The syntax read: UTF-8 text whose lines end in "\\n" or "\\r\\n" (the
+    last may have no end). Blank lines and lines whose first non-blank
+    character is '|' are skipped. Every other line holds 15
+    comma-separated fields, with ASCII whitespace around a field ignored.
+    Age, education-num and hours-per-week are integers written as an
+    optional '+' or '-' and 1 to 18 ASCII digits. A line breaking this
+    raises FormatError, or ParseError for a bad integer, naming the file
+    and line. So does a field padded with non-ASCII whitespace, which
+    would otherwise be read as another word.
     """
-    files = dataset_files(path)
-    columns: List[List] = [[] for _ in _FIELD_NAMES]
+    parts = []
     dropped_missing = 0
     dropped_range = 0
-    for file in files:
-        with open(file, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("|"):
-                    continue
-                fields = [f.strip() for f in line.split(",")]
-                if len(fields) != _ADULT_COLUMNS:
-                    raise FormatError(
-                        f"{file.name}: expected {_ADULT_COLUMNS} comma-separated fields, "
-                        f"got {len(fields)}",
-                        line=lineno,
-                    )
-                if "?" in fields:
-                    dropped_missing += 1
-                    continue
-                try:
-                    age = int(fields[0])
-                    education_num = int(fields[4])
-                    hours = int(fields[12])
-                except ValueError as exc:
-                    raise ParseError(f"{file.name}: {exc}", line=lineno) from exc
-                if not (AGE_BOUNDS[0] <= age <= AGE_BOUNDS[1]
-                        and EDUCATION_BOUNDS[0] <= education_num <= EDUCATION_BOUNDS[1]
-                        and HOURS_BOUNDS[0] <= hours <= HOURS_BOUNDS[1]):
-                    dropped_range += 1
-                    continue
-                label = fields[14].rstrip(".")
-                columns[0].append(age)
-                columns[1].append(education_num)
-                columns[2].append(fields[5] == "Never-married")
-                columns[3].append(fields[9] == "Female")
-                columns[4].append(hours)
-                columns[5].append(label == ">50K")
-                columns[6].append(fields[1] == "Private")
+    for file in dataset_files(path):
+        line = 1
+        for block in _newline_blocks(file):
+            columns, missing, out_of_range, lines = _parse_adult_block(block, file.name, line)
+            parts.append(columns)
+            dropped_missing += missing
+            dropped_range += out_of_range
+            line += lines
 
     if dropped_missing:
         logger.warning("dropped %d rows with missing '?' fields", dropped_missing)
     if dropped_range:
         logger.warning("dropped %d rows with out-of-range attributes", dropped_range)
 
-    table = Table(*columns)
+    table = Table(*(np.concatenate(column) for column in zip(*parts))) if parts else Table(*[()] * 7)
     if len(table) != CANONICAL_ROW_COUNT and not allow_variant:
         raise ConfigError(
             f"expected the canonical {CANONICAL_ROW_COUNT} preprocessed records, got "
@@ -217,30 +222,189 @@ def load_adult(path, allow_variant: bool = False) -> Table:
     return table
 
 
+def _newline_blocks(file: Path):
+    """The file's bytes in blocks of about _BLOCK_BYTES, each ending in a newline."""
+    with open(file, "rb") as fh:
+        tail = b""
+        while data := fh.read(_BLOCK_BYTES):
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                yield tail + data[:cut]
+                tail = data[cut:]
+            else:
+                tail += data
+        if tail:
+            yield tail + b"\n"
+
+
+def _parse_adult_block(block: bytes, name: str, first_line: int):
+    """The kept rows of a block of whole Adult lines, as Table columns, the
+    counts of rows dropped as missing and as out of range, and the block's
+    line count. Its first line is line first_line of the file called name."""
+    arr = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(arr == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = _skip(arr, starts, ends, 1, _IS_SPACE)
+    data = (first < ends) & (arr[first] != _PIPE)
+    commas = np.flatnonzero(arr == _COMMA)
+    comma0 = np.searchsorted(commas, starts)
+    fields = np.searchsorted(commas, ends) - comma0 + 1
+
+    # (block line, error) for each kind of bad line, at its first instance;
+    # the earliest is raised. Rows are read only up to the first line whose
+    # fields cannot be found.
+    errors = []
+
+    def error(kind, i, message):
+        errors.append((i, kind(f"{name}: {message}", line=first_line + int(i))))
+
+    wrong = np.flatnonzero(data & (fields != _ADULT_COLUMNS))
+    if wrong.size:
+        error(FormatError, wrong[0],
+              f"expected {_ADULT_COLUMNS} comma-separated fields, got {fields[wrong[0]]}")
+    if b"\r" in block:
+        cr = np.flatnonzero(arr == _CR)
+        lone = cr[arr[cr + 1] != _NEWLINE]
+        if lone.size:
+            error(FormatError, np.searchsorted(ends, lone[0]),
+                  "carriage return not followed by a newline")
+    ascii_only = block.isascii()
+    if not ascii_only:
+        try:
+            block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            error(FormatError, np.searchsorted(ends, exc.start), f"not UTF-8 text: {exc.reason}")
+    limit = min((i for i, _ in errors), default=ends.size)
+    rows = np.flatnonzero(data[:limit])
+
+    if not ascii_only:
+        wide = np.unique(np.searchsorted(ends, np.flatnonzero(arr >= 0x80)))
+        wide = wide[wide < limit]
+        for i in wide[data[wide]]:
+            text = block[starts[i]:ends[i]].decode("utf-8")
+            if any(f.strip() != f.strip(_WHITESPACE) for f in text.split(",")):
+                error(FormatError, i, "a field is padded with non-ASCII whitespace")
+                break
+
+    # A '?' is a whole field when only whitespace separates it from the
+    # commas or line ends on either side.
+    marks = np.flatnonzero(arr == _QUESTION)
+    at = np.searchsorted(ends, marks)
+    before = _skip(arr, marks - 1, starts[at] - 1, -1, _IS_SPACE)
+    after = _skip(arr, marks + 1, ends[at], 1, _IS_SPACE)
+    whole = (((before < starts[at]) | (arr[before] == _COMMA))
+             & ((after == ends[at]) | (arr[after] == _COMMA)))
+    missing = np.zeros(ends.size, dtype=bool)
+    missing[at[whole]] = True
+    rows_missing = int(np.count_nonzero(missing[rows]))
+    rows = rows[~missing[rows]]
+
+    # Each row's field j spans (bounds[j], bounds[j + 1]), stripped.
+    bounds = np.empty((rows.size, _ADULT_COLUMNS + 1), dtype=np.int64)
+    bounds[:, 0] = starts[rows] - 1
+    bounds[:, 1:-1] = commas[comma0[rows, None] + np.arange(_ADULT_COLUMNS - 1)]
+    bounds[:, -1] = ends[rows]
+    lo = _skip(arr, (bounds[:, _READ_FIELDS] + 1).ravel(), bounds[:, _READ_FIELDS + 1].ravel(),
+               1, _IS_SPACE)
+    hi = _skip(arr, bounds[:, _READ_FIELDS + 1].ravel() - 1, lo - 1, -1, _IS_SPACE) + 1
+    lo = lo.reshape(rows.size, _READ_FIELDS.size)
+    hi = hi.reshape(rows.size, _READ_FIELDS.size)
+
+    numbers, valid = _parse_integers(arr, lo[:, _INTEGER_FIELDS].ravel(),
+                                     hi[:, _INTEGER_FIELDS].ravel())
+    numbers = numbers.reshape(rows.size, len(_INTEGER_FIELDS))
+    invalid = np.flatnonzero(~valid)
+    if invalid.size:
+        row, k = divmod(int(invalid[0]), len(_INTEGER_FIELDS))
+        column = _INTEGER_FIELDS[k]
+        text = block[lo[row, column]:hi[row, column]].decode("utf-8", "replace")
+        error(ParseError, rows[row], f"{_INTEGER_NAMES[k]} {text!r} is not an integer")
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
+
+    keep = np.all((numbers >= _INTEGER_LOW) & (numbers <= _INTEGER_HIGH), axis=1)
+    lo, hi, numbers = lo[keep], hi[keep], numbers[keep]
+    label_end = _skip(arr, hi[:, 6] - 1, lo[:, 6] - 1, -1, _IS_DOT) + 1
+    columns = (
+        numbers[:, 0],
+        numbers[:, 1],
+        _equals(arr, lo[:, 3], hi[:, 3], b"Never-married"),
+        _equals(arr, lo[:, 4], hi[:, 4], b"Female"),
+        numbers[:, 2],
+        _equals(arr, lo[:, 6], label_end, b">50K"),
+        _equals(arr, lo[:, 1], hi[:, 1], b"Private"),
+    )
+    return columns, rows_missing, int(keep.size - np.count_nonzero(keep)), ends.size
+
+
+def _skip(arr, pos, stop, step, table):
+    """Each position moved by step (+1 or -1) while it is short of its stop
+    and on a byte that table marks."""
+    pos = pos.copy()
+    todo = np.flatnonzero(pos != stop)
+    while todo.size:
+        todo = todo[table[arr[pos[todo]]]]
+        pos[todo] += step
+        todo = todo[pos[todo] != stop[todo]]
+    return pos
+
+
+def _parse_integers(arr, lo, hi):
+    """The integer each byte range [lo, hi) writes, and whether it writes one:
+    an optional sign and 1 to _MAX_DIGITS ASCII digits."""
+    minus = arr[lo] == _MINUS
+    lo = lo + ((lo < hi) & (minus | (arr[lo] == _PLUS)))
+    n = hi - lo
+    valid = (n > 0) & (n <= _MAX_DIGITS)
+    offsets = np.cumsum(n) - n
+    # Each digit's place value, 0 for the units; a sentinel digit past the
+    # end keeps reduceat's indices in range when the last ranges are empty.
+    total = int(n.sum())
+    place = np.repeat(offsets + n - 1, n) - np.arange(total)
+    digits = np.append(arr[np.repeat(hi - 1, n) - place] - np.uint8(ord("0")), np.uint8(0))
+    weights = np.append(_POW10[np.minimum(place, _MAX_DIGITS - 1)], 0)
+    valid &= ~np.logical_or.reduceat(digits > 9, offsets)
+    values = np.add.reduceat(digits * weights, offsets)
+    return np.where(minus, -values, values), valid
+
+
+def _equals(arr, lo, hi, word: bytes):
+    """Whether each byte range [lo, hi) holds exactly word."""
+    out = (hi - lo) == len(word)
+    idx = np.flatnonzero(out)
+    out[idx] = np.all(arr[lo[idx, None] + np.arange(len(word))] == np.frombuffer(word, np.uint8),
+                      axis=1)
+    return out
+
+
 def load_simple_csv(path) -> Table:
     """Escape-hatch loader: headered CSV with the seven canonical columns.
 
     Intended for synthetic tables in tests and demos; booleans accept
     0/1 or true/false. A value outside the bounds of its query component
     (`QUERY_COMPONENTS`) raises ParseError, since the group-DP baselines
-    scale their noise to those bounds.
+    scale their noise to those bounds; a file that is not UTF-8 text
+    raises FormatError naming it.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_FIELD_NAMES) - set(reader.fieldnames):
-            raise FormatError(f"simple CSV must declare columns {_FIELD_NAMES}")
-        columns: List[List] = [[] for _ in _FIELD_NAMES]
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                columns[0].append(int(row["age"]))
-                columns[1].append(int(row["education_num"]))
-                columns[2].append(_parse_bool(row["never_married"]))
-                columns[3].append(_parse_bool(row["female"]))
-                columns[4].append(int(row["hours_per_week"]))
-                columns[5].append(_parse_bool(row["income_gt_50k"]))
-                columns[6].append(_parse_bool(row["private_workclass"]))
-            except (ValueError, TypeError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(_FIELD_NAMES) - set(reader.fieldnames):
+                raise FormatError(f"simple CSV must declare columns {_FIELD_NAMES}")
+            columns: List[List] = [[] for _ in _FIELD_NAMES]
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    columns[0].append(int(row["age"]))
+                    columns[1].append(int(row["education_num"]))
+                    columns[2].append(_parse_bool(row["never_married"]))
+                    columns[3].append(_parse_bool(row["female"]))
+                    columns[4].append(int(row["hours_per_week"]))
+                    columns[5].append(_parse_bool(row["income_gt_50k"]))
+                    columns[6].append(_parse_bool(row["private_workclass"]))
+                except (ValueError, TypeError) as exc:
+                    raise ParseError(str(exc), line=lineno) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     for name, values, (kind, *bounds) in zip(_FIELD_NAMES, columns, QUERY_COMPONENTS):
         if kind == "avg":
             low, high = bounds

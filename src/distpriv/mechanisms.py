@@ -344,7 +344,8 @@ def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     if report.common_eigenbasis_residual > BASIS_TOL:
         raise AssumptionViolation(
             "covariances do not share an eigenbasis within tolerance "
-            f"(residual {report.common_eigenbasis_residual:.3g} > {BASIS_TOL:g})"
+            f"(residual {report.common_eigenbasis_residual:.3g} > {BASIS_TOL:g})",
+            pair=(family.sorted_labels()[0], report.eigenbasis_worst_label),
         )
     d2 = delta_E(family, 2)
     scale, budget = _noise_scale("gaussian", params, d2)

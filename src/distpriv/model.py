@@ -172,6 +172,8 @@ class AssumptionReport:
     common_eigenbasis_residual: largest off-diagonal magnitude when every
         covariance is expressed in the reference model's eigenbasis,
         relative to the reference's largest eigenvalue magnitude.
+    eigenbasis_worst_label: the label whose covariance attains that
+        residual (None when every residual is 0).
     common_direction: the fitted unit direction itself.
     reference_eigenpairs: eigendecompose of the reference model (the
         smallest label in sorted order), whose vectors are the basis the
@@ -181,6 +183,7 @@ class AssumptionReport:
     max_cov_discrepancy: float
     max_direction_angle: float
     common_eigenbasis_residual: float
+    eigenbasis_worst_label: Optional[SecretLabel]
     common_direction: np.ndarray = field(repr=False)
     reference_eigenpairs: List[Tuple[float, np.ndarray]] = field(repr=False)
 
@@ -283,18 +286,21 @@ def check_assumptions(family: PairFamily) -> AssumptionReport:
     eig = eigendecompose(family.catalog[labels[0]].cov)
     basis = np.column_stack([vec for _, vec in eig])
     lam_scale = max(abs(val) for val, _ in eig)
-    residual = 0.0
+    residual, worst = 0.0, None
     off_mask = ~np.eye(family.dim, dtype=bool)
     for lab in labels:
         rotated = basis.T @ family.catalog[lab].cov @ basis
         off = float(np.abs(rotated[off_mask]).max()) if family.dim > 1 else 0.0
         if off > 0.0:
-            residual = max(residual, off / lam_scale) if lam_scale > 0.0 else float("inf")
+            relative = off / lam_scale if lam_scale > 0.0 else float("inf")
+            if relative > residual:
+                residual, worst = relative, lab
 
     return AssumptionReport(
         max_cov_discrepancy=disc,
         max_direction_angle=angle,
         common_eigenbasis_residual=residual,
+        eigenbasis_worst_label=worst,
         common_direction=v,
         reference_eigenpairs=eig,
     )

@@ -1,4 +1,4 @@
-"""Shared builders for tests: synthetic tables, worked-example families."""
+"""Shared builders for tests: synthetic tables and their files, worked-example families."""
 
 from __future__ import annotations
 
@@ -76,3 +76,44 @@ def write_simple_csv(table: Table, path: Path) -> Path:
         for row in zip(*(getattr(table, name).tolist() for name in names)):
             writer.writerow([int(value) for value in row])
     return path
+
+
+def adult_row(age=39, workclass="State-gov", edu=13, marital="Never-married",
+              sex="Male", hours=40, label="<=50K") -> str:
+    """One line of the UCI Adult format; the fields the loader ignores are fixed."""
+    return (f"{age}, {workclass}, 77516, Bachelors, {edu}, {marital}, Adm-clerical,"
+            f" Not-in-family, White, {sex}, 2174, 0, {hours}, United-States, {label}")
+
+
+def write_adult_files(directory: Path, table: Table, missing: int, seed: int) -> Path:
+    """Write `table` as adult.data and adult.test in the UCI Adult format.
+
+    `missing` more rows, whose workclass is '?', go in at seeded places.
+    adult.test takes the last third of the rows, starts with the UCI
+    header line and ends its labels with '.', as the real file does.
+    Returns the directory.
+    """
+    kept = iter(zip(*(getattr(table, name).tolist() for name in (
+        "age", "education_num", "never_married", "female", "hours_per_week",
+        "income_gt_50k", "private_workclass"))))
+    total = len(table) + missing
+    is_missing = np.zeros(total, dtype=bool)
+    is_missing[np.random.default_rng(seed).choice(total, size=missing, replace=False)] = True
+    lines = []
+    for skip in is_missing:
+        if skip:
+            lines.append(adult_row(workclass="?"))
+            continue
+        age, edu, never_married, female, hours, income, private = next(kept)
+        lines.append(adult_row(
+            age=age, workclass="Private" if private else "Self-emp-not-inc", edu=edu,
+            marital="Never-married" if never_married else "Married-civ-spouse",
+            sex="Female" if female else "Male", hours=hours,
+            label=">50K" if income else "<=50K"))
+    cut = total * 2 // 3
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "adult.data").write_text("\n".join(lines[:cut]) + "\n", encoding="utf-8")
+    (directory / "adult.test").write_text(
+        "|1x3 Cross validator\n" + "".join(line + ".\n" for line in lines[cut:]),
+        encoding="utf-8")
+    return directory

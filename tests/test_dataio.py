@@ -1,9 +1,12 @@
 import logging
 import re
+import statistics
+import time
 
 import numpy as np
 import pytest
 
+from distpriv import dataio
 from distpriv.dataio import (
     CANONICAL_ROW_COUNT,
     PropertySpec,
@@ -20,20 +23,9 @@ from distpriv.dataio import (
 from distpriv.errors import ConfigError, FormatError, ParseError, SamplingError
 from distpriv.seeding import derive_rng
 
-from helpers import synthetic_census_table, write_simple_csv
-
-ROW_TEMPLATE = (
-    "{age}, {workclass}, 77516, Bachelors, {edu}, {marital}, Adm-clerical,"
-    " Not-in-family, White, {sex}, 2174, 0, {hours}, United-States, {label}"
-)
-
-
-def make_row(age=39, workclass="State-gov", edu=13, marital="Never-married",
-             sex="Male", hours=40, label="<=50K"):
-    return ROW_TEMPLATE.format(
-        age=age, workclass=workclass, edu=edu, marital=marital,
-        sex=sex, hours=hours, label=label,
-    )
+from helpers import adult_row as make_row
+from helpers import synthetic_census_table, write_adult_files, write_simple_csv
+from oracles import oracle_load_adult
 
 
 def write_adult_file(path, rows):
@@ -120,6 +112,206 @@ class TestLoadAdult:
             load_adult(tmp_path / "nope.csv")
 
 
+def with_fields(replace, **row):
+    """An Adult row whose fields at the keys of `replace` hold its values
+    verbatim, surrounding spaces included."""
+    fields = make_row(**row).split(",")
+    for position, text in replace.items():
+        fields[position] = text
+    return ",".join(fields)
+
+
+def lines(rows, end="\n"):
+    return "".join(row + end for row in rows)
+
+
+# Rows of every kind the loader keeps or drops, for the larger files below.
+MIXED_ROWS = [
+    make_row(),
+    make_row(workclass="Private", marital="Married-civ-spouse", sex="Female", label=">50K"),
+    make_row(workclass="?"),
+    make_row(age=16),
+    make_row(hours=99, label=">50K."),
+    with_fields({12: " 0040", 14: " <=50K."}),
+    "",
+    "|a comment, with, commas",
+]
+BIG_ROWS = [MIXED_ROWS[k % len(MIXED_ROWS)] for k in range(6000)]
+# A row holding the byte 0xff, which UTF-8 never uses (written as latin-1).
+NOT_UTF8 = make_row(workclass="Priv\xffate")
+
+
+def big_with(replace):
+    """BIG_ROWS with the rows at the keys of `replace` (file line numbers)
+    replaced; every one of them lies past the first parse block."""
+    rows = list(BIG_ROWS)
+    for line, row in replace.items():
+        assert len(lines(rows[:line - 1]).encode()) > dataio._BLOCK_BYTES
+        rows[line - 1] = row
+    return lines(rows)
+
+
+ADULT_PAIR = {
+    "adult.data": lines([make_row(), make_row(workclass="?"), make_row(age=91)]),
+    "adult.test": lines(["|1x3 Cross validator", make_row(label=">50K."),
+                         make_row(label="<=50K.")]),
+}
+
+# Files the row loop reads, each as {file name: text}; one name is a
+# single-file dataset, two are a directory.
+ACCEPTED = {
+    "crlf": {"a.csv": lines([make_row(), make_row(label=">50K."), "", make_row(workclass="?")],
+                            end="\r\n")},
+    "blank-and-comment-lines": {"a.csv": lines([
+        "", "   ", "\t \x0c", "|1x3 Cross validator", "  |indented, comment", "|" + make_row(),
+        make_row(), "\t", make_row(age=50)])},
+    "whole-field-missing-marker": {"a.csv": lines(
+        [with_fields({j: " ?"}) for j in range(15)]
+        + [with_fields({0: "?"}), with_fields({14: " ?\t"}), with_fields({7: "?  "}),
+           with_fields({0: "abc", 1: " ?"}), make_row()])},
+    "question-mark-inside-a-field": {"a.csv": lines([
+        with_fields({1: " ?x"}), with_fields({3: " x?"}), with_fields({5: " ??"}),
+        with_fields({7: " a ? b"}), with_fields({14: " >50K?"}), with_fields({9: " ?Female"})])},
+    "labels": {"a.csv": lines([make_row(label=label) for label in (
+        ">50K", ">50K.", "<=50K", "<=50K.", ">50K..", ">50K. ", ">50K .", ">50k", ".>50K",
+        "50K")])},
+    "integers": {"a.csv": lines([
+        make_row(age="039"), make_row(age="+39"), make_row(age="-39"), make_row(age="0"),
+        make_row(age="-0"), make_row(age="17"), make_row(age="90"), make_row(age="91"),
+        make_row(age="+017"), make_row(edu="0013"), make_row(edu="+1"), make_row(edu="16"),
+        make_row(edu="17"), make_row(edu="0"), make_row(hours="0040"), make_row(hours="99"),
+        make_row(hours="100"), make_row(hours="-1"), make_row(hours="+0099"),
+        make_row(age="123456789012345678"), make_row(hours="000000000000000001")])},
+    "ascii-whitespace-around-fields": {"a.csv": lines([
+        with_fields({0: "\t39\x0b", 1: "\x0cPrivate\x1c", 4: " \x1d13\x1e", 9: "\x1fFemale ",
+                     14: " >50K.\t"}),
+        with_fields({0: "39", 5: "Never-married", 12: "40 "})])},
+    "non-ascii-inside-fields": {"a.csv": lines([
+        with_fields({13: " C\u00f4te-d'Ivoire"}), with_fields({1: " Privat\u00e9"}),
+        with_fields({3: " Bach\u00a0elors"})])},
+    "no-trailing-newline": {"a.csv": lines([make_row(), make_row(age=40)]) + make_row(age=41)},
+    "empty-file": {"a.csv": ""},
+    "no-row-kept": {"a.csv": lines(["|a comment", "", make_row(workclass="?")])},
+    "several-blocks": {"a.csv": lines(BIG_ROWS)},
+    "directory-pair": ADULT_PAIR,
+}
+
+# Files the row loop refuses: the file's text, and the error's type and line.
+REFUSED = {
+    "too-few-fields": ({"a.csv": lines([make_row(), make_row(), "1, 2, 3", make_row()])},
+                       FormatError, 3),
+    "too-many-fields": ({"a.csv": lines([make_row(), make_row() + ", extra"])}, FormatError, 2),
+    "only-commas": ({"a.csv": lines([make_row(), "," * 14])}, ParseError, 2),
+    "empty-integer": ({"a.csv": lines([make_row(), with_fields({12: " "})])}, ParseError, 2),
+    "words-for-integers": ({"a.csv": lines(
+        [make_row()] + [make_row(edu=text) for text in ("thirty", "3.0", "1e2", "- 5", "+", "0x10",
+                                                         "++5", "-+5", "5-")])},
+        ParseError, 2),
+    "bad-integer-before-bad-count": ({"a.csv": lines([make_row(), make_row(hours="x"), "1,2"])},
+                                     ParseError, 2),
+    "bad-count-before-bad-integer": ({"a.csv": lines([make_row(), "1,2", make_row(hours="x")])},
+                                     FormatError, 2),
+    "bad-count-in-a-later-block": ({"a.csv": big_with({5000: "1, 2", 5500: make_row(age="x")})},
+                                   FormatError, 5000),
+    "bad-integer-in-a-later-block": ({"a.csv": big_with({5000: make_row(age="x"),
+                                                         5500: "1, 2"})}, ParseError, 5000),
+    "bad-integer-just-before-bad-count": ({"a.csv": big_with({4000: make_row(edu="x"),
+                                                              4003: "1, 2"})}, ParseError, 4000),
+    "error-in-the-second-file": ({**ADULT_PAIR, "adult.test": ADULT_PAIR["adult.test"] + "1, 2\n"},
+                                 FormatError, 4),
+}
+
+
+def write_corpus(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    return tmp_path / "a.csv" if len(files) == 1 else tmp_path
+
+
+def logged_drops(caplog):
+    """(missing, out of range) as load_adult logged them."""
+    counts = {"missing": 0, "out-of-range": 0}
+    for record in caplog.records:
+        for kind in counts:
+            if f"rows with {kind}" in record.getMessage():
+                counts[kind] = record.args[0]
+    return counts["missing"], counts["out-of-range"]
+
+
+class TestAdultParser:
+    """load_adult against the row loop it replaced (`oracle_load_adult`)."""
+
+    @pytest.mark.parametrize("case", sorted(ACCEPTED))
+    def test_matches_the_row_loop(self, tmp_path, caplog, case):
+        path = write_corpus(tmp_path, ACCEPTED[case])
+        expected, missing, out_of_range = oracle_load_adult(path)
+        with caplog.at_level(logging.WARNING, logger="distpriv.dataio"):
+            table = load_adult(path, allow_variant=True)
+        for name in FIELDS:
+            assert getattr(table, name).dtype == getattr(expected, name).dtype
+            assert getattr(table, name).tolist() == getattr(expected, name).tolist(), name
+        assert logged_drops(caplog) == (missing, out_of_range)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_errors_match_the_row_loop(self, tmp_path, case):
+        files, error, line = REFUSED[case]
+        path = write_corpus(tmp_path, files)
+        for load in (oracle_load_adult, lambda p: load_adult(p, allow_variant=True)):
+            with pytest.raises(ParseError) as err:
+                load(path)
+            assert (type(err.value), err.value.line) == (error, line)
+
+    @pytest.mark.parametrize("row, error", [
+        (make_row(age="3_9"), ParseError),
+        (make_row(age="\uff13\uff19"), ParseError),
+        (make_row(hours="\u0664\u0660"), ParseError),
+        (make_row(age="0" * 17 + "39"), ParseError),
+        (make_row(workclass="Private\u00a0"), FormatError),
+        (with_fields({0: "\u300039"}), FormatError),
+        (make_row() + "\r" + make_row(), FormatError),
+    ], ids=["underscore", "fullwidth-digits", "arabic-indic-digits", "nineteen-digits",
+            "no-break-space", "ideographic-space", "bare-carriage-return"])
+    def test_forms_the_row_loop_read_now_raise(self, tmp_path, row, error):
+        path = write_adult_file(tmp_path / "a.csv", [make_row(), row, make_row()])
+        oracle_load_adult(path)
+        with pytest.raises(error) as err:
+            load_adult(path, allow_variant=True)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("replace, error, line", [
+        ({3: NOT_UTF8}, FormatError, 3),
+        ({5000: NOT_UTF8}, FormatError, 5000),
+        ({2: make_row(age="x"), 3: NOT_UTF8}, ParseError, 2),
+        ({2: NOT_UTF8, 3: make_row(age="x")}, FormatError, 2),
+        ({2: NOT_UTF8, 4: "1, 2"}, FormatError, 2),
+    ], ids=["first-block", "later-block", "bad-integer-first", "bad-byte-first",
+            "bad-byte-before-bad-count"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, replace, error, line):
+        # The earliest bad line is named, whatever is wrong with it.
+        rows = [make_row()] * (6000 if line > 100 else 5)
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"".join(
+            replace.get(k, row).encode("latin-1") + b"\n" for k, row in enumerate(rows, start=1)))
+        with pytest.raises(error, match="a.csv") as err:
+            load_adult(path, allow_variant=True)
+        assert type(err.value) is error and err.value.line == line
+        if error is FormatError:
+            assert "not UTF-8" in str(err.value)
+
+    @pytest.mark.timing
+    def test_at_most_half_the_row_loop_time(self, tmp_path):
+        table = synthetic_census_table(CANONICAL_ROW_COUNT, seed=17)
+        path = write_adult_files(tmp_path / "adult", table, missing=3620, seed=17)
+        assert columns(load_adult(path)) == columns(table)
+        fast, slow = [], []
+        for _ in range(5):
+            for load, times in ((load_adult, fast), (oracle_load_adult, slow)):
+                start = time.perf_counter()
+                load(path)
+                times.append(time.perf_counter() - start)
+        assert statistics.median(fast) <= 0.5 * statistics.median(slow)
+
+
 class TestDatasetDigest:
     def test_follows_the_bytes(self, tmp_path):
         path = write_adult_file(tmp_path / "a.csv", [make_row()])
@@ -184,6 +376,12 @@ class TestSimpleCsv:
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_simple_csv(path)
         assert err.value.line == 4
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = write_simple_csv(synthetic_census_table(3, seed=2), tmp_path / "t.csv")
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        with pytest.raises(FormatError, match="t.csv: not UTF-8"):
+            load_simple_csv(path)
 
     def test_query_bounds_are_inclusive(self, tmp_path):
         for ends in ({"age": 17, "education_num": 1, "hours_per_week": 1},

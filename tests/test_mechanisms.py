@@ -519,8 +519,11 @@ class TestAssumptionTolerances:
         residual = lambda fam: check_assumptions(fam).common_eigenbasis_residual  # noqa: E731
         assert residual(at) == BASIS_TOL < residual(above)
         eig_plan(at, PARAMS)
-        with pytest.raises(AssumptionViolation, match="eigenbasis"):
+        with pytest.raises(AssumptionViolation, match="eigenbasis") as err:
             eig_plan(above, PARAMS)
+        reference, tilted = above.sorted_labels()
+        assert check_assumptions(above).eigenbasis_worst_label == tilted
+        assert err.value.pair == (reference, tilted)
 
     def test_direct_calls_match_build_plan_on_the_golden_catalog(self):
         golden = Path(__file__).resolve().parent / "golden"
