@@ -17,10 +17,11 @@ cell loop, `_sweep`: each cell is stored under, and checked on load
 against, the config hash and the sha256 of the dataset files, and a
 stage reads its inputs only when some cell is missing: the catalog,
 and for `attack` the table, from which it draws every repetition's
-shadow and test subsets once for all cells. Among a stage's inputs is
-the `awass` radius memo, so the stage draws each label's radius sample
-once for every epsilon and delta. Outputs go through
-`dataio.output_file`, which leaves a file holding the same bytes alone.
+shadow and test subsets once for all cells. No noise plan depends on
+the seed: `awass` takes its L1 radius from a closed-form union bound over
+each model's sign vectors (`mechanisms.gaussian_l1_radius`). Outputs go
+through `dataio.output_file`, which leaves a file holding the same bytes
+alone.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import itertools
 import json
 import platform
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,7 +66,7 @@ from .mechanisms import (
     calibrate_wasserstein,
     dau_plan,
     eig_plan,
-    gaussian_model_draws,
+    gaussian_l1_radius,
     group_dp_calibrate,
     per_record_sensitivity,
 )
@@ -93,7 +93,6 @@ from .transport import (
 UTILITY_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,l2_error"
 ATTACK_CSV_HEADER = "mechanism,epsilon,delta,property,delta_p,repetition,accuracy"
 ATTACK_KEYS = ("shadow_count", "test_count", "repetitions")
-AWASS_RADIUS_DRAWS = 200_000
 
 
 def _round_p(value: float) -> float:
@@ -233,88 +232,48 @@ def load_splits(cfg: ExperimentConfig) -> SplitTables:
 # --- plan construction ----------------------------------------------------
 
 
-class AwassRadii:
-    """The `awass` L1 radii of one seed, each label's sample drawn at most once.
+def _approx_wasserstein(family: PairFamily, params: PrivacyParams) -> NoisePlan:
+    """Laplace scaled to the L1 mean gap plus twice a certified L1 radius.
 
-    A label's sample is the L1 deviation from its model's mean of
-    AWASS_RADIUS_DRAWS draws from derive_rng(seed, "awass-radius",
-    property, value); its radius at delta is the sample's
-    (1 - delta/2)-quantile. The sample does not depend on epsilon or
-    delta, so a sweep stage keeps one instance among its inputs and every
-    awass plan it builds shares it. Labels are looked up by name, so an
-    instance must not outlive the catalog its models came from.
+    The radius is the largest `gaussian_l1_radius` at delta over the
+    family's models: each model holds at least 1 - delta/2 of its mass
+    within it of its mean, so every protected pair is (gap + 2 radius,
+    delta)-close. The provenance records the radius and how it was bounded.
     """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._samples: Dict[SecretLabel, np.ndarray] = {}
-        self._lock = threading.Lock()  # sweep cells may run on a worker pool
-
-    def radius(self, family: PairFamily, delta: float) -> float:
-        """The largest radius at delta over the family's models."""
-        radius = 0.0
-        for label in family.sorted_labels():
-            radius = max(radius, float(np.quantile(self._sample(label, family.catalog[label]),
-                                                   1.0 - delta / 2.0)))
-        return radius
-
-    def _sample(self, label: SecretLabel, model) -> np.ndarray:
-        with self._lock:
-            if label not in self._samples:
-                rng = derive_rng(self.seed, "awass-radius", label.property_id, label.value)
-                draws = gaussian_model_draws(model, AWASS_RADIUS_DRAWS, rng)
-                self._samples[label] = np.abs(draws - model.mean).sum(axis=1)
-            return self._samples[label]
-
-
-def _approx_wasserstein(
-    family: PairFamily, params: PrivacyParams, cfg: ExperimentConfig,
-    radii: Optional[AwassRadii],
-) -> NoisePlan:
-    """Laplace scaled to the L1 mean gap plus twice a high-probability L1 radius.
-
-    The radius is a Monte Carlo (1 - delta/2)-quantile of the L1 deviation
-    from the mean over AWASS_RADIUS_DRAWS draws, worst case over the
-    family's models, drawn with a derived seed so it is reproducible for a
-    given config; it comes from `radii`, or from a fresh `AwassRadii` when
-    that is None. The provenance records it with its draw count.
-    """
-    if radii is None:
-        radii = AwassRadii(cfg.seed)
-    radius = radii.radius(family, params.delta)
+    radius = max(gaussian_l1_radius(family.catalog[label], params.delta)
+                 for label in family.sorted_labels())
     plan = calibrate_approx_wasserstein(closeness_from_bounds(delta_E(family, 1), radius), params)
-    plan.provenance.update(l1_radius=radius, l1_radius_method="monte_carlo_quantile",
-                           l1_radius_draws=AWASS_RADIUS_DRAWS)
+    plan.provenance.update(l1_radius=radius, l1_radius_method="gaussian_union_bound")
     return plan
 
 
 # Mechanism name -> (needs a model catalog, spends delta, builder(family,
-# params, cfg, radii)), where radii is the caller's AwassRadii or None. A
-# plan spends delta when it adds Gaussian noise or, for awass, when its
-# radius is a (1 - delta/2)-quantile; it needs delta > 0. Builders look the
-# calibrations up by name at call time, so rebinding this module's names
-# (as a tracer does) reaches every plan.
+# params, cfg)). A plan spends delta when it adds Gaussian noise or, for
+# awass, when its L1 radius may leave delta/2 of each model's mass outside
+# (a union bound over sign vectors, `gaussian_l1_radius`); it needs
+# delta > 0. Builders look the calibrations up by name at call time, so
+# rebinding this module's names (as a tracer does) reaches every plan.
 MECHANISMS = {
-    "none": (False, False, lambda fam, params, cfg, _: NoisePlan(
+    "none": (False, False, lambda fam, params, cfg: NoisePlan(
         kind="none", provenance={"mechanism": "none"})),
     # Translation pairs make the worst-case transport distance equal the
     # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
-    "wass": (True, False, lambda fam, params, cfg, _: calibrate_wasserstein(
+    "wass": (True, False, lambda fam, params, cfg: calibrate_wasserstein(
         delta_E(fam, 1), params)),
-    "awass": (True, True, _approx_wasserstein),
-    "expm-l": (True, False, lambda fam, params, cfg, _: calibrate_expm(fam, params, "laplace")),
-    "expm-g": (True, True, lambda fam, params, cfg, _: calibrate_expm(fam, params, "gaussian")),
-    "dir-l": (True, False, lambda fam, params, cfg, _: calibrate_directional(
+    "awass": (True, True, lambda fam, params, cfg: _approx_wasserstein(fam, params)),
+    "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
+    "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
+    "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(
         fam, fit_common_direction(fam), params, "laplace")),
-    "dir-g": (True, True, lambda fam, params, cfg, _: calibrate_directional(
+    "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(
         fam, fit_common_direction(fam), params, "gaussian")),
-    "eig": (True, True, lambda fam, params, cfg, _: eig_plan(fam, params)),
-    "dau": (True, True, lambda fam, params, cfg, _: dau_plan(
+    "eig": (True, True, lambda fam, params, cfg: eig_plan(fam, params)),
+    "dau": (True, True, lambda fam, params, cfg: dau_plan(
         fam, fit_common_direction(fam), params)),
-    "gdp-l": (False, False, lambda fam, params, cfg, _: group_dp_calibrate(
+    "gdp-l": (False, False, lambda fam, params, cfg: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 1), cfg.group_size, params,
         "laplace")),
-    "gdp-g": (False, True, lambda fam, params, cfg, _: group_dp_calibrate(
+    "gdp-g": (False, True, lambda fam, params, cfg: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 2), cfg.group_size, params,
         "gaussian")),
 }
@@ -325,13 +284,8 @@ def build_plan(
     family: Optional[PairFamily],
     params: PrivacyParams,
     cfg: ExperimentConfig,
-    radii: Optional[AwassRadii] = None,
 ) -> NoisePlan:
-    """Resolve a mechanism name from the sweep grid into a noise plan.
-
-    `radii` lets the plans of one sweep stage share awass's radius draws;
-    without it, an awass plan makes its own.
-    """
+    """Resolve a mechanism name from the sweep grid into a noise plan."""
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
     needs_family, spends_delta, build = MECHANISMS[mechanism]
@@ -339,7 +293,7 @@ def build_plan(
         raise ConfigError(f"mechanism {mechanism!r} requires a model catalog")
     if spends_delta and params.delta <= 0.0:
         raise ConfigError(f"mechanism {mechanism!r} spends delta and requires delta > 0")
-    return build(family, params, cfg, radii)
+    return build(family, params, cfg)
 
 
 # --- model stage ----------------------------------------------------------
@@ -460,11 +414,11 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
         families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
                     for dp in cfg.delta_p}
-        return families, np.zeros(next(iter(catalog.values())).mean.size), AwassRadii(cfg.seed)
+        return families, np.zeros(next(iter(catalog.values())).mean.size)
 
     def compute(staged, mech, eps, delta, dp):
-        families, zero, radii = staged
-        plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg, radii)
+        families, zero = staged
+        plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
         return [float(np.linalg.norm(
                     apply(plan, zero, derive_rng(cfg.seed, "utility", eps, delta, dp, rep))))
                 for rep in range(cfg.repetitions)]
@@ -497,11 +451,11 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
         queries = [draw_attack_queries(aux, test, shadow,
                                        derive_rng(cfg.seed, "attack-subsets", rep))
                    for rep in range(shadow.repetitions)]
-        return family, queries, AwassRadii(cfg.seed)
+        return family, queries
 
     def compute(staged, mech, eps, delta, _dp):
-        family, queries, radii = staged
-        plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg, radii)
+        family, queries = staged
+        plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
         return [
             run_attack_trial(shadow_x, test_x, shadow, plan,
                              derive_rng(cfg.seed, "attack", eps, delta, rep))

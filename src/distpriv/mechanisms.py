@@ -16,13 +16,14 @@ indistinguishability guarantee from samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AssumptionViolation, NumericError
+from .errors import AssumptionViolation, ConfigError, NumericError
 from .model import (
     GaussianModel,
     PairFamily,
@@ -45,6 +46,9 @@ ANGLE_TOL = 1e-6
 COV_TOL = 0.5
 BASIS_TOL = 0.5
 MIN_AUDIT_TRIALS = 10_000
+# gaussian_l1_radius sums over 2^(m-1) sign vectors (2,048 at 12 dimensions)
+# and refuses a wider model; every catalog `model` writes is 5-D.
+MAX_L1_RADIUS_DIM = 12
 
 _UNIT_NORM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -176,6 +180,47 @@ def gaussian_model_draws(model: GaussianModel, n: int, rng: np.random.Generator)
     """n draws from a fitted Gaussian model, one per row."""
     transform = _cov_transform(model.cov)
     return model.mean + rng.standard_normal((n, model.dim)) @ transform.T
+
+
+def gaussian_l1_radius(model: GaussianModel, delta: float) -> float:
+    """An L1 radius about the model's mean that holds at least 1 - delta/2 of its mass.
+
+    For Y ~ N(0, Sigma), ||Y||_1 is the largest s^T Y over the sign vectors
+    s in {-1, 1}^m, and s^T Y ~ N(0, sigma_s^2) with sigma_s^2 = s^T Sigma s.
+    The events s^T Y > r and -s^T Y > r are disjoint, so the union bound over
+    the 2^(m-1) sign vectors with s_1 = 1 gives
+
+        P(||Y||_1 > r) <= sum_s erfc(r / (sigma_s sqrt(2))),
+
+    where terms with sigma_s = 0 vanish. The radius is the smallest float r
+    at which this sum is at most delta/2, found by bisection and taken from
+    the bracket's upper end, so it never falls below what the bound
+    certifies. In one dimension the bound is exact: r = sigma * isf(delta/4).
+    A model of more than MAX_L1_RADIUS_DIM dimensions raises ConfigError.
+    """
+    if model.dim > MAX_L1_RADIUS_DIM:
+        raise ConfigError(f"the L1 radius bound sums over 2^(m-1) sign vectors and accepts "
+                          f"at most {MAX_L1_RADIUS_DIM} dimensions; the model has {model.dim}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    signs = np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=model.dim - 1)])
+    variances = np.einsum("ij,jk,ik->i", signs, model.cov, signs)
+    scales = [math.sqrt(2.0 * float(v)) for v in variances if v > 0.0]
+    if not scales:
+        return 0.0
+    target = delta / 2.0
+
+    def tail(r: float) -> float:  # fsum keeps the sum monotone in r
+        return math.fsum(math.erfc(r / s) for s in scales)
+
+    # erfc(x) <= exp(-x^2), so at hi every term is at most target / len(scales).
+    lo, hi = 0.0, max(scales) * math.sqrt(math.log(len(scales) / target))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if tail(mid) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # --- applying plans -------------------------------------------------------

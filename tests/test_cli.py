@@ -23,7 +23,14 @@ from distpriv.cli import (
 )
 from distpriv.errors import ConfigError, FormatError
 from distpriv.mechanisms import apply
-from distpriv.model import PrivacyParams, SecretLabel, family_from_catalog, load_catalog
+from distpriv.model import (
+    GaussianModel,
+    PrivacyParams,
+    SecretLabel,
+    family_from_catalog,
+    load_catalog,
+    save_catalog,
+)
 from distpriv.seeding import derive_rng
 
 from helpers import synthetic_census_table, write_simple_csv
@@ -471,28 +478,6 @@ class TestSweepVariants:
             outputs.append([cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()])
         assert outputs[0] == outputs[1]
 
-    def test_worker_pool_draws_each_radius_sample_once(self, synth_csv, tmp_path, monkeypatch):
-        # More workers than cores and a short switch interval, so a lost
-        # check-then-act in the shared radius memo would show as extra draws.
-        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["awass"], workers=8,
-                          epsilon=[0.2, 0.5, 1.0, 2.0], delta=[1e-6, 1e-3])
-        cmd_model(cfg)
-        draws = []
-        model_draws = cli.gaussian_model_draws
-
-        def counting_draws(model, n, rng):
-            draws.append(n)
-            return model_draws(model, n, rng)
-
-        monkeypatch.setattr(cli, "gaussian_model_draws", counting_draws)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            cmd_utility(cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(draws) == 2
-
     def test_multiple_delta_p_sweep(self, synth_csv, tmp_path):
         cfg = base_config(
             synth_csv, tmp_path / "out",
@@ -654,6 +639,32 @@ class TestReleaseAndAudit:
         query.write_text("[NaN, 1.0, 2.0, 3.0, 4.0]")
         args[args.index("--query") + 1] = str(query)
         with pytest.raises(FormatError):
+            main(args)
+        assert capsys.readouterr().out == ""
+
+    def test_awass_plan_does_not_depend_on_the_seed(self, catalog_dir, capsys):
+        plans = []
+        for seed in ("0", "5"):
+            main(self.release_args(catalog_dir, mechanism="awass", seed=seed))
+            plans.append(json.loads(capsys.readouterr().out)["plan"])
+        assert plans[0] == plans[1]
+
+    @pytest.mark.parametrize("command", ["release", "audit"])
+    def test_awass_refuses_a_catalog_too_wide_for_its_radius(self, tmp_path, capsys, command):
+        # 2^23 sign vectors of a 24-D model would take about 1.6 GB to enumerate.
+        low, high = SecretLabel("income", 0.45), SecretLabel("income", 0.55)
+        save_catalog({low: GaussianModel(np.zeros(24), np.eye(24), 100),
+                      high: GaussianModel(np.ones(24), np.eye(24), 100)},
+                     tmp_path / "catalog.json")
+        (tmp_path / "pairs.json").write_text(
+            json.dumps({"property": "income", "pairs": [[0.45, 0.55], [0.55, 0.45]]}))
+        (tmp_path / "query.json").write_text(json.dumps([0.0] * 24))
+        args = [command, "--mechanism", "awass", "--epsilon", "1", "--delta", "0.001",
+                "--models", str(tmp_path / "catalog.json"),
+                "--pairs", str(tmp_path / "pairs.json")]
+        if command == "release":
+            args += ["--query", str(tmp_path / "query.json")]
+        with pytest.raises(ConfigError, match="has 24"):
             main(args)
         assert capsys.readouterr().out == ""
 
@@ -849,39 +860,11 @@ class TestBuildPlan:
 
         cfg = base_config(synth_csv, tmp_path)
         plan = build_plan("awass", worked_example_family(), PrivacyParams(1.0, 0.1), cfg)
-        assert plan.scale > 2.0  # mean gap plus a positive Monte Carlo radius
+        assert plan.scale > 2.0  # mean gap plus a positive radius
         prov = plan.provenance
-        assert prov["l1_radius_method"] == "monte_carlo_quantile"
-        assert prov["l1_radius_draws"] == 200_000
+        assert prov["l1_radius_method"] == "gaussian_union_bound"
+        assert "l1_radius_draws" not in prov
         assert plan.scale == pytest.approx(2.0 + 2.0 * prov["l1_radius"])
-
-    def test_awass_radius_is_drawn_once_per_stage(self, synth_csv, tmp_path, monkeypatch):
-        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["awass"],
-                          epsilon=[0.2, 1.0, 5.0], delta=[1e-6, 1e-3])
-        cmd_model(cfg)
-        draws, plans = [], []
-        model_draws, plan_for = cli.gaussian_model_draws, cli.build_plan
-
-        def counting_draws(model, n, rng):
-            draws.append(n)
-            return model_draws(model, n, rng)
-
-        def recording_plan(mech, family, params, *args):
-            plan = plan_for(mech, family, params, *args)
-            plans.append((family, params, plan))
-            return plan
-
-        monkeypatch.setattr(cli, "gaussian_model_draws", counting_draws)
-        monkeypatch.setattr(cli, "build_plan", recording_plan)
-        cmd_utility(cfg)
-        assert draws == [cli.AWASS_RADIUS_DRAWS] * 2  # one sample per label
-        assert len(plans) == 6
-        for family, params, plan in plans:
-            fresh = plan_for("awass", family, params, cfg)
-            assert (plan.provenance["l1_radius"].hex()
-                    == fresh.provenance["l1_radius"].hex())
-            assert plan.scale.hex() == fresh.scale.hex()
-        assert len(draws) == 2 + 2 * len(plans)  # each fresh plan draws its own
 
 
 class TestSubprocessEntry:

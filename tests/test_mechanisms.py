@@ -8,10 +8,11 @@ import pytest
 
 from distpriv.cli import ExperimentConfig, build_plan
 from distpriv.dataio import QUERY_COMPONENTS
-from distpriv.errors import AssumptionViolation, NumericError
+from distpriv.errors import AssumptionViolation, ConfigError, NumericError
 from distpriv.mechanisms import (
     BASIS_TOL,
     COV_TOL,
+    MAX_L1_RADIUS_DIM,
     NoisePlan,
     added_cov_check,
     apply,
@@ -24,6 +25,8 @@ from distpriv.mechanisms import (
     dau_plan,
     dau_sigma,
     eig_plan,
+    gaussian_l1_radius,
+    gaussian_model_draws,
     group_dp_calibrate,
     no_noise_check,
     per_record_sensitivity,
@@ -127,6 +130,52 @@ class TestWassersteinCalibrations:
         exact = calibrate_wasserstein(5.0, PrivacyParams(1.0))
         approx = calibrate_approx_wasserstein(5.0, PrivacyParams(1.0, 0.0))
         assert exact.scale == approx.scale
+
+
+GOLDEN_CATALOG = Path(__file__).resolve().parent / "golden" / "catalog.json"
+
+
+class TestGaussianL1Radius:
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 17.5])
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3, 1e-6, 1e-12])
+    def test_one_dimension_is_the_exact_quantile(self, sigma, delta):
+        stats = pytest.importorskip("scipy.stats")
+        radius = gaussian_l1_radius(GaussianModel([3.0], [[sigma**2]], 10), delta)
+        assert radius == pytest.approx(stats.norm.isf(delta / 4.0) * sigma, rel=1e-9)
+
+    def test_holds_its_mass_on_the_golden_catalog(self):
+        delta = 1e-2
+        for label, model in sorted(load_catalog(GOLDEN_CATALOG).items()):
+            radius = gaussian_l1_radius(model, delta)
+            rng = derive_rng(23, "l1-radius", label.value)
+            deviations = np.concatenate([
+                np.abs(gaussian_model_draws(model, 250_000, rng) - model.mean).sum(axis=1)
+                for _ in range(4)])
+            assert radius >= np.quantile(deviations, 1.0 - delta / 2.0)
+            assert np.mean(deviations > radius) <= delta / 2.0
+
+    def test_nonincreasing_in_delta(self):
+        deltas = np.geomspace(1e-12, 0.9, 40)
+        correlated = GaussianModel(np.zeros(3), [[4.0, 1.5, -1.0], [1.5, 2.0, 0.3],
+                                                 [-1.0, 0.3, 1.0]], 10)
+        for model in [*load_catalog(GOLDEN_CATALOG).values(), correlated]:
+            radii = [gaussian_l1_radius(model, float(delta)) for delta in deltas]
+            assert all(a >= b for a, b in zip(radii, radii[1:]))
+
+    def test_zero_covariance_gives_zero(self):
+        assert gaussian_l1_radius(GaussianModel(np.ones(3), np.zeros((3, 3)), 10), 1e-3) == 0.0
+
+    def test_refuses_a_dimension_too_wide_to_enumerate(self):
+        wide = MAX_L1_RADIUS_DIM + 1
+        with pytest.raises(ConfigError, match=f"has {wide}"):
+            gaussian_l1_radius(GaussianModel(np.zeros(wide), np.eye(wide), 10), 1e-3)
+        at_cap = GaussianModel(np.zeros(MAX_L1_RADIUS_DIM), np.eye(MAX_L1_RADIUS_DIM), 10)
+        assert gaussian_l1_radius(at_cap, 1e-3) > 0.0
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_rejects_delta_outside_the_open_unit_interval(self, delta):
+        with pytest.raises(ValueError):
+            gaussian_l1_radius(GaussianModel([0.0], [[1.0]], 10), delta)
 
 
 class TestExpectedValueMechanism:
@@ -780,42 +829,42 @@ def test_unknown_noise_rejected(calibrate):
 # below with n = 333 and group size 7.
 PINNED_PLAN_BITS = {
     (0.2, 1e-06): {
-        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.73854fa2d1bfbp+7",
+        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.7be8e93d4b681p+7",
         "expm-l": "0x1.1b6413ac6f3f9p+4", "expm-g": "0x1.ba208e09687c7p+5",
         "dir-l": "0x1.4dc19c2d6371bp+3", "dir-g": "0x1.ba208e09687c7p+5",
         "eig": "dac650f073ebffc3", "dau": "0x1.ba0670db91964p+5",
         "gdp-l": "0x1.6632bd1dfb632p+6", "gdp-g": "0x1.0f179c74286a2p+8",
     },
     (0.2, 0.001): {
-        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.2269240310fddp+7",
+        "wass": "0x1.1b6413ac6f3f9p+4", "awass": "0x1.26a01545c7ee7p+7",
         "expm-l": "0x1.1b6413ac6f3f9p+4", "expm-g": "0x1.3b1b1f775189fp+5",
         "dir-l": "0x1.4dc19c2d6371bp+3", "dir-g": "0x1.3b1b1f775189fp+5",
         "eig": "d609afa18a2a1c62", "dau": "0x1.3af67064a699ep+5",
         "gdp-l": "0x1.6632bd1dfb632p+6", "gdp-g": "0x1.826aceb5dd08fp+7",
     },
     (1.0, 1e-06): {
-        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.293772e8a7cc9p+5",
+        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.2fed87643c534p+5",
         "expm-l": "0x1.c56cec471865cp+1", "expm-g": "0x1.61b3a4d45396cp+3",
         "dir-l": "0x1.0b0149bde927cp+1", "dir-g": "0x1.61b3a4d45396cp+3",
         "eig": "7d8e6183ff09b2ab", "dau": "0x1.5fa6d1233b77fp+3",
         "gdp-l": "0x1.1e8efdb195e8fp+4", "gdp-g": "0x1.b1bf60b9da437p+5",
     },
     (1.0, 0.001): {
-        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.d0a8399e81962p+4",
+        "wass": "0x1.c56cec471865cp+1", "awass": "0x1.d766886fa64a6p+4",
         "expm-l": "0x1.c56cec471865cp+1", "expm-g": "0x1.f82b658bb5a98p+2",
         "dir-l": "0x1.0b0149bde927cp+1", "dir-g": "0x1.f82b658bb5a98p+2",
         "eig": "5110dfc518da20f8", "dau": "0x1.f2665ffee8b04p+2",
         "gdp-l": "0x1.1e8efdb195e8fp+4", "gdp-g": "0x1.35223ef7e4073p+5",
     },
     (5.0, 1e-06): {
-        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.db8beb0dd9475p+2",
+        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.e648d8a060853p+2",
         "expm-l": "0x1.6abd89d279eb0p-1", "expm-g": "0x1.1af61d76a9456p+1",
         "dir-l": "0x1.ab3542c9750c6p-2", "dir-g": "0x1.1af61d76a9456p+1",
         "eig": "be1e83e1d65d5e6a", "dau": "0x1.dd3193dcf4434p+0",
         "gdp-l": "0x1.ca7e62b5bca7ep+1", "gdp-g": "0x1.5aff8094ae9c6p+3",
     },
     (5.0, 0.001): {
-        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.73b9c7b20144ep+2",
+        "wass": "0x1.6abd89d279eb0p-1", "awass": "0x1.791ed38c85085p+2",
         "expm-l": "0x1.6abd89d279eb0p-1", "expm-g": "0x1.9355ead62aee0p+0",
         "dir-l": "0x1.ab3542c9750c6p-2", "dir-g": "0x1.9355ead62aee0p+0",
         "eig": "c24a8c22e18fbfa9", "dau": "0x1.08cf84ee247f1p+0",
