@@ -47,6 +47,7 @@ print("Mean gap:", family.catalog[lab_lo].mean - family.catalog[lab_hi].mean)
 print("Shared covariance:\n", cov)
 print()
 
+print("Assumption measurements:", check_assumptions(family))
 print("Is the data's own randomness enough (no added noise)?",
       no_noise_check(family, params))
 print()
@@ -61,9 +62,9 @@ for var, vec in zip(
 ):
     print(f"Eigenvector Gaussian:    sigma^2 = {var:6.2f} along {np.round(vec, 3)}")
 
-v = check_assumptions(family).common_direction
-dau = dau_plan(family, v, params)
-print(f"Directional + uncertainty: sigma^2 = {dau.scale**2:.2f} along {np.round(v, 3)} only")
+dau = dau_plan(family, params)
+print(f"Directional + uncertainty: sigma^2 = {dau.scale**2:.2f} along "
+      f"{np.round(dau.direction, 3)} only")
 print()
 
 rng = derive_rng(0, "demo-noise-compare")

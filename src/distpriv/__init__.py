@@ -50,7 +50,6 @@ from .mechanisms import (  # noqa: F401
     eig_plan,
     group_dp_calibrate,
     no_noise_check,
-    added_cov_check,
     per_record_sensitivity,
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,

@@ -32,7 +32,6 @@ import itertools
 import json
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,7 +76,6 @@ from .model import (
     delta_E,
     estimate_gaussian,
     family_from_catalog,
-    fit_common_direction,
     load_catalog,
     save_catalog,
 )
@@ -117,7 +115,7 @@ class ExperimentConfig:
     dataset_format: str = "adult"
     out_dir: str = "out"
     group_size: int = 100
-    workers: int = 1
+    workers: int = 1  # only 1 is accepted: cells are computed in one thread
     attack: Dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -154,8 +152,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.n <= 0 or self.modeling_samples < 2 or self.repetitions <= 0:
             raise ConfigError("n, modeling_samples, repetitions must be positive (samples >= 2)")
-        if self.group_size < 1 or self.workers < 1:
-            raise ConfigError("group_size and workers must be >= 1")
+        if self.group_size < 1:
+            raise ConfigError("group_size must be >= 1")
+        if self.workers != 1:
+            raise ConfigError(f"workers must be 1, got {self.workers}")
         self.shadow_config()
 
     @classmethod
@@ -263,13 +263,10 @@ MECHANISMS = {
     "awass": (True, True, lambda fam, params, cfg: _approx_wasserstein(fam, params)),
     "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
     "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
-    "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(
-        fam, fit_common_direction(fam), params, "laplace")),
-    "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(
-        fam, fit_common_direction(fam), params, "gaussian")),
+    "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(fam, params, "laplace")),
+    "dir-g": (True, True, lambda fam, params, cfg: calibrate_directional(fam, params, "gaussian")),
     "eig": (True, True, lambda fam, params, cfg: eig_plan(fam, params)),
-    "dau": (True, True, lambda fam, params, cfg: dau_plan(
-        fam, fit_common_direction(fam), params)),
+    "dau": (True, True, lambda fam, params, cfg: dau_plan(fam, params)),
     "gdp-l": (False, False, lambda fam, params, cfg: group_dp_calibrate(
         per_record_sensitivity(QUERY_COMPONENTS, cfg.n, 1), cfg.group_size, params,
         "laplace")),
@@ -354,13 +351,6 @@ def _store_cell(path: Path, stamp: dict, values) -> None:
         fh.write("\n")
 
 
-def _run_cells(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute) -> Path:
     """Run one sweep stage and write its CSV and the run manifest.
 
@@ -378,14 +368,9 @@ def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute
     values = [_load_cell(path, stamp) for path in paths]
     missing = [i for i, cell in enumerate(values) if cell is None]
     staged = inputs() if missing else None
-
-    def compute_and_store(i):
-        cell = compute(staged, *grid[i])
-        _store_cell(paths[i], stamp, cell)
-        return cell
-
-    for i, cell in zip(missing, _run_cells(compute_and_store, missing, cfg.workers)):
-        values[i] = cell
+    for i in missing:
+        values[i] = compute(staged, *grid[i])
+        _store_cell(paths[i], stamp, values[i])
 
     lines = [header]
     for (mech, eps, delta, dp), cell in zip(grid, values):

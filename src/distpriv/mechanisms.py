@@ -28,17 +28,21 @@ from .model import (
     GaussianModel,
     PairFamily,
     PrivacyParams,
-    check_assumptions,
     cov_discrepancy,
     delta_E,
+    eigenbasis_residual,
     eigendecompose,
+    fit_common_direction,
     gap_angle,
     solve_spd,
 )
 
 PLAN_KINDS = ("laplace_iid", "gaussian_iid", "gaussian_cov", "scalar_along_direction", "none")
 # Largest angle (rad) a protected mean gap may make with a directional
-# plan's noise direction: a gap off the direction is left un-noised.
+# plan's noise direction, the family's fitted common direction: a gap off
+# the direction is left un-noised. No other direction could pass: one
+# within ANGLE_TOL of every gap lies within it, up to sign, of the fit,
+# unless every gap is zero and any direction gives scale 0 (dau: its bump).
 ANGLE_TOL = 1e-6
 # Largest relative covariance discrepancy (dau, no_noise_check) and
 # common-eigenbasis residual (eig) a family may have. Both only refuse a
@@ -322,26 +326,22 @@ def calibrate_expm(family: PairFamily, params: PrivacyParams, noise: str) -> Noi
     )
 
 
-def calibrate_directional(
-    family: PairFamily,
-    v,
-    params: PrivacyParams,
-    noise: str,
-) -> NoisePlan:
-    """Scalar noise along a single unit direction v.
+def calibrate_directional(family: PairFamily, params: PrivacyParams, noise: str) -> NoisePlan:
+    """Scalar noise along the family's fitted common direction.
 
-    Every protected mean gap must be parallel to v within ANGLE_TOL
-    radians (sign ignored); otherwise the worst pair is reported.
-    The scale is delta_E2 / epsilon for Laplace noise and
-    c * delta_E2 / epsilon for Gaussian noise.
+    The direction is fit_common_direction(family), and every protected
+    mean gap must be parallel to it within ANGLE_TOL radians (sign
+    ignored); otherwise the worst pair is reported. The scale is
+    delta_E2 / epsilon for Laplace noise and c * delta_E2 / epsilon for
+    Gaussian noise.
 
     The guarantee holds only when the pair covariances are exactly equal:
-    a covariance that differs off v leaks through the directions left
-    un-noised, so the Laplace plan's claimed delta = 0 and the Gaussian
-    plan's delta are then not met. Covariance equality is not checked.
+    a covariance that differs off the direction leaks through the
+    directions left un-noised, so the Laplace plan's claimed delta = 0 and
+    the Gaussian plan's delta are then not met. Covariance equality is not
+    checked.
     """
-    v = _unit_vector(v)
-    _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
+    v = _fitted_direction(family)
     d2 = delta_E(family, 2)
     scale, budget = _noise_scale(noise, params, d2)
     return NoisePlan(
@@ -355,22 +355,14 @@ def no_noise_check(family: PairFamily, params: PrivacyParams) -> bool:
 
     True iff for every protected pair the Mahalanobis gap satisfies
     (mu_i - mu_j)^T Sigma_i^{-1} (mu_i - mu_j) <= (epsilon / c)^2. The
-    pair covariances must agree within COV_TOL (entrywise relative).
+    pair covariances must agree within COV_TOL (cov_discrepancy).
     """
-    return added_cov_check(family, np.zeros((family.dim, family.dim)), params)
-
-
-def added_cov_check(family: PairFamily, sigma_add, params: PrivacyParams) -> bool:
-    """no_noise_check with Sigma_i replaced by Sigma_i + sigma_add."""
     _, budget = _noise_scale("gaussian", params)
-    sigma_add = np.asarray(sigma_add, dtype=float)
     bound = (params.epsilon / budget["c"]) ** 2
     _require_within(cov_discrepancy(family), COV_TOL, "relative covariance discrepancy")
     for a, b in family.pairs:
         gap = family.catalog[a].mean - family.catalog[b].mean
-        total = family.catalog[a].cov + sigma_add
-        mahal = float(gap @ solve_spd(total, gap))
-        if mahal > bound:
+        if float(gap @ solve_spd(family.catalog[a].cov, gap)) > bound:
             return False
     return True
 
@@ -378,25 +370,21 @@ def added_cov_check(family: PairFamily, sigma_add, params: PrivacyParams) -> boo
 def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     """Eigenvector-shaped Gaussian noise crediting adversarial uncertainty.
 
-    In the shared eigenbasis v_1..v_m (taken from the reference model,
-    the smallest label in sorted order), the variance added along v_k is
-    sigma_k^2 = max over models of max(0, (c * delta_E2 / epsilon)^2 -
-    v_k^T Sigma v_k), so each total variance reaches the isotropic
-    requirement but no direction is over-noised. The covariances must share
-    that eigenbasis within BASIS_TOL.
+    In the eigenbasis v_1..v_m of the reference model (the smallest label
+    in sorted order, eigendecompose of its covariance), the variance added
+    along v_k is sigma_k^2 = max over models of max(0, (c * delta_E2 /
+    epsilon)^2 - v_k^T Sigma v_k), so each total variance reaches the
+    isotropic requirement but no direction is over-noised. Every
+    covariance must be diagonal in that basis within BASIS_TOL
+    (eigenbasis_residual); the residual is recorded in the provenance.
     """
-    report = check_assumptions(family)
-    if report.common_eigenbasis_residual > BASIS_TOL:
-        raise AssumptionViolation(
-            "covariances do not share an eigenbasis within tolerance "
-            f"(residual {report.common_eigenbasis_residual:.3g} > {BASIS_TOL:g})",
-            pair=(family.sorted_labels()[0], report.eigenbasis_worst_label),
-        )
+    residual = eigenbasis_residual(family)
+    _require_within(residual, BASIS_TOL, "common-eigenbasis residual")
     d2 = delta_E(family, 2)
     scale, budget = _noise_scale("gaussian", params, d2)
     target = scale**2
     labels = family.sorted_labels()
-    basis_pairs = report.reference_eigenpairs
+    basis_pairs = eigendecompose(family.catalog[labels[0]].cov)
     m = family.dim
     sigma_sq = np.zeros(m)
     for k, (_, vec) in enumerate(basis_pairs):
@@ -416,7 +404,7 @@ def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
             "delta_e2": d2,
             "target_variance": target,
             "sigma_sq": [float(s) for s in sigma_sq],
-            "eigenbasis_residual": report.common_eigenbasis_residual,
+            "eigenbasis_residual": residual[0],
             **budget,
         },
     )
@@ -440,21 +428,21 @@ def dau_sigma(model: GaussianModel, alpha: float, v, params: PrivacyParams) -> f
     return max(eta, target - 1.0 / quad + eta)
 
 
-def dau_plan(family: PairFamily, v, params: PrivacyParams) -> NoisePlan:
+def dau_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     """Directional Gaussian noise with adversarial-uncertainty credit.
 
-    Every protected mean gap must be parallel to v within ANGLE_TOL
-    radians. For each protected pair, alpha is the signed projection of
-    the mean gap on v and the required variance comes from dau_sigma on
-    the first model of the pair; the plan takes the worst case over pairs.
+    The direction v is fit_common_direction(family), and every protected
+    mean gap must be parallel to it within ANGLE_TOL radians. For each
+    protected pair, alpha is the signed projection of the mean gap on v
+    and the required variance comes from dau_sigma on the first model of
+    the pair; the plan takes the worst case over pairs.
 
     The guarantee holds only when the pair covariances are exactly equal,
     since a covariance that differs off v leaks through the directions
-    left un-noised. COV_TOL bounds the accepted mismatch but certifies
-    nothing.
+    left un-noised. COV_TOL bounds the accepted mismatch (cov_discrepancy)
+    but certifies nothing.
     """
-    v = _unit_vector(v)
-    _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
+    v = _fitted_direction(family)
     _require_within(cov_discrepancy(family), COV_TOL, "relative covariance discrepancy")
     _, budget = _noise_scale("gaussian", params)
     sigma_sq = 0.0
@@ -657,6 +645,17 @@ def _epsilon_warnings(params: PrivacyParams) -> List[str]:
             f"epsilon = {params.epsilon:g} follows experimental usage"
         ]
     return []
+
+
+def _fitted_direction(family: PairFamily) -> np.ndarray:
+    """The directional plans' noise direction: fit_common_direction, divided
+    by its norm once more (which can move a last bit, and the released
+    directions are pinned with it) and checked against every protected gap.
+    """
+    v = fit_common_direction(family)
+    v = v / np.linalg.norm(v)
+    _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
+    return v
 
 
 def _unit_vector(v) -> np.ndarray:

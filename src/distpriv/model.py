@@ -166,26 +166,17 @@ class PairFamily:
 class AssumptionReport:
     """How far a family sits from the mechanisms' modeling assumptions.
 
-    max_cov_discrepancy: cov_discrepancy of the family.
-    max_direction_angle: gap_angle of the family to the fitted common
-        direction.
-    common_eigenbasis_residual: largest off-diagonal magnitude when every
-        covariance is expressed in the reference model's eigenbasis,
-        relative to the reference's largest eigenvalue magnitude.
-    eigenbasis_worst_label: the label whose covariance attains that
-        residual (None when every residual is 0).
-    common_direction: the fitted unit direction itself.
-    reference_eigenpairs: eigendecompose of the reference model (the
-        smallest label in sorted order), whose vectors are the basis the
-        residual is measured in.
+    Each field is the value of one measurement, whose own function also
+    names the pair attaining it: max_cov_discrepancy is cov_discrepancy,
+    max_direction_angle is gap_angle to common_direction (the
+    fit_common_direction of the family), and common_eigenbasis_residual
+    is eigenbasis_residual.
     """
 
     max_cov_discrepancy: float
     max_direction_angle: float
     common_eigenbasis_residual: float
-    eigenbasis_worst_label: Optional[SecretLabel]
     common_direction: np.ndarray = field(repr=False)
-    reference_eigenpairs: List[Tuple[float, np.ndarray]] = field(repr=False)
 
 
 def estimate_gaussian(samples) -> GaussianModel:
@@ -215,8 +206,6 @@ def delta_E(family: PairFamily, norm: int) -> float:
     """Worst-case distance between expected values over protected pairs."""
     if norm not in (1, 2):
         raise ValueError(f"norm must be 1 or 2, got {norm}")
-    if not family.pairs:
-        raise ConfigError("pair family has no pairs")
     gaps = family.gap_vectors()
     if norm == 1:
         per_pair = np.abs(gaps).sum(axis=0)
@@ -276,33 +265,41 @@ def gap_angle(family: PairFamily, v: np.ndarray) -> Tuple[float, Optional[Pair]]
     return worst, where
 
 
-def check_assumptions(family: PairFamily) -> AssumptionReport:
-    """Measure covariance sharing, gap collinearity, and eigenbasis agreement."""
-    disc, _ = cov_discrepancy(family)
-    v = fit_common_direction(family)
-    angle, _ = gap_angle(family, v)
-
+def eigenbasis_residual(family: PairFamily) -> Tuple[float, Optional[Pair]]:
+    """Largest off-diagonal magnitude of any covariance expressed in the
+    reference model's eigenbasis (the smallest label in sorted order),
+    relative to the reference's largest eigenvalue magnitude, and the
+    (reference label, worst label) pair attaining it (None when every
+    covariance is diagonal in that basis).
+    """
     labels = family.sorted_labels()
     eig = eigendecompose(family.catalog[labels[0]].cov)
     basis = np.column_stack([vec for _, vec in eig])
     lam_scale = max(abs(val) for val, _ in eig)
-    residual, worst = 0.0, None
+    worst, where = 0.0, None
     off_mask = ~np.eye(family.dim, dtype=bool)
     for lab in labels:
         rotated = basis.T @ family.catalog[lab].cov @ basis
         off = float(np.abs(rotated[off_mask]).max()) if family.dim > 1 else 0.0
         if off > 0.0:
             relative = off / lam_scale if lam_scale > 0.0 else float("inf")
-            if relative > residual:
-                residual, worst = relative, lab
+            if relative > worst:
+                worst, where = relative, (labels[0], lab)
+    return worst, where
 
+
+def check_assumptions(family: PairFamily) -> AssumptionReport:
+    """A report of the three assumption measurements, for diagnostics.
+
+    No calibration reads it: each checks only the measurement its noise
+    rests on, at its own tolerance.
+    """
+    v = fit_common_direction(family)
     return AssumptionReport(
-        max_cov_discrepancy=disc,
-        max_direction_angle=angle,
-        common_eigenbasis_residual=residual,
-        eigenbasis_worst_label=worst,
+        max_cov_discrepancy=cov_discrepancy(family)[0],
+        max_direction_angle=gap_angle(family, v)[0],
+        common_eigenbasis_residual=eigenbasis_residual(family)[0],
         common_direction=v,
-        reference_eigenpairs=eig,
     )
 
 
@@ -384,18 +381,12 @@ def load_catalog(path) -> Dict[SecretLabel, GaussianModel]:
 def family_from_catalog(
     catalog: Mapping[SecretLabel, GaussianModel],
     value_pairs: Iterable[Sequence[float]],
-    property_id: str | None = None,
+    property_id: str,
 ) -> PairFamily:
-    """Build a family from a catalog and (value_i, value_j) pairs.
+    """Build the family of property_id's labels at (value_i, value_j) pairs.
 
-    Pairs are closed under reversal automatically. When property_id is
-    omitted the catalog must hold a single property.
+    Pairs are closed under reversal automatically.
     """
-    if property_id is None:
-        props = {lab.property_id for lab in catalog}
-        if len(props) != 1:
-            raise ConfigError(f"catalog holds several properties {sorted(props)}; specify one")
-        property_id = props.pop()
     pairs = []
     seen = set()
     for vi, vj in value_pairs:

@@ -239,8 +239,6 @@ def test_criterion_7_privacy_audit_suite():
         eps = float(rng.uniform(0.2, 0.9))
         delta = float(rng.uniform(1e-3, 1e-2))
         lab_i, lab_j = family.pairs[0]
-        gap = family.catalog[lab_i].mean - family.catalog[lab_j].mean
-        v = gap / np.linalg.norm(gap)
         plans = {
             "expm-l": (calibrate_expm(family, PrivacyParams(eps, delta), "laplace"),
                        PrivacyParams(eps, 0.0)),
@@ -248,7 +246,7 @@ def test_criterion_7_privacy_audit_suite():
                        PrivacyParams(eps, delta)),
             "eig": (eig_plan(family, PrivacyParams(eps, delta)),
                     PrivacyParams(eps, delta)),
-            "dau": (dau_plan(family, v, PrivacyParams(eps, delta)),
+            "dau": (dau_plan(family, PrivacyParams(eps, delta)),
                     PrivacyParams(eps, delta)),
         }
         for name, (plan, declared) in plans.items():

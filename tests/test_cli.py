@@ -114,8 +114,12 @@ class TestConfig:
 
     def test_hash_ignores_out_dir_and_workers(self, synth_csv, tmp_path):
         a = base_config(synth_csv, tmp_path / "a")
-        b = base_config(synth_csv, tmp_path / "b", workers=4)
+        b = base_config(synth_csv, tmp_path / "b")
         assert a.config_hash() == b.config_hash()
+        # workers stays a key for configs that name it, but only 1 is accepted
+        assert "workers" not in a.canonical_dict()
+        with pytest.raises(ConfigError, match="workers"):
+            base_config(synth_csv, tmp_path / "c", workers=4)
 
     def test_attack_pair_defaults_from_delta_p(self, synth_csv, tmp_path):
         cfg = base_config(synth_csv, tmp_path)
@@ -469,15 +473,6 @@ class TestUtilityNoise:
 
 
 class TestSweepVariants:
-    def test_worker_pool_matches_sequential(self, synth_csv, tmp_path):
-        outputs = []
-        for name, workers in (("seq", 1), ("pool", 4)):
-            cfg = base_config(synth_csv, tmp_path / name, mechanisms=["expm-g", "eig"],
-                              workers=workers)
-            cmd_model(cfg)
-            outputs.append([cmd_utility(cfg).read_bytes(), cmd_attack(cfg).read_bytes()])
-        assert outputs[0] == outputs[1]
-
     def test_multiple_delta_p_sweep(self, synth_csv, tmp_path):
         cfg = base_config(
             synth_csv, tmp_path / "out",

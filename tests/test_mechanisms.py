@@ -10,11 +10,11 @@ from distpriv.cli import ExperimentConfig, build_plan
 from distpriv.dataio import QUERY_COMPONENTS
 from distpriv.errors import AssumptionViolation, ConfigError, NumericError
 from distpriv.mechanisms import (
+    ANGLE_TOL,
     BASIS_TOL,
     COV_TOL,
     MAX_L1_RADIUS_DIM,
     NoisePlan,
-    added_cov_check,
     apply,
     apply_batch,
     audit,
@@ -40,8 +40,10 @@ from distpriv.model import (
     SecretLabel,
     check_assumptions,
     cov_discrepancy,
+    eigenbasis_residual,
     family_from_catalog,
     fit_common_direction,
+    gap_angle,
     load_catalog,
 )
 from distpriv.seeding import derive_rng
@@ -235,21 +237,21 @@ class TestScaleMonotonicity:
             return float(np.trace(plan.cov))
         return plan.scale
 
-    def _calibrations(self, fam, v):
+    def _calibrations(self, fam):
         return {
             "wass": lambda p: calibrate_wasserstein(3.0, p),
             "awass": lambda p: calibrate_approx_wasserstein(3.0, p),
             "expm-l": lambda p: calibrate_expm(fam, p, "laplace"),
             "expm-g": lambda p: calibrate_expm(fam, p, "gaussian"),
-            "dir-g": lambda p: calibrate_directional(fam, v, p, "gaussian"),
+            "dir-g": lambda p: calibrate_directional(fam, p, "gaussian"),
             "eig": lambda p: eig_plan(fam, p),
-            "dau": lambda p: dau_plan(fam, v, p),
+            "dau": lambda p: dau_plan(fam, p),
             "gdp-g": lambda p: group_dp_calibrate(2.0, 100, p, "gaussian"),
         }
 
     def test_nonincreasing_in_epsilon(self):
         fam = worked_example_family()
-        for name, calibrate in self._calibrations(fam, V_GAP).items():
+        for name, calibrate in self._calibrations(fam).items():
             mags = [
                 self._magnitude(calibrate(PrivacyParams(eps, 0.001)))
                 for eps in (0.2, 1.0, 5.0)
@@ -258,7 +260,7 @@ class TestScaleMonotonicity:
 
     def test_nonincreasing_in_delta(self):
         fam = worked_example_family()
-        for name, calibrate in self._calibrations(fam, V_GAP).items():
+        for name, calibrate in self._calibrations(fam).items():
             if name in ("wass", "awass", "expm-l"):
                 continue  # pure-epsilon guarantees ignore delta
             mags = [
@@ -270,7 +272,6 @@ class TestScaleMonotonicity:
     def test_nondecreasing_in_gap(self):
         rng = np.random.default_rng(31)
         base_gap = np.array([1.0, 0.5, -0.25])
-        v = base_gap / np.linalg.norm(base_gap)
         small = translation_family(rng, gap=base_gap)
         # same covariance catalog, twice the gap
         labels = small.sorted_labels()
@@ -285,34 +286,43 @@ class TestScaleMonotonicity:
         )
         params = PrivacyParams(1.0, 0.001)
         for name in ("expm-l", "expm-g", "dir-g", "eig", "dau"):
-            small_mag = self._magnitude(self._calibrations(small, v)[name](params))
-            big_mag = self._magnitude(self._calibrations(big, v)[name](params))
+            small_mag = self._magnitude(self._calibrations(small)[name](params))
+            big_mag = self._magnitude(self._calibrations(big)[name](params))
             assert big_mag >= small_mag - 1e-12, name
 
 
 class TestDirectionalMechanism:
     def test_worked_example_scale(self):
-        plan = calibrate_directional(worked_example_family(), V_GAP, PARAMS, "laplace")
+        plan = calibrate_directional(worked_example_family(), PARAMS, "laplace")
         assert plan.kind == "scalar_along_direction"
         assert plan.scale == pytest.approx(np.sqrt(2.0))
-
-    def test_accepts_any_parallel_direction(self):
-        plan = calibrate_directional(worked_example_family(), -V_GAP, PARAMS, "laplace")
-        assert plan.scale == pytest.approx(np.sqrt(2.0))
-
-    def test_orthogonal_direction_rejected_with_pair(self):
-        v_orth = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        with pytest.raises(AssumptionViolation) as err:
-            calibrate_directional(worked_example_family(), v_orth, PARAMS, "laplace")
-        assert err.value.pair is not None
+        assert abs(float(plan.direction @ V_GAP)) == pytest.approx(1.0)
 
     def test_gaussian_variant_scale(self):
-        plan = calibrate_directional(worked_example_family(), V_GAP, PARAMS, "gaussian")
+        plan = calibrate_directional(worked_example_family(), PARAMS, "gaussian")
         assert plan.scale**2 == pytest.approx(28.52, abs=0.01)
 
-    def test_requires_unit_direction(self):
-        with pytest.raises(ValueError):
-            calibrate_directional(worked_example_family(), np.array([1.0, -1.0]), PARAMS, "laplace")
+
+def noncollinear_gap_family() -> PairFamily:
+    """Three labels sharing a covariance, whose two protected gaps are orthogonal."""
+    labels = [SecretLabel("p", v) for v in (0.3, 0.5, 0.7)]
+    catalog = {lab: GaussianModel(mu, WORKED_COV, 10)
+               for lab, mu in zip(labels, ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))}
+    pairs = [(labels[0], labels[1]), (labels[1], labels[0]),
+             (labels[0], labels[2]), (labels[2], labels[0])]
+    return PairFamily(catalog, pairs)
+
+
+@pytest.mark.parametrize("calibrate", [
+    lambda fam: calibrate_directional(fam, PARAMS, "laplace"),
+    lambda fam: calibrate_directional(fam, PARAMS, "gaussian"),
+    lambda fam: dau_plan(fam, PARAMS),
+], ids=["dir-l", "dir-g", "dau"])
+def test_directional_plans_refuse_noncollinear_gaps(calibrate):
+    fam = noncollinear_gap_family()
+    with pytest.raises(AssumptionViolation, match="angle") as err:
+        calibrate(fam)
+    assert err.value.pair in fam.pairs
 
 
 class TestNoNoiseAndCovChecks:
@@ -350,13 +360,15 @@ class TestNoNoiseAndCovChecks:
         with pytest.raises(ValueError):
             no_noise_check(worked_example_family(), PrivacyParams(1.0, 0.0))
 
-    def test_added_cov_zero_reduces_to_no_noise(self):
-        fam = worked_example_family()
-        zero = np.zeros((2, 2))
-        assert added_cov_check(fam, zero, PARAMS) == no_noise_check(fam, PARAMS)
+    @staticmethod
+    def with_added_cov(fam, sigma_add):
+        """The family with sigma_add added to every model's covariance."""
+        return PairFamily({lab: GaussianModel(model.mean, model.cov + sigma_add, 10)
+                           for lab, model in fam.catalog.items()}, fam.pairs)
 
     def test_added_cov_large_matrix_passes(self):
-        assert added_cov_check(worked_example_family(), 1e6 * np.eye(2), PARAMS)
+        assert no_noise_check(self.with_added_cov(worked_example_family(), 1e6 * np.eye(2)),
+                              PARAMS)
 
     def test_added_cov_matches_quadratic_oracle(self):
         rng = np.random.default_rng(11)
@@ -373,7 +385,7 @@ class TestNoNoiseAndCovChecks:
                 total = fam.catalog[la].cov + sigma_add
                 if gap @ np.linalg.solve(total, gap) > (eps / c) ** 2 + 1e-12:
                     ok_oracle = False
-            assert added_cov_check(fam, sigma_add, params) == ok_oracle
+            assert no_noise_check(self.with_added_cov(fam, sigma_add), params) == ok_oracle
 
 
 class TestEigPlan:
@@ -430,7 +442,7 @@ class TestEigPlan:
             },
             [(lab_a, lab_b), (lab_b, lab_a)],
         )
-        assert check_assumptions(fam).common_eigenbasis_residual > BASIS_TOL
+        assert eigenbasis_residual(fam)[0] > BASIS_TOL
         with pytest.raises(AssumptionViolation, match="eigenbasis"):
             eig_plan(fam, PARAMS)
 
@@ -490,13 +502,13 @@ class TestDauPlan:
             },
             [(lab_a, lab_b), (lab_b, lab_a)],
         )
-        v = gap / np.linalg.norm(gap)
-        plan = dau_plan(fam, v, PARAMS)
-        directional = calibrate_directional(fam, v, PARAMS, "gaussian")
+        plan = dau_plan(fam, PARAMS)
+        directional = calibrate_directional(fam, PARAMS, "gaussian")
         assert plan.scale == pytest.approx(directional.scale, rel=1e-3)
+        assert np.array_equal(plan.direction, directional.direction)
 
     def test_worked_example_gets_uncertainty_credit(self):
-        plan = dau_plan(worked_example_family(), V_GAP, PARAMS)
+        plan = dau_plan(worked_example_family(), PARAMS)
         target = (PARAMS.gaussian_c() * np.sqrt(2.0) / PARAMS.epsilon) ** 2
         assert plan.scale**2 < target
         assert plan.scale**2 == pytest.approx(target - 500.0 / 23.0, rel=1e-3)
@@ -505,15 +517,11 @@ class TestDauPlan:
         lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
         model = GaussianModel([1.0, 1.0], np.eye(2), 10)
         fam = PairFamily({lab_a: model, lab_b: model}, [(lab_a, lab_b), (lab_b, lab_a)])
-        plan = dau_plan(fam, np.array([1.0, 0.0]), PARAMS)
+        plan = dau_plan(fam, PARAMS)
         assert plan.scale**2 == pytest.approx(1e-12)
 
-    def test_nonparallel_gap_rejected(self):
-        with pytest.raises(AssumptionViolation):
-            dau_plan(worked_example_family(), np.array([1.0, 0.0]), PARAMS)
-
     @pytest.mark.parametrize("check", [
-        lambda fam: dau_plan(fam, np.array([1.0, 0.0]), PARAMS),
+        lambda fam: dau_plan(fam, PARAMS),
         lambda fam: no_noise_check(fam, PARAMS),
     ])
     def test_unshared_covariance_rejected_with_pair(self, check):
@@ -548,31 +556,68 @@ def tilted_basis_family(off: float) -> PairFamily:
     )
 
 
+def tilted_gap_family(angle: float) -> PairFamily:
+    """Protected gaps of length 1 and 2, `angle` apart and sharing a covariance.
+
+    The fitted direction lies about angle / 5 from the long gap, so the
+    short gap's pair is the worst, at about 4 * angle / 5.
+    """
+    labels = [SecretLabel("p", v) for v in (0.3, 0.5, 0.7)]
+    means = ([0.0, 0.0], [1.0, 0.0], [2.0 * np.cos(angle), 2.0 * np.sin(angle)])
+    catalog = {lab: GaussianModel(mu, WORKED_COV, 10) for lab, mu in zip(labels, means)}
+    pairs = [(labels[0], labels[1]), (labels[1], labels[0]),
+             (labels[0], labels[2]), (labels[2], labels[0])]
+    return PairFamily(catalog, pairs)
+
+
+def fitted_gap_angle(fam):
+    return gap_angle(fam, fit_common_direction(fam))
+
+
+ANGLE_AT, ANGLE_ABOVE = (tilted_gap_family(1.25 * ANGLE_TOL * (1.0 + rel)) for rel in (-1e-3, 1e-3))
+
+TOLERANCE_CASES = {
+    "cov-dau_plan": (cov_discrepancy, COV_TOL, lambda fam: dau_plan(fam, PARAMS),
+                     scaled_cov_family(2.0), scaled_cov_family(2.0 + 1e-9)),
+    "cov-no_noise_check": (cov_discrepancy, COV_TOL, lambda fam: no_noise_check(fam, PARAMS),
+                           scaled_cov_family(2.0), scaled_cov_family(2.0 + 1e-9)),
+    "angle-dir-l": (fitted_gap_angle, ANGLE_TOL,
+                    lambda fam: calibrate_directional(fam, PARAMS, "laplace"),
+                    ANGLE_AT, ANGLE_ABOVE),
+    "angle-dir-g": (fitted_gap_angle, ANGLE_TOL,
+                    lambda fam: calibrate_directional(fam, PARAMS, "gaussian"),
+                    ANGLE_AT, ANGLE_ABOVE),
+    "angle-dau_plan": (fitted_gap_angle, ANGLE_TOL, lambda fam: dau_plan(fam, PARAMS),
+                       ANGLE_AT, ANGLE_ABOVE),
+    "basis-eig_plan": (eigenbasis_residual, BASIS_TOL, lambda fam: eig_plan(fam, PARAMS),
+                       tilted_basis_family(1.0), tilted_basis_family(1.0 + 1e-9)),
+}
+
+
 class TestAssumptionTolerances:
     """One tolerance per assumption, the same for direct calls and the CLI."""
 
-    @pytest.mark.parametrize("check", [
-        lambda fam: dau_plan(fam, np.array([1.0, 0.0]), PARAMS),
-        lambda fam: no_noise_check(fam, PARAMS),
-    ], ids=["dau_plan", "no_noise_check"])
-    def test_cov_tol_is_inclusive(self, check):
-        at, above = scaled_cov_family(2.0), scaled_cov_family(2.0 + 1e-9)
-        assert cov_discrepancy(at)[0] == COV_TOL < cov_discrepancy(above)[0]
+    @pytest.mark.parametrize("case", TOLERANCE_CASES.values(), ids=TOLERANCE_CASES.keys())
+    def test_tolerance_is_inclusive(self, case):
+        # Each measurement returns (value, worst pair); a check accepts the
+        # value at its tolerance and refuses one above it, naming that pair.
+        measure, tol, check, at, above = case
+        value, pair = measure(above)
+        assert measure(at)[0] <= tol < value
+        assert pair in above.pairs
         check(at)
         with pytest.raises(AssumptionViolation) as err:
             check(above)
-        assert err.value.pair in above.pairs
+        assert err.value.pair == pair
 
-    def test_basis_tol_is_inclusive(self):
+    def test_cov_and_basis_boundaries_are_exact(self):
+        assert cov_discrepancy(scaled_cov_family(2.0))[0] == COV_TOL
         at, above = tilted_basis_family(1.0), tilted_basis_family(1.0 + 1e-9)
-        residual = lambda fam: check_assumptions(fam).common_eigenbasis_residual  # noqa: E731
-        assert residual(at) == BASIS_TOL < residual(above)
-        eig_plan(at, PARAMS)
-        with pytest.raises(AssumptionViolation, match="eigenbasis") as err:
-            eig_plan(above, PARAMS)
+        assert eigenbasis_residual(at)[0] == BASIS_TOL
         reference, tilted = above.sorted_labels()
-        assert check_assumptions(above).eigenbasis_worst_label == tilted
-        assert err.value.pair == (reference, tilted)
+        assert eigenbasis_residual(above)[1] == (reference, tilted)
+        with pytest.raises(AssumptionViolation, match="eigenbasis"):
+            eig_plan(above, PARAMS)
 
     def test_direct_calls_match_build_plan_on_the_golden_catalog(self):
         golden = Path(__file__).resolve().parent / "golden"
@@ -583,8 +628,9 @@ class TestAssumptionTolerances:
         assert 0.1 < report.max_cov_discrepancy <= COV_TOL
         assert 0.1 < report.common_eigenbasis_residual <= BASIS_TOL
         cfg = TestPlanBits.config()
-        direct = {"eig": eig_plan(fam, PARAMS),
-                  "dau": dau_plan(fam, fit_common_direction(fam), PARAMS)}
+        direct = {"eig": eig_plan(fam, PARAMS), "dau": dau_plan(fam, PARAMS),
+                  "dir-l": calibrate_directional(fam, PARAMS, "laplace"),
+                  "dir-g": calibrate_directional(fam, PARAMS, "gaussian")}
         for mech, plan in direct.items():
             assert plan.to_json() == build_plan(mech, fam, PARAMS, cfg).to_json()
         assert isinstance(no_noise_check(fam, PARAMS), bool)
@@ -816,7 +862,7 @@ class TestAudit:
 
 @pytest.mark.parametrize("calibrate", [
     lambda noise: calibrate_expm(worked_example_family(), PARAMS, noise),
-    lambda noise: calibrate_directional(worked_example_family(), V_GAP, PARAMS, noise),
+    lambda noise: calibrate_directional(worked_example_family(), PARAMS, noise),
     lambda noise: group_dp_calibrate(1.0, 2, PARAMS, noise),
 ], ids=["expm", "directional", "group_dp"])
 def test_unknown_noise_rejected(calibrate):

@@ -12,6 +12,7 @@ from distpriv.model import (
     check_assumptions,
     cov_discrepancy,
     delta_E,
+    eigenbasis_residual,
     eigendecompose,
     estimate_gaussian,
     family_from_catalog,
@@ -238,6 +239,7 @@ class TestCheckAssumptions:
         )
         assert cov_discrepancy(fam) == (0.0, None)
         assert gap_angle(fam, np.array([1.0, 0.0])) == (0.0, None)
+        assert eigenbasis_residual(fam) == (0.0, None)
 
     def test_fit_direction_sign_convention(self):
         v = fit_common_direction(worked_example_family())
