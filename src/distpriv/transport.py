@@ -18,7 +18,11 @@ threshold, so a probe that falls short keeps its maximum flow as the base
 of every later probe, which lies above it. A probe that reaches the
 needed mass is undone by restoring a copy of the flow, supply and demand
 taken before it, and it lowers the upper end of the bisection to the
-longest edge its flow uses, a threshold that flow shows feasible. In one
+longest edge its flow uses, a threshold that flow shows feasible. Max flow
+is Dinic's: a phase whose first column layer already reaches the sink is a
+greedy fill, rows in ascending order each pushing into their columns from
+the highest index down, which is the order the generic DFS takes on such a
+phase, so both give the same flow. In one
 dimension W-infinity needs no flow at all: it is the largest gap between
 the two quantile functions, found by walking the sorted supports in
 integer masses.
@@ -132,28 +136,60 @@ class ClosenessCertificate:
     max_retained_distance: float
 
     def verify(self, mu: DiscreteDistribution, nu: DiscreteDistribution, w: float, delta) -> bool:
-        """Independent feasibility check of the stored coupling."""
+        """Independent feasibility check of the stored coupling.
+
+        Every edge must join a point of mu to a point of nu, carry a
+        nonnegative mass and be no longer than w or max_retained_distance;
+        no point may send or receive more than its mass; the masses must
+        add up to retained_mass, and that to at least 1 - delta. Masses are
+        compared exactly, as integers over their common denominator.
+        """
         w = _check_radius(w)
-        src_used = [Fraction(0)] * mu.size
-        dst_used = [Fraction(0)] * nu.size
-        total = Fraction(0)
-        for i, j, mass in self.coupling_edges:
-            if mass < 0:
-                return False
-            d = float(np.abs(mu.points[i] - nu.points[j]).sum())
-            if d > self.max_retained_distance or d > w:
-                return False
-            src_used[i] += mass
-            dst_used[j] += mass
-            total += mass
-        if total != self.retained_mass:
+        delta = _check_delta(delta)
+        retained = Fraction(self.retained_mass)
+        src, dst, masses = zip(*self.coupling_edges) if self.coupling_edges else ((), (), ())
+        src, dst = _point_indices(src, mu.size), _point_indices(dst, nu.size)
+        if src is None or dst is None:
             return False
-        mu_masses, nu_masses = mu.masses(), nu.masses()
-        if any(src_used[i] > mu_masses[i] for i in range(mu.size)):
+        masses = [m if isinstance(m, Fraction) else Fraction(m) for m in masses]
+        scale = math.lcm(mu.mass_den, nu.mass_den, retained.denominator,
+                         *(m.denominator for m in masses))
+        nums = [m.numerator * (scale // m.denominator) for m in masses]
+        if any(n < 0 for n in nums):
             return False
-        if any(dst_used[j] > nu_masses[j] for j in range(nu.size)):
+        d = _l1(mu.points[src], nu.points[dst])
+        if (d > self.max_retained_distance).any() or (d > w).any():
             return False
-        return total >= 1 - Fraction(delta)
+        src_used: dict = {}
+        dst_used: dict = {}
+        for i, j, n in zip(src.tolist(), dst.tolist(), nums):
+            src_used[i] = src_used.get(i, 0) + n
+            dst_used[j] = dst_used.get(j, 0) + n
+        mu_unit, nu_unit = scale // mu.mass_den, scale // nu.mass_den
+        if any(used > mu.mass_num[i] * mu_unit for i, used in src_used.items()):
+            return False
+        if any(used > nu.mass_num[j] * nu_unit for j, used in dst_used.items()):
+            return False
+        total = sum(nums)
+        if total != retained.numerator * (scale // retained.denominator):
+            return False
+        return Fraction(total, scale) >= 1 - delta
+
+
+def _point_indices(values, size: int) -> Optional[np.ndarray]:
+    """Edge ends as an index array; None unless each is an integer in [0, size)."""
+    idx = np.asarray(values)
+    if idx.size == 0:
+        return idx.astype(np.intp)
+    if idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= size:
+        return None
+    return idx
+
+
+def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L1 distances between broadcast rows of x and y, each summed over its
+    own last axis, so an edge measures the same bits wherever it is measured."""
+    return np.abs(x - y).sum(axis=-1)
 
 
 class _Dinic:
@@ -172,7 +208,9 @@ class _Dinic:
     BFS levels come from numpy reductions over whole rows and columns.
     The blocking flow is an iterative DFS over candidate lists that each
     node computes once per phase, so support sizes are limited by time,
-    not recursion depth. Undoing flow is keeping a copy.
+    not recursion depth. A phase with a single column layer, whose every
+    column in reach drains to the sink, is a greedy fill in the order the
+    DFS would take, with no paths to keep. Undoing flow is keeping a copy.
     """
 
     def __init__(self, supply: np.ndarray, demand: np.ndarray, flow: np.ndarray):
@@ -192,7 +230,11 @@ class _Dinic:
             layers = self._levels(allowed)
             if layers is None:
                 return total
-            total += self._blocking_flow(allowed, *layers, None if limit is None else limit - total)
+            rest = None if limit is None else limit - total
+            if len(layers[1]) == 1:
+                total += self._fill(allowed, layers[0][0], layers[1][0], rest)
+            else:
+                total += self._blocking_flow(allowed, *layers, rest)
         return total
 
     def _levels(self, allowed: np.ndarray):
@@ -219,6 +261,37 @@ class _Dinic:
             rows = (self.flow[:, cols] > 0).any(axis=1) & ~seen_rows
             seen_rows |= rows
 
+    def _fill(self, allowed, rows, ends, limit: Optional[int]) -> int:
+        """Blocking flow of a phase whose first column layer reaches the sink.
+
+        Every path is a single edge from a row to a column with demand
+        left, so the DFS of _blocking_flow reduces to this: rows in
+        ascending order, each pushing into its columns from the highest
+        index down until its supply or their demand runs out. Stops once
+        the flow has grown by at least `limit`.
+        """
+        flow = self.flow
+        supply, demand = self.supply.tolist(), self.demand.tolist()
+        total = 0
+        for root in rows.nonzero()[0].tolist():
+            left = supply[root]
+            for col in reversed((allowed[root] & ends).nonzero()[0].tolist()):
+                push = min(left, demand[col])
+                left -= push
+                demand[col] -= push
+                flow[root, col] += push
+                total += push
+                if not demand[col]:
+                    ends[col] = False
+                if not left or (limit is not None and total >= limit):
+                    break
+            supply[root] = left
+            if limit is not None and total >= limit:
+                break
+        self.supply[:] = supply
+        self.demand[:] = demand
+        return total
+
     def _blocking_flow(self, allowed, row_layers, col_layers, limit: Optional[int]) -> int:
         """Augment along shortest paths until none is left in the level
         graph, or until the flow has grown by at least `limit`.
@@ -234,7 +307,7 @@ class _Dinic:
         row_next: dict = {}
         col_next: dict = {}
         total = 0
-        for root in np.flatnonzero(row_layers[0]).tolist():
+        for root in row_layers[0].nonzero()[0].tolist():
             path = [root]
             while path:
                 node = path[-1]
@@ -243,7 +316,7 @@ class _Dinic:
                     live = col_layers[depth]
                     nxt = row_next.get(node)
                     if nxt is None:
-                        nxt = row_next[node] = np.flatnonzero(allowed[node] & live).tolist()
+                        nxt = row_next[node] = (allowed[node] & live).nonzero()[0].tolist()
                     while nxt and not live[nxt[-1]]:
                         nxt.pop()
                     if nxt:
@@ -254,7 +327,7 @@ class _Dinic:
                     live = row_layers[depth + 1]
                     nxt = col_next.get(node)
                     if nxt is None:
-                        nxt = col_next[node] = np.flatnonzero((flow[:, node] > 0) & live).tolist()
+                        nxt = col_next[node] = ((flow[:, node] > 0) & live).nonzero()[0].tolist()
                     while nxt and not (live[nxt[-1]] and flow[nxt[-1], node] > 0):
                         nxt.pop()
                     if nxt:
@@ -286,6 +359,9 @@ class _Dinic:
         return total
 
 
+_DIST_BLOCK_ROWS = 64
+
+
 def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
     scale = math.lcm(mu.mass_den, nu.mass_den)
     supplies = [n * (scale // mu.mass_den) for n in mu.mass_num]
@@ -311,10 +387,14 @@ class _ThresholdNetwork:
         sup = np.array(supplies, dtype=dtype)
         dem = np.array(demands, dtype=dtype)
         self.rows, self.cols = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
-        # Summed over the last axis, as ClosenessCertificate.verify sums one
-        # edge, so each distance is bit-equal to the one verify recomputes.
-        diff = mu.points[self.rows][:, None, :] - nu.points[self.cols][None, :, :]
-        self.dist = np.abs(diff).sum(axis=2)
+        # Measured by _l1, as ClosenessCertificate.verify measures its edges,
+        # so each distance is bit-equal to the one verify recomputes. Blocks
+        # of rows bound the (rows, cols, dim) differences held at once.
+        p, q = mu.points[self.rows][:, None, :], nu.points[self.cols][None, :, :]
+        self.dist = np.empty((self.rows.size, self.cols.size))
+        for start in range(0, self.rows.size, _DIST_BLOCK_ROWS):
+            block = slice(start, start + _DIST_BLOCK_ROWS)
+            self.dist[block] = _l1(p[block], q)
         self.net = _Dinic(sup[self.rows], dem[self.cols],
                           np.zeros((self.rows.size, self.cols.size), dtype=dtype))
         self.flow = 0
@@ -421,6 +501,14 @@ def _check_radius(w) -> float:
     return float(w)
 
 
+def _check_delta(delta) -> Fraction:
+    """delta as an exact rational (a float means its exact value), in [0, 1]."""
+    delta_frac = Fraction(delta)
+    if not (0 <= delta_frac <= 1):
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    return delta_frac
+
+
 def winf_distance(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     """Infinity-Wasserstein distance under the L1 ground metric, exact.
 
@@ -450,9 +538,7 @@ def is_w_delta_close(
     on rounding.
     """
     w = _check_radius(w)
-    delta_frac = Fraction(delta)
-    if not (0 <= delta_frac <= 1):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    delta_frac = _check_delta(delta)
     net = _ThresholdNetwork(mu, nu)
     retained = Fraction(net.augment(w), net.scale)
     if retained < 1 - delta_frac:
@@ -470,9 +556,7 @@ def min_w_for_delta(mu: DiscreteDistribution, nu: DiscreteDistribution, delta) -
 
     With delta = 0 this equals winf_distance; with delta = 1 it is 0.
     """
-    delta_frac = Fraction(delta)
-    if not (0 <= delta_frac <= 1):
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    delta_frac = _check_delta(delta)
 
     def needed(scale: int) -> int:
         return scale - math.floor(delta_frac * scale)
@@ -505,7 +589,10 @@ def discretize_samples(samples, mass_resolution: int) -> DiscreteDistribution:
         raise ValueError("need at least one sample")
     x = x + 0.0  # key -0.0 and 0.0 as one point, as DiscreteDistribution does
     count = x.shape[0]
-    resolution = int(mass_resolution)
+    try:
+        resolution = operator.index(mass_resolution)
+    except TypeError:
+        raise ValueError(f"mass resolution must be an integer, got {mass_resolution!r}") from None
     if resolution < 1 or resolution % count != 0:
         raise ValueError(
             f"mass resolution {resolution} incompatible with sample count {count}"

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package solvers: max flow is
 plain breadth-first augmentation on a dense Fraction capacity matrix,
-the bottleneck distance scans every realized threshold from below, and
+the bottleneck distance scans every realized threshold from below, a
+certificate is checked one edge at a time in Fractions, and
 the Adult parser reads one decoded line at a time with str.split and int.
 """
 
@@ -58,6 +59,32 @@ def oracle_max_mass(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float
             cap[v][u] += bottleneck
             v = u
         flow += bottleneck
+
+
+def oracle_verify(cert, mu: DiscreteDistribution, nu: DiscreteDistribution, w: float, delta) -> bool:
+    """ClosenessCertificate.verify as it once was: one Fraction sum and one
+    numpy distance per edge. Trusts its edge indices and takes w and delta
+    as given."""
+    src_used = [Fraction(0)] * mu.size
+    dst_used = [Fraction(0)] * nu.size
+    total = Fraction(0)
+    for i, j, mass in cert.coupling_edges:
+        if mass < 0:
+            return False
+        d = float(np.abs(mu.points[i] - nu.points[j]).sum())
+        if d > cert.max_retained_distance or d > w:
+            return False
+        src_used[i] += mass
+        dst_used[j] += mass
+        total += mass
+    if total != cert.retained_mass:
+        return False
+    mu_masses, nu_masses = mu.masses(), nu.masses()
+    if any(src_used[i] > mu_masses[i] for i in range(mu.size)):
+        return False
+    if any(dst_used[j] > nu_masses[j] for j in range(nu.size)):
+        return False
+    return total >= 1 - Fraction(delta)
 
 
 def oracle_winf(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:

@@ -1,9 +1,12 @@
+import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from distpriv import transport
 from distpriv.transport import (
     ClosenessCertificate,
     DiscreteDistribution,
@@ -15,7 +18,13 @@ from distpriv.transport import (
     winf_distance,
 )
 
-from oracles import oracle_max_mass, oracle_winf, random_twentieths_distribution, scipy_max_mass
+from oracles import (
+    oracle_max_mass,
+    oracle_verify,
+    oracle_winf,
+    random_twentieths_distribution,
+    scipy_max_mass,
+)
 
 
 def random_masses(rng, k, den):
@@ -28,6 +37,28 @@ def fig1_pair():
     points = [[1.0], [2.0], [3.0], [100.0]]
     mu = DiscreteDistribution(points, [6, 2, 0, 2], 10)
     nu = DiscreteDistribution(points, [4, 3, 2, 1], 10)
+    return mu, nu
+
+
+def budget_pair():
+    """Two independent 200-point 3-D clouds with masses over 10^6 (seed 71)."""
+    rng = np.random.default_rng(71)
+
+    def make(k, den):
+        pts = rng.normal(size=(k, 3)) * 10
+        cuts = np.sort(rng.choice(np.arange(1, den), size=k - 1, replace=False))
+        nums = np.diff(np.concatenate([[0], cuts, [den]]))
+        return DiscreteDistribution(pts, [int(x) for x in nums], den)
+
+    return make(200, 10**6), make(200, 10**6)
+
+
+def jittered_pair(seed, k, dim, den=10**6):
+    """A k-point cloud and a jittered copy, with independent masses."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(k, dim)) * 10
+    mu = DiscreteDistribution(pts, random_masses(rng, k, den), den)
+    nu = DiscreteDistribution(pts + rng.normal(size=(k, dim)), random_masses(rng, k, den), den)
     return mu, nu
 
 
@@ -202,6 +233,10 @@ class TestWDeltaCloseness:
             ok, cert = is_w_delta_close(mu, nu, w, delta)
             if ok:
                 assert cert.verify(mu, nu, w, delta)
+                # The array-wise check agrees with the per-edge one, on
+                # either side of the decision.
+                for w_, d_ in ((w, delta), (w / 2, delta), (w, delta / 2), (0.0, 0.0)):
+                    assert cert.verify(mu, nu, w_, d_) == oracle_verify(cert, mu, nu, w_, d_)
 
     def test_rejects_nan_radius(self):
         mu, nu = fig1_pair()
@@ -223,6 +258,105 @@ class TestWDeltaCloseness:
             max_retained_distance=cert.max_retained_distance,
         )
         assert not bad.verify(mu, nu, 1.0, 0.1)
+
+    @pytest.mark.parametrize("case", [
+        "negative mass", "longer than w", "longer than max_retained_distance",
+        "over-used source", "over-used sink",
+    ])
+    def test_each_verify_branch_rejects_its_tamper(self, case):
+        # Each tamper breaks one condition and keeps the others: the total
+        # mass, every other edge, and the distances within w = 1.
+        mu, nu = fig1_pair()
+        _, cert = is_w_delta_close(mu, nu, 1.0, 0.1)
+        assert cert.coupling_edges == (
+            (0, 0, Fraction(3, 10)), (0, 1, Fraction(3, 10)),
+            (1, 2, Fraction(1, 5)), (3, 3, Fraction(1, 10)),
+        )
+        edges, w = list(cert.coupling_edges), 1.0
+        if case == "negative mass":
+            bad = replace(cert, coupling_edges=(*edges, (1, 1, Fraction(1, 10)),
+                                                       (1, 1, Fraction(-1, 10))))
+        elif case == "longer than w":
+            bad, w = cert, 0.5
+        elif case == "longer than max_retained_distance":
+            bad = replace(cert, max_retained_distance=0.5)
+        elif case == "over-used source":
+            edges[2] = (2, 2, Fraction(1, 5))  # mu has no mass at point 2
+            bad = replace(cert, coupling_edges=tuple(edges))
+        else:
+            edges[1] = (0, 0, Fraction(3, 10))  # 6/10 into nu's 4/10 at point 0
+            bad = replace(cert, coupling_edges=tuple(edges))
+        assert cert.verify(mu, nu, 1.0, 0.1)
+        assert not bad.verify(mu, nu, w, 0.1)
+        assert not oracle_verify(bad, mu, nu, w, 0.1)
+
+    @pytest.mark.parametrize("edge", [(-1, -1), (2, 1), (1, 2), (-1, 1), (1.0, 1)])
+    def test_verify_rejects_indices_outside_the_supports(self, edge):
+        # (-1, -1) would alias the last points and verify; (2, 1) and
+        # (1, 2) would index past them.
+        two = DiscreteDistribution([[0.0], [1.0]], [1, 1], 2)
+        half = Fraction(1, 2)
+        good = ClosenessCertificate(((0, 0, half), (1, 1, half)), Fraction(1), 0.0)
+        assert good.verify(two, two, 0.0, 0)
+        bad = ClosenessCertificate(((0, 0, half), (*edge, half)), Fraction(1), 0.0)
+        assert not bad.verify(two, two, 0.0, 0)
+
+    def test_empty_certificate(self):
+        mu, nu = fig1_pair()
+        empty = ClosenessCertificate((), Fraction(0), 0.0)
+        assert empty.verify(mu, nu, 0.0, 1)
+        assert not empty.verify(mu, nu, 0.0, Fraction(99, 100))
+
+    @pytest.mark.parametrize("delta", [2, -0.1, 1.5, float("nan")])
+    def test_delta_outside_unit_interval_rejected_everywhere(self, delta):
+        mu, nu = fig1_pair()
+        _, cert = is_w_delta_close(mu, nu, 1.0, 0.1)
+        with pytest.raises(ValueError):
+            cert.verify(mu, nu, 1.0, delta)
+        with pytest.raises(ValueError):
+            is_w_delta_close(mu, nu, 1.0, delta)
+        with pytest.raises(ValueError):
+            min_w_for_delta(mu, nu, delta)
+
+    @pytest.mark.parametrize("pair, digest", [
+        (budget_pair, "8e421b4e941e3ab47e572154e9f72b8c439a4e6702bae0c12f521e3416724b1a"),
+        (lambda: jittered_pair(83, 200, 5),
+         "5f75083d62affd370811e98c5e642d7eadb6dd4b3c7d7651f402053ffeb18f51"),
+    ], ids=["budget-3d", "jittered-5d"])
+    def test_coupling_edges_are_pinned(self, pair, digest):
+        # The flow is a function of the search order, not only of the
+        # instance; these digests pin every edge of the delta-radius
+        # certificate, so a solver change that reorders paths shows here.
+        mu, nu = pair()
+        w = min_w_for_delta(mu, nu, 0.05)
+        ok, cert = is_w_delta_close(mu, nu, w, 0.05)
+        assert ok
+        text = repr([(i, j, m.numerator, m.denominator) for i, j, m in cert.coupling_edges])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_greedy_fill_matches_the_dfs(self):
+        # A phase whose first column layer reaches the sink is filled
+        # greedily; the generic DFS must leave the same flow on it, with or
+        # without a limit that stops the phase early.
+        for seed in range(6):
+            mu, nu = jittered_pair(200 + seed, 40, 2, den=1000)
+            for quantile in (0.05, 0.3, 1.0):
+                for limit in (None, 1, 137):
+                    net = transport._ThresholdNetwork(mu, nu)
+                    allowed = net.dist <= np.quantile(net.dist, quantile)
+                    ends = []
+                    for solve in ("_fill", "_blocking_flow"):
+                        dinic = net.net.copy()
+                        rows, cols = dinic._levels(allowed)
+                        assert len(cols) == 1
+                        if solve == "_fill":
+                            pushed = dinic._fill(allowed, rows[0], cols[0], limit)
+                        else:
+                            pushed = dinic._blocking_flow(allowed, rows, cols, limit)
+                        ends.append((pushed, dinic.flow.tolist(), dinic.supply.tolist(),
+                                     dinic.demand.tolist()))
+                    assert ends[0] == ends[1]
+                    assert ends[0][0] > 0
 
     def test_verify_rejects_nan_and_negative_radius(self):
         mu, nu = fig1_pair()
@@ -411,6 +545,12 @@ class TestDiscretizeSamples:
         with pytest.raises(ValueError):
             discretize_samples([[0.0], [1.0], [2.0]], 4)
 
+    def test_resolution_must_be_an_integer(self):
+        x = np.arange(1000.0)
+        with pytest.raises(ValueError, match="integer"):
+            discretize_samples(x, 1000.9)
+        assert discretize_samples(x, np.int64(1000)).mass_den == 1000
+
     def test_signed_zeros_merge(self):
         dist = discretize_samples(np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0]]), 3)
         assert dist.size == 2
@@ -425,6 +565,21 @@ class TestDiscretizeSamples:
 
 
 class TestExactness:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9, 12, 17])
+    def test_blocked_distances_equal_each_edge_alone(self, dim):
+        # The network measures its rows in blocks; every distance must carry
+        # the bits of the whole broadcast and of the edge summed on its own,
+        # which is how the per-edge oracle measures it.
+        rng = np.random.default_rng(31 + dim)
+        k = 2 * transport._DIST_BLOCK_ROWS + 7
+        mu = DiscreteDistribution(rng.normal(size=(k, dim)) * 10, random_masses(rng, k, 10**4), 10**4)
+        nu = DiscreteDistribution(rng.normal(size=(9, dim)) * 10, random_masses(rng, 9, 10**4), 10**4)
+        dist = transport._ThresholdNetwork(mu, nu).dist
+        whole = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
+        alone = [[float(np.abs(p - q).sum()) for q in nu.points] for p in mu.points]
+        assert dist.tobytes() == whole.tobytes()
+        assert dist.tolist() == alone
+
     def test_coprime_denominators_stay_exact(self):
         # lcm of the two prime denominators exceeds 10^11; capacities must
         # stay exact integers rather than overflow or round
@@ -482,15 +637,7 @@ class TestPerformanceBudget:
     def test_two_hundred_points_per_side_under_one_second(self):
         import time
 
-        rng = np.random.default_rng(71)
-
-        def make(k, den):
-            pts = rng.normal(size=(k, 3)) * 10
-            cuts = np.sort(rng.choice(np.arange(1, den), size=k - 1, replace=False))
-            nums = np.diff(np.concatenate([[0], cuts, [den]]))
-            return DiscreteDistribution(pts, [int(x) for x in nums], den)
-
-        mu, nu = make(200, 10**6), make(200, 10**6)
+        mu, nu = budget_pair()
         start = time.perf_counter()
         winf_distance(mu, nu)
         assert time.perf_counter() - start < 1.0
