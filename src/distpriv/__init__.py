@@ -46,7 +46,6 @@ from .mechanisms import (  # noqa: F401
     calibrate_expm,
     calibrate_wasserstein,
     dau_plan,
-    dau_sigma,
     eig_plan,
     group_dp_calibrate,
     no_noise_check,

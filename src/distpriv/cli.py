@@ -480,6 +480,8 @@ def _certificate_json(cert) -> dict:
 
 
 def transport_report(file_mu, file_nu, delta: float) -> dict:
+    if not 0.0 <= delta <= 1.0:
+        raise ConfigError(f"--delta must lie in [0, 1], got {delta}")
     mu = read_json(file_mu, DiscreteDistribution.from_json)
     nu = read_json(file_nu, DiscreteDistribution.from_json)
     winf = winf_distance(mu, nu)
@@ -495,10 +497,18 @@ def transport_report(file_mu, file_nu, delta: float) -> dict:
     return report
 
 
+def _pair_labels(doc) -> Tuple[str, List[Tuple[float, float]]]:
+    """The property and value pairs of a {"property", "pairs"} document,
+    each value checked as a SecretLabel (so a value outside [0, 1] raises)."""
+    pairs = [(float(lo), float(hi)) for lo, hi in doc["pairs"]]
+    for value in itertools.chain.from_iterable(pairs):
+        SecretLabel(doc["property"], value)
+    return doc["property"], pairs
+
+
 def _family_from_args(models_path, pairs_path) -> PairFamily:
     """The catalog's family for the {"property", "pairs"} file `model` writes."""
-    property_name, pairs = read_json(pairs_path, lambda doc: (
-        doc["property"], [(float(lo), float(hi)) for lo, hi in doc["pairs"]]))
+    property_name, pairs = read_json(pairs_path, _pair_labels)
     return family_from_catalog(load_catalog(models_path), pairs, property_name)
 
 

@@ -12,6 +12,10 @@ Gaussian c * S / epsilon with c = sqrt(2 ln(1.25/delta)) and
 variants subtract the query's inherent randomness from the noise that
 must be added. An empirical auditor estimates violations of the
 indistinguishability guarantee from samples.
+
+Plans are immutable. A `gaussian_cov` plan, like a `GaussianModel`,
+checks and factors its covariance once when it is built
+(`model.covariance_factor`), and every draw reads the stored factor.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .model import (
     PairFamily,
     PrivacyParams,
     cov_discrepancy,
+    covariance_factor,
     delta_E,
     eigenbasis_residual,
     eigendecompose,
@@ -55,18 +60,21 @@ MIN_AUDIT_TRIALS = 10_000
 MAX_L1_RADIUS_DIM = 12
 
 _UNIT_NORM_TOL = 1e-9
-_PSD_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoisePlan:
-    """A fully resolved noise description.
+    """A fully resolved, immutable noise description.
 
     Exactly one of the shape fields is meaningful, selected by `kind`:
     scale for laplace_iid, sigma for gaussian_iid, cov for gaussian_cov,
     and (dist, scale, direction) for scalar_along_direction. `none` adds
     no noise. Provenance records which calibration produced the plan and
     the parameters it resolved.
+
+    Construction checks every field once. A gaussian_cov plan symmetrizes
+    its covariance and keeps its `covariance_factor` as `factor`, which
+    every draw reads; cov, direction and factor are read-only arrays.
     """
 
     kind: str
@@ -76,35 +84,35 @@ class NoisePlan:
     direction: Optional[np.ndarray] = None
     dist: Optional[str] = None
     provenance: dict = field(default_factory=dict)
+    factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
         if self.kind == "laplace_iid":
-            if self.scale is None or self.scale < 0:
+            if self.scale is None or not self.scale >= 0:
                 raise ValueError("laplace_iid requires a nonnegative scale")
         elif self.kind == "gaussian_iid":
-            if self.sigma is None or self.sigma < 0:
+            if self.sigma is None or not self.sigma >= 0:
                 raise ValueError("gaussian_iid requires a nonnegative sigma")
         elif self.kind == "gaussian_cov":
             cov = np.asarray(self.cov, dtype=float)
-            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-                raise ValueError("gaussian_cov requires a square covariance")
-            eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-            if eigvals.size and eigvals[0] < -_PSD_TOL * max(float(eigvals[-1]), 0.0):
-                raise ValueError("plan covariance must be positive semi-definite")
-            self.cov = cov
+            object.__setattr__(self, "factor", covariance_factor(cov))
+            cov = 0.5 * (cov + cov.T)
+            cov.setflags(write=False)
+            object.__setattr__(self, "cov", cov)
         elif self.kind == "scalar_along_direction":
             if self.dist not in ("laplace", "gaussian"):
                 raise ValueError("directional plans need dist 'laplace' or 'gaussian'")
-            if self.scale is None or self.scale < 0:
+            if self.scale is None or not self.scale >= 0:
                 raise ValueError("directional plans require a nonnegative scale")
-            v = np.asarray(self.direction, dtype=float)
+            v = np.array(self.direction, dtype=float)
             if v.ndim != 1:
                 raise ValueError("direction must be a vector")
-            if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_NORM_TOL:
+            if not abs(float(np.linalg.norm(v)) - 1.0) <= _UNIT_NORM_TOL:
                 raise ValueError("direction must have unit norm")
-            self.direction = v
+            v.setflags(write=False)
+            object.__setattr__(self, "direction", v)
 
     @property
     def dim(self) -> Optional[int]:
@@ -127,18 +135,6 @@ class NoisePlan:
         if self.dist is not None:
             doc["dist"] = self.dist
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "NoisePlan":
-        return cls(
-            kind=doc["kind"],
-            scale=doc.get("scale"),
-            sigma=doc.get("sigma"),
-            cov=np.asarray(doc["cov"], dtype=float) if "cov" in doc else None,
-            direction=np.asarray(doc["direction"], dtype=float) if "direction" in doc else None,
-            dist=doc.get("dist"),
-            provenance=doc.get("provenance", {}),
-        )
 
 
 @dataclass(frozen=True)
@@ -169,21 +165,9 @@ class AuditReport:
 # --- Gaussian draws -------------------------------------------------------
 
 
-def _cov_transform(cov: np.ndarray) -> np.ndarray:
-    """Matrix A with A A^T = cov, via the deterministic eigendecomposition."""
-    pairs = eigendecompose(cov)
-    vals = np.array([lam for lam, _ in pairs])
-    lam_max = max(float(vals.max()), 0.0) if vals.size else 0.0
-    if vals.size and float(vals.min()) < -_PSD_TOL * max(lam_max, 1e-300):
-        raise ValueError(f"covariance is not positive semi-definite (min eig {vals.min():g})")
-    basis = np.column_stack([vec for _, vec in pairs])
-    return basis * np.sqrt(np.clip(vals, 0.0, None))
-
-
 def gaussian_model_draws(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws from a fitted Gaussian model, one per row."""
-    transform = _cov_transform(model.cov)
-    return model.mean + rng.standard_normal((n, model.dim)) @ transform.T
+    """n draws from a fitted Gaussian model, one per row, through its stored factor."""
+    return model.mean + rng.standard_normal((n, model.dim)) @ model.factor.T
 
 
 def gaussian_l1_radius(model: GaussianModel, delta: float) -> float:
@@ -258,8 +242,7 @@ def apply_batch(plan: NoisePlan, values, rng: np.random.Generator) -> np.ndarray
     if plan.kind == "gaussian_iid":
         return x + rng.normal(0.0, plan.sigma, size=(n, m))
     if plan.kind == "gaussian_cov":
-        transform = _cov_transform(plan.cov)
-        return x + rng.standard_normal((n, m)) @ transform.T
+        return x + rng.standard_normal((n, m)) @ plan.factor.T
     # scalar_along_direction
     if plan.dist == "laplace":
         y = rng.laplace(0.0, plan.scale, size=n)
@@ -278,7 +261,7 @@ def calibrate_wasserstein(delta_w: float, params: PrivacyParams) -> NoisePlan:
     protected pairs; the guarantee is (epsilon, 0) and params.delta is
     ignored.
     """
-    if delta_w < 0:
+    if not delta_w >= 0:
         raise ValueError(f"transport distance must be nonnegative, got {delta_w}")
     scale, budget = _noise_scale("laplace", params, delta_w)
     return NoisePlan(
@@ -296,7 +279,7 @@ def calibrate_approx_wasserstein(w: float, params: PrivacyParams) -> NoisePlan:
     bound closeness_from_bounds); the resulting guarantee is
     (epsilon, delta).
     """
-    if w < 0:
+    if not w >= 0:
         raise ValueError(f"closeness radius must be nonnegative, got {w}")
     scale, budget = _noise_scale("laplace", params, w)
     # The closeness certificate, not the noise, spends delta.
@@ -394,11 +377,9 @@ def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
             worst = max(worst, max(0.0, target - lam))
         sigma_sq[k] = worst
     basis = np.column_stack([vec for _, vec in basis_pairs])
-    cov = (basis * sigma_sq) @ basis.T
-    cov = 0.5 * (cov + cov.T)
     return NoisePlan(
         kind="gaussian_cov",
-        cov=cov,
+        cov=(basis * sigma_sq) @ basis.T,
         provenance={
             "mechanism": "eigenvector_gaussian",
             "delta_e2": d2,
@@ -410,32 +391,17 @@ def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     )
 
 
-def dau_sigma(model: GaussianModel, alpha: float, v, params: PrivacyParams) -> float:
-    """Directional noise variance credited with the data's own variance.
-
-    Solves det(Sigma + beta v v^T) = 0 in closed form
-    (beta = -1 / (v^T Sigma^{-1} v)) and returns
-    max(eta, (alpha c / epsilon)^2 - 1/(v^T Sigma^{-1} v) + eta) with the
-    bump eta = 1e-6 (alpha c / epsilon)^2 + 1e-12 keeping the perturbed
-    matrix strictly positive definite.
-    """
-    v = _unit_vector(v)
-    target = _noise_scale("gaussian", params, abs(alpha))[0] ** 2
-    quad = float(v @ solve_spd(model.cov, v))
-    if not np.isfinite(quad) or quad <= 0.0:
-        raise NumericError("covariance quadratic form is not positive; matrix too singular")
-    eta = 1e-6 * target + 1e-12
-    return max(eta, target - 1.0 / quad + eta)
-
-
 def dau_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     """Directional Gaussian noise with adversarial-uncertainty credit.
 
     The direction v is fit_common_direction(family), and every protected
     mean gap must be parallel to it within ANGLE_TOL radians. For each
-    protected pair, alpha is the signed projection of the mean gap on v
-    and the required variance comes from dau_sigma on the first model of
-    the pair; the plan takes the worst case over pairs.
+    protected pair, alpha is the projection of the mean gap on v and Sigma
+    the first model's covariance. Solving det(Sigma + beta v v^T) = 0 in
+    closed form (beta = -1 / (v^T Sigma^{-1} v)), the pair needs variance
+    max(eta, (alpha c / epsilon)^2 - 1/(v^T Sigma^{-1} v) + eta), where the
+    bump eta = 1e-6 (alpha c / epsilon)^2 + 1e-12 keeps the perturbed
+    matrix strictly positive definite; the plan takes the worst pair.
 
     The guarantee holds only when the pair covariances are exactly equal,
     since a covariance that differs off v leaks through the directions
@@ -448,8 +414,12 @@ def dau_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     sigma_sq = 0.0
     for a, b in family.pairs:
         gap = family.catalog[a].mean - family.catalog[b].mean
-        alpha = float(gap @ v)
-        sigma_sq = max(sigma_sq, dau_sigma(family.catalog[a], alpha, v, params))
+        target = _noise_scale("gaussian", params, abs(float(gap @ v)))[0] ** 2
+        quad = float(v @ solve_spd(family.catalog[a].cov, v))
+        if not np.isfinite(quad) or quad <= 0.0:
+            raise NumericError("covariance quadratic form is not positive; matrix too singular")
+        eta = 1e-6 * target + 1e-12
+        sigma_sq = max(sigma_sq, eta, target - 1.0 / quad + eta)
     return NoisePlan(
         kind="scalar_along_direction",
         dist="gaussian",
@@ -470,7 +440,7 @@ def group_dp_calibrate(
     """
     if k < 1:
         raise ValueError(f"group size must be at least 1, got {k}")
-    if per_record_sens < 0:
+    if not per_record_sens >= 0:
         raise ValueError("per-record sensitivity must be nonnegative")
     scale, budget = _noise_scale(noise, params, k, per_record_sens)
     return NoisePlan(
@@ -656,16 +626,6 @@ def _fitted_direction(family: PairFamily) -> np.ndarray:
     v = v / np.linalg.norm(v)
     _require_within(gap_angle(family, v), ANGLE_TOL, "mean-gap angle (rad) to the noise direction")
     return v
-
-
-def _unit_vector(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("direction must be a vector")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"direction must be a unit vector (norm {norm:g})")
-    return v / norm
 
 
 def _require_within(measured, tol: float, what: str) -> None:

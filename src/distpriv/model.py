@@ -7,6 +7,11 @@ attacker must not be able to distinguish. This module estimates the
 models, measures expected-value sensitivities, and quantifies how well
 the data satisfy the assumptions the noise mechanisms rely on
 (shared covariance, common gap direction, common eigenbasis).
+
+Every covariance, of a model or of a Gaussian noise plan, is checked and
+factored by `covariance_factor`, once, when its holder is built: the one
+positive semi-definiteness rule lives there, and draws read the stored
+factor.
 """
 
 from __future__ import annotations
@@ -66,11 +71,12 @@ class GaussianModel:
     """Multivariate Gaussian approximation of a query distribution.
 
     Holds a mean vector, a symmetric positive semi-definite covariance
-    matrix, and the number of samples used in estimation. Arrays are
-    frozen after construction; instances are safe to share across threads.
+    matrix (symmetrized on construction), its `covariance_factor`, and the
+    number of samples used in estimation. Arrays are read-only after
+    construction; instances are safe to share across threads.
     """
 
-    __slots__ = ("mean", "cov", "sample_count")
+    __slots__ = ("mean", "cov", "factor", "sample_count")
 
     def __init__(self, mean, cov, sample_count: int):
         mean = np.asarray(mean, dtype=float)
@@ -79,20 +85,17 @@ class GaussianModel:
             raise ValueError("mean must be a vector")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov must be {mean.size}x{mean.size}, got {cov.shape}")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("mean and cov must be finite")
-        _require_symmetric(cov)
-        eigvals = np.linalg.eigvalsh(cov)
-        lam_max = float(eigvals[-1]) if eigvals.size else 0.0
-        if eigvals.size and float(eigvals[0]) < -PSD_RTOL * max(lam_max, 0.0) - 1e-300:
-            raise ValueError(f"cov is not positive semi-definite (min eigenvalue {eigvals[0]:g})")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean must be finite")
         if int(sample_count) < 1:
             raise ValueError("sample_count must be positive")
+        factor = covariance_factor(cov)
         mean.setflags(write=False)
         cov = 0.5 * (cov + cov.T)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "sample_count", int(sample_count))
 
     def __setattr__(self, name, value):
@@ -197,9 +200,7 @@ def estimate_gaussian(samples) -> GaussianModel:
         raise ValueError("samples must be finite")
     mean = x.mean(axis=0)
     centered = x - mean
-    cov = centered.T @ centered / (n - 1)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianModel(mean=mean, cov=cov, sample_count=n)
+    return GaussianModel(mean=mean, cov=centered.T @ centered / (n - 1), sample_count=n)
 
 
 def delta_E(family: PairFamily, norm: int) -> float:
@@ -319,6 +320,27 @@ def eigendecompose(cov) -> List[Tuple[float, np.ndarray]]:
     for idx in order:
         out.append((float(vals[idx]), _fix_sign(vecs[:, idx].copy())))
     return out
+
+
+def covariance_factor(cov) -> np.ndarray:
+    """Matrix A with A A^T = cov, from the deterministic eigendecomposition.
+
+    The one check of a covariance: it must be finite, square and symmetric
+    (eigendecompose), and positive semi-definite, which means no eigenvalue
+    below -PSD_RTOL times the largest (or times 1e-300 when none is
+    positive). Negative eigenvalues within that bound count as zero.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("covariance must be finite")
+    pairs = eigendecompose(cov)
+    vals = np.array([lam for lam, _ in pairs])
+    if vals.size and not vals[-1] >= -PSD_RTOL * max(vals[0], 1e-300):
+        raise ValueError(f"covariance is not positive semi-definite (min eigenvalue {vals[-1]:g})")
+    basis = np.column_stack([vec for _, vec in pairs])
+    factor = basis * np.sqrt(np.clip(vals, 0.0, None))
+    factor.setflags(write=False)
+    return factor
 
 
 def ridge_repaired(cov: np.ndarray) -> np.ndarray:

@@ -599,6 +599,13 @@ class TestTransportCommand:
         mu_path, nu_path = fig1_files(tmp_path)
         assert transport_report(mu_path, nu_path, 1.0)["min_w_for_delta"] == 0.0
 
+    @pytest.mark.parametrize("delta", ["1.5", "nan", "-0.1"])
+    def test_delta_outside_unit_interval_is_a_config_error(self, tmp_path, capsys, delta):
+        mu_path, nu_path = fig1_files(tmp_path)
+        with pytest.raises(ConfigError, match="--delta"):
+            main(["transport", str(mu_path), str(nu_path), "--delta", delta])
+        assert capsys.readouterr().out == ""
+
 
 class TestReleaseAndAudit:
     def release_args(self, catalog_dir, mechanism="expm-g", seed="3"):
@@ -762,6 +769,18 @@ class TestMalformedInputs:
         assert named in str(err.value)
         if error is FormatError:
             assert f"{case}.json" in str(err.value)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["release", "audit"])
+    def test_pairs_value_outside_the_unit_interval(self, tmp_path, catalog_dir, capsys, command):
+        bad = tmp_path / "pairs-out-of-range.json"
+        bad.write_text(json.dumps({"property": "income", "pairs": [[0.45, 1.5]]}))
+        argv = [command, "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
+                "--models", str(catalog_dir / "catalog.json"), "--pairs", str(bad)]
+        if command == "release":
+            argv += ["--query", str(catalog_dir / "query.json")]
+        with pytest.raises(FormatError, match="pairs-out-of-range.json.*1.5"):
+            main(argv)
         assert capsys.readouterr().out == ""
 
 

@@ -23,7 +23,6 @@ from distpriv.mechanisms import (
     calibrate_expm,
     calibrate_wasserstein,
     dau_plan,
-    dau_sigma,
     eig_plan,
     gaussian_l1_radius,
     gaussian_model_draws,
@@ -94,13 +93,24 @@ class TestSamplers:
 
     def test_gaussian_cov_rejects_indefinite(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not positive semi-definite"):
             NoisePlan(kind="gaussian_cov", cov=indefinite)
-        # A plan altered after construction is checked again when it is applied.
+        # A plan cannot be altered after construction, so one check suffices.
         plan = NoisePlan(kind="gaussian_cov", cov=np.eye(2))
-        plan.cov = indefinite
-        with pytest.raises(ValueError):
-            apply_batch(plan, np.zeros((1, 2)), derive_rng(4))
+        with pytest.raises(AttributeError):
+            plan.cov = indefinite
+        for array in (plan.cov, plan.factor):
+            with pytest.raises(ValueError):
+                array[0, 0] = -1.0
+
+    def test_gaussian_cov_rejects_asymmetric_at_construction(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            NoisePlan(kind="gaussian_cov", cov=np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    def test_gaussian_cov_rejects_nonfinite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoisePlan(kind="gaussian_cov", cov=np.array([[bad]]))
 
 
 class TestWassersteinCalibrations:
@@ -121,6 +131,12 @@ class TestWassersteinCalibrations:
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             calibrate_wasserstein(-1.0, PrivacyParams(1.0))
+
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            calibrate_wasserstein(math.nan, PrivacyParams(1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            calibrate_approx_wasserstein(math.nan, PrivacyParams(1.0, 0.1))
 
     def test_approx_variant_uses_certified_radius(self):
         plan = calibrate_approx_wasserstein(1.0, PrivacyParams(1.0, 0.1))
@@ -447,36 +463,50 @@ class TestEigPlan:
             eig_plan(fam, PARAMS)
 
 
+def dau_variance(alpha: float, v, cov) -> tuple:
+    """dau_plan's variance and direction on the two-label family whose mean
+    gap is alpha * v and whose models share the covariance cov."""
+    lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+    fam = PairFamily(
+        {lab_a: GaussianModel(alpha * np.asarray(v), cov, 10),
+         lab_b: GaussianModel(np.zeros(len(v)), cov, 10)},
+        [(lab_a, lab_b), (lab_b, lab_a)],
+    )
+    plan = dau_plan(fam, PARAMS)
+    return plan.provenance["sigma_sq"], plan.direction
+
+
 class TestDauSigma:
+    """dau_plan's variance on one pair, against its closed form."""
+
     def test_vanishing_covariance_limit(self):
         v = np.array([1.0, 0.0])
         alpha = 2.0
         target = (alpha * PARAMS.gaussian_c() / PARAMS.epsilon) ** 2
         for t in (1e-3, 1e-6, 1e-9):
-            model = GaussianModel([0.0, 0.0], t * np.eye(2), 10)
-            sig = dau_sigma(model, alpha, v, PARAMS)
+            sig, _ = dau_variance(alpha, v, t * np.eye(2))
             assert sig == pytest.approx(target, rel=1e-2)
 
     def test_large_variance_gives_bump_only(self):
         v = np.array([1.0, 0.0])
         alpha = 1.0
         target = (alpha * PARAMS.gaussian_c() / PARAMS.epsilon) ** 2
-        model = GaussianModel([0.0, 0.0], 1e6 * np.eye(2), 10)
         eta = 1e-6 * target + 1e-12
-        assert dau_sigma(model, alpha, v, PARAMS) == pytest.approx(eta)
+        assert dau_variance(alpha, v, 1e6 * np.eye(2))[0] == pytest.approx(eta)
 
     def test_random_instances_positive_definite_and_tight(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             a = rng.normal(size=(3, 3))
             cov = a @ a.T + 0.1 * np.eye(3)
-            model = GaussianModel(np.zeros(3), cov, 10)
             v = rng.normal(size=3)
             v = v / np.linalg.norm(v)
             alpha = float(rng.uniform(0.1, 3.0))
+            sig, fitted = dau_variance(alpha, v, cov)
+            # The plan noises its fitted direction, with the gap's projection on it.
+            v, alpha = fitted, abs(float((alpha * v) @ fitted))
             target = (alpha * PARAMS.gaussian_c() / PARAMS.epsilon) ** 2
             eta = 1e-6 * target + 1e-12
-            sig = dau_sigma(model, alpha, v, PARAMS)
             perturbed = cov + (sig - target) * np.outer(v, v)
             assert float(np.linalg.eigvalsh(perturbed).min()) > 0.0
             # stepping the bump back twice must fail the algorithm's check
@@ -486,9 +516,8 @@ class TestDauSigma:
                 assert float(np.linalg.eigvalsh(worse).min()) <= 0.0
 
     def test_singular_covariance_raises(self):
-        model = GaussianModel(np.zeros(2), np.zeros((2, 2)), 10)
         with pytest.raises(NumericError):
-            dau_sigma(model, 1.0, np.array([1.0, 0.0]), PARAMS)
+            dau_variance(1.0, np.array([1.0, 0.0]), np.zeros((2, 2)))
 
 
 class TestDauPlan:
@@ -660,6 +689,11 @@ class TestGroupDpBaseline:
         with pytest.raises(ValueError):
             group_dp_calibrate(1.0, 0, PARAMS, "laplace")
 
+    @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
+    def test_rejects_nan_sensitivity(self, noise):
+        with pytest.raises(ValueError, match="nonnegative"):
+            group_dp_calibrate(math.nan, 10, PARAMS, noise)
+
 
 class TestPerRecordSensitivity:
     def test_adult_query_l1(self):
@@ -785,11 +819,60 @@ class TestNoisePlanValidation:
                 direction=np.array([1.0, 1.0]),
             )
 
-    def test_json_round_trip(self):
-        plan = eig_plan(worked_example_family(), PARAMS)
-        back = NoisePlan.from_json(plan.to_json())
-        assert back.kind == plan.kind
-        assert np.allclose(back.cov, plan.cov)
+    @pytest.mark.parametrize("kind,field", [
+        ("laplace_iid", "scale"), ("gaussian_iid", "sigma"), ("scalar_along_direction", "scale"),
+    ])
+    def test_rejects_nan_scale(self, kind, field):
+        extra = {"dist": "laplace", "direction": [1.0, 0.0]} if "direction" in kind else {}
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoisePlan(kind=kind, **{field: math.nan}, **extra)
+
+    def test_rejects_nan_direction(self):
+        with pytest.raises(ValueError, match="unit norm"):
+            NoisePlan(kind="scalar_along_direction", dist="laplace", scale=1.0,
+                      direction=np.array([np.nan, 0.0]))
+
+    def test_plans_are_immutable(self):
+        fam = worked_example_family()
+        for plan in (eig_plan(fam, PARAMS), dau_plan(fam, PARAMS),
+                     calibrate_expm(fam, PARAMS, "laplace")):
+            with pytest.raises(AttributeError):
+                plan.kind = "none"
+            with pytest.raises(AttributeError):
+                plan.scale = 0.0
+        plan = eig_plan(fam, PARAMS)
+        for array in (plan.cov, plan.factor):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            dau_plan(fam, PARAMS).direction[0] = 0.0
+
+    def test_direction_is_copied_not_frozen_in_place(self):
+        v = np.array([1.0, 0.0])
+        plan = NoisePlan(kind="scalar_along_direction", dist="laplace", scale=1.0, direction=v)
+        v[0] = 0.5
+        assert plan.direction.tolist() == [1.0, 0.0]
+
+    def test_draws_read_the_factor_stored_at_construction(self, monkeypatch):
+        import distpriv.mechanisms
+        import distpriv.model
+
+        fam = worked_example_family()
+        plan = eig_plan(fam, PARAMS)
+        model = fam.catalog[fam.sorted_labels()[0]]
+
+        def draws():
+            return (apply_batch(plan, np.zeros((7, fam.dim)), derive_rng(5, "factor")).tobytes(),
+                    gaussian_model_draws(model, 7, derive_rng(6, "factor")).tobytes())
+
+        before = draws()
+
+        def refuse(cov):
+            raise AssertionError("a covariance was decomposed after construction")
+
+        for module in (distpriv.model, distpriv.mechanisms):
+            monkeypatch.setattr(module, "eigendecompose", refuse)
+        assert draws() == before
 
 
 class TestAudit:

@@ -11,6 +11,7 @@ from distpriv.model import (
     SecretLabel,
     check_assumptions,
     cov_discrepancy,
+    covariance_factor,
     delta_E,
     eigenbasis_residual,
     eigendecompose,
@@ -70,6 +71,25 @@ class TestGaussianModel:
             model.sample_count = 7
         with pytest.raises(ValueError):
             model.mean[0] = 3.0
+
+    def test_cov_and_factor_are_read_only(self):
+        model = GaussianModel([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]], 5)
+        for name in ("cov", "factor"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, np.eye(2))
+            with pytest.raises(ValueError):
+                getattr(model, name)[0, 0] = 3.0
+
+    def test_factor_reproduces_the_covariance(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4))
+        model = GaussianModel(np.zeros(4), a @ a.T, 5)
+        assert np.allclose(model.factor @ model.factor.T, model.cov, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(model.factor, covariance_factor(model.cov))
+
+    def test_rejects_nonfinite_covariance(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianModel([0.0, 0.0], [[1.0, 0.0], [0.0, np.inf]], 10)
 
 
 class TestEstimateGaussian:
