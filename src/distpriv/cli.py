@@ -42,6 +42,7 @@ from . import __version__
 from .attack import ShadowConfig, draw_attack_queries, run_attack_trial
 from .dataio import (
     QUERY_COMPONENTS,
+    PropertySpec,
     SplitTables,
     SubsetSampler,
     Table,
@@ -119,31 +120,24 @@ class ExperimentConfig:
     attack: Dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.property_name not in ("income", "workclass"):
-            raise ConfigError(f"property must be 'income' or 'workclass', got {self.property_name!r}")
         if self.dataset_format not in ("adult", "simple"):
             raise ConfigError(f"dataset_format must be 'adult' or 'simple', got {self.dataset_format!r}")
         for name in ("delta_p", "epsilon", "delta", "mechanisms"):
             if not getattr(self, name):
                 raise ConfigError(f"config list {name} must be nonempty")
-        for mech in self.mechanisms:
-            if mech not in MECHANISMS:
-                raise ConfigError(f"unknown mechanism {mech!r}; choose from {tuple(MECHANISMS)}")
-        if not (0.0 < self.p_center < 1.0):
-            raise ConfigError("p_center must lie strictly inside (0, 1)")
         for dp in self.delta_p:
-            if not (0.0 < dp <= 1.0):
-                raise ConfigError(f"delta_p entries must lie in (0, 1], got {dp}")
-        for eps in self.epsilon:
-            if not eps > 0.0:
-                raise ConfigError(f"epsilon entries must be positive, got {eps}")
-        for delta in self.delta:
-            if not (0.0 <= delta < 1.0):
-                raise ConfigError(f"delta entries must lie in [0, 1), got {delta}")
-        spenders = [mech for mech in self.mechanisms if MECHANISMS[mech][1]]  # spends delta
-        if spenders and min(self.delta) == 0.0:
-            raise ConfigError(f"mechanisms {spenders} spend delta, so delta entries must be "
-                              "positive, got 0")
+            if not dp > 0.0:
+                raise ConfigError(f"delta_p entries must be positive, got {dp}")
+        # Each budget and property value is checked by the type that holds it.
+        try:
+            for eps, delta in itertools.product(self.epsilon, self.delta):
+                PrivacyParams(eps, delta)
+            for p in self.required_p_values():
+                PropertySpec(self.property_name, p)
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from exc
+        for mech, delta in itertools.product(self.mechanisms, self.delta):
+            _mechanism_entry(mech, delta)
         for name in ("seed", "n", "modeling_samples", "repetitions", "group_size", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -276,6 +270,17 @@ MECHANISMS = {
 }
 
 
+def _mechanism_entry(name: str, delta: float):
+    """The MECHANISMS entry of a known mechanism that may run at delta: one
+    that spends delta requires delta > 0. Raises ConfigError otherwise."""
+    if name not in MECHANISMS:
+        raise ConfigError(f"unknown mechanism {name!r}; choose from {tuple(MECHANISMS)}")
+    entry = MECHANISMS[name]
+    if entry[1] and not delta > 0.0:
+        raise ConfigError(f"mechanism {name!r} spends delta and requires delta > 0, got {delta}")
+    return entry
+
+
 def build_plan(
     mechanism: str,
     family: Optional[PairFamily],
@@ -283,13 +288,9 @@ def build_plan(
     cfg: ExperimentConfig,
 ) -> NoisePlan:
     """Resolve a mechanism name from the sweep grid into a noise plan."""
-    if mechanism not in MECHANISMS:
-        raise ConfigError(f"unknown mechanism {mechanism!r}")
-    needs_family, spends_delta, build = MECHANISMS[mechanism]
+    needs_family, _, build = _mechanism_entry(mechanism, params.delta)
     if needs_family and family is None:
         raise ConfigError(f"mechanism {mechanism!r} requires a model catalog")
-    if spends_delta and params.delta <= 0.0:
-        raise ConfigError(f"mechanism {mechanism!r} spends delta and requires delta > 0")
     return build(family, params, cfg)
 
 
@@ -484,6 +485,8 @@ def transport_report(file_mu, file_nu, delta: float) -> dict:
         raise ConfigError(f"--delta must lie in [0, 1], got {delta}")
     mu = read_json(file_mu, DiscreteDistribution.from_json)
     nu = read_json(file_nu, DiscreteDistribution.from_json)
+    if mu.dim != nu.dim:
+        raise FormatError(f"{file_mu} holds {mu.dim}-D points but {file_nu} holds {nu.dim}-D points")
     winf = winf_distance(mu, nu)
     w = min_w_for_delta(mu, nu, delta)
     ok, cert = is_w_delta_close(mu, nu, w, delta)
@@ -519,6 +522,10 @@ def release_report(args: argparse.Namespace) -> dict:
     family = _family_from_args(args.models, args.pairs) if needs_family else None
     plan = build_plan(args.mechanism, family, params, cfg)
     query = load_query_json(args.query)
+    dim = family.dim if needs_family else len(QUERY_COMPONENTS)
+    if query.size != dim:
+        expected = "the catalog's dimension" if needs_family else "one per query component"
+        raise FormatError(f"{args.query}: query has {query.size} values, expected {dim} ({expected})")
     noised = apply(plan, query, derive_rng(args.seed, "release", args.mechanism))
     return {"noised_value": [float(x) for x in noised], "plan": plan.to_json()}
 

@@ -13,9 +13,12 @@ variants subtract the query's inherent randomness from the noise that
 must be added. An empirical auditor estimates violations of the
 indistinguishability guarantee from samples.
 
-Plans are immutable. A `gaussian_cov` plan, like a `GaussianModel`,
-checks and factors its covariance once when it is built
-(`model.covariance_factor`), and every draw reads the stored factor.
+Plans are immutable, and a plan owns the range of its noise scale: a
+scale or sigma must be finite and nonnegative, so a calibration whose
+sensitivity is negative, NaN or infinite, or whose scale overflows, is
+refused when its plan is built; no calibration checks its sensitivity. A `gaussian_cov` plan, like a `GaussianModel`, checks
+and factors its covariance once when it is built
+(`model.covariance_spectrum`), and every draw reads the stored factor.
 """
 
 from __future__ import annotations
@@ -33,10 +36,9 @@ from .model import (
     PairFamily,
     PrivacyParams,
     cov_discrepancy,
-    covariance_factor,
+    covariance_spectrum,
     delta_E,
     eigenbasis_residual,
-    eigendecompose,
     fit_common_direction,
     gap_angle,
     solve_spd,
@@ -72,9 +74,13 @@ class NoisePlan:
     no noise. Provenance records which calibration produced the plan and
     the parameters it resolved.
 
-    Construction checks every field once. A gaussian_cov plan symmetrizes
-    its covariance and keeps its `covariance_factor` as `factor`, which
-    every draw reads; cov, direction and factor are read-only arrays.
+    Construction checks every field once. The scale of laplace_iid and
+    scalar_along_direction, and the sigma of gaussian_iid, must be finite
+    and nonnegative (NaN fails); this is the only check of a noise scale's
+    range. A gaussian_cov
+    plan symmetrizes its covariance and keeps the factor of its
+    `covariance_spectrum` as `factor`, which every draw reads; cov,
+    direction and factor are read-only arrays.
     """
 
     kind: str
@@ -89,23 +95,20 @@ class NoisePlan:
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
-        if self.kind == "laplace_iid":
-            if self.scale is None or not self.scale >= 0:
-                raise ValueError("laplace_iid requires a nonnegative scale")
-        elif self.kind == "gaussian_iid":
-            if self.sigma is None or not self.sigma >= 0:
-                raise ValueError("gaussian_iid requires a nonnegative sigma")
-        elif self.kind == "gaussian_cov":
+        if self.kind in ("laplace_iid", "gaussian_iid", "scalar_along_direction"):
+            name = "sigma" if self.kind == "gaussian_iid" else "scale"
+            value = getattr(self, name)
+            if value is None or not 0.0 <= value < math.inf:
+                raise ValueError(f"{self.kind} requires a finite nonnegative {name}, got {value}")
+        if self.kind == "gaussian_cov":
             cov = np.asarray(self.cov, dtype=float)
-            object.__setattr__(self, "factor", covariance_factor(cov))
+            object.__setattr__(self, "factor", covariance_spectrum(cov)[2])
             cov = 0.5 * (cov + cov.T)
             cov.setflags(write=False)
             object.__setattr__(self, "cov", cov)
         elif self.kind == "scalar_along_direction":
             if self.dist not in ("laplace", "gaussian"):
                 raise ValueError("directional plans need dist 'laplace' or 'gaussian'")
-            if self.scale is None or not self.scale >= 0:
-                raise ValueError("directional plans require a nonnegative scale")
             v = np.array(self.direction, dtype=float)
             if v.ndim != 1:
                 raise ValueError("direction must be a vector")
@@ -261,8 +264,6 @@ def calibrate_wasserstein(delta_w: float, params: PrivacyParams) -> NoisePlan:
     protected pairs; the guarantee is (epsilon, 0) and params.delta is
     ignored.
     """
-    if not delta_w >= 0:
-        raise ValueError(f"transport distance must be nonnegative, got {delta_w}")
     scale, budget = _noise_scale("laplace", params, delta_w)
     return NoisePlan(
         kind="laplace_iid",
@@ -279,8 +280,6 @@ def calibrate_approx_wasserstein(w: float, params: PrivacyParams) -> NoisePlan:
     bound closeness_from_bounds); the resulting guarantee is
     (epsilon, delta).
     """
-    if not w >= 0:
-        raise ValueError(f"closeness radius must be nonnegative, got {w}")
     scale, budget = _noise_scale("laplace", params, w)
     # The closeness certificate, not the noise, spends delta.
     return NoisePlan(
@@ -343,8 +342,7 @@ def no_noise_check(family: PairFamily, params: PrivacyParams) -> bool:
     _, budget = _noise_scale("gaussian", params)
     bound = (params.epsilon / budget["c"]) ** 2
     _require_within(cov_discrepancy(family), COV_TOL, "relative covariance discrepancy")
-    for a, b in family.pairs:
-        gap = family.catalog[a].mean - family.catalog[b].mean
+    for (a, _), gap in zip(family.pairs, family.gaps):
         if float(gap @ solve_spd(family.catalog[a].cov, gap)) > bound:
             return False
     return True
@@ -353,12 +351,12 @@ def no_noise_check(family: PairFamily, params: PrivacyParams) -> bool:
 def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     """Eigenvector-shaped Gaussian noise crediting adversarial uncertainty.
 
-    In the eigenbasis v_1..v_m of the reference model (the smallest label
-    in sorted order, eigendecompose of its covariance), the variance added
-    along v_k is sigma_k^2 = max over models of max(0, (c * delta_E2 /
-    epsilon)^2 - v_k^T Sigma v_k), so each total variance reaches the
-    isotropic requirement but no direction is over-noised. Every
-    covariance must be diagonal in that basis within BASIS_TOL
+    In the stored eigenbasis v_1..v_m of the reference model (the smallest
+    label in sorted order), the variance added along v_k is sigma_k^2 =
+    max over models of max(0, (c * delta_E2 / epsilon)^2 - v_k^T Sigma
+    v_k), so each total variance reaches the isotropic requirement but no
+    direction is over-noised. Every covariance must be diagonal in that
+    basis within BASIS_TOL
     (eigenbasis_residual); the residual is recorded in the provenance.
     """
     residual = eigenbasis_residual(family)
@@ -367,16 +365,12 @@ def eig_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     scale, budget = _noise_scale("gaussian", params, d2)
     target = scale**2
     labels = family.sorted_labels()
-    basis_pairs = eigendecompose(family.catalog[labels[0]].cov)
-    m = family.dim
-    sigma_sq = np.zeros(m)
-    for k, (_, vec) in enumerate(basis_pairs):
-        worst = 0.0
-        for label in labels:
-            lam = float(vec @ family.catalog[label].cov @ vec)
-            worst = max(worst, max(0.0, target - lam))
-        sigma_sq[k] = worst
-    basis = np.column_stack([vec for _, vec in basis_pairs])
+    basis = family.catalog[labels[0]].eigenvectors
+    # One contiguous row per eigenvector: a strided column rounds differently.
+    sigma_sq = np.array([
+        max(0.0, *(target - float(vec @ family.catalog[label].cov @ vec) for label in labels))
+        for vec in np.ascontiguousarray(basis.T)
+    ])
     return NoisePlan(
         kind="gaussian_cov",
         cov=(basis * sigma_sq) @ basis.T,
@@ -412,8 +406,7 @@ def dau_plan(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     _require_within(cov_discrepancy(family), COV_TOL, "relative covariance discrepancy")
     _, budget = _noise_scale("gaussian", params)
     sigma_sq = 0.0
-    for a, b in family.pairs:
-        gap = family.catalog[a].mean - family.catalog[b].mean
+    for (a, _), gap in zip(family.pairs, family.gaps):
         target = _noise_scale("gaussian", params, abs(float(gap @ v)))[0] ** 2
         quad = float(v @ solve_spd(family.catalog[a].cov, v))
         if not np.isfinite(quad) or quad <= 0.0:
@@ -440,8 +433,6 @@ def group_dp_calibrate(
     """
     if k < 1:
         raise ValueError(f"group size must be at least 1, got {k}")
-    if not per_record_sens >= 0:
-        raise ValueError("per-record sensitivity must be nonnegative")
     scale, budget = _noise_scale(noise, params, k, per_record_sens)
     return NoisePlan(
         kind=f"{noise}_iid",

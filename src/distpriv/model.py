@@ -8,10 +8,12 @@ models, measures expected-value sensitivities, and quantifies how well
 the data satisfy the assumptions the noise mechanisms rely on
 (shared covariance, common gap direction, common eigenbasis).
 
-Every covariance, of a model or of a Gaussian noise plan, is checked and
-factored by `covariance_factor`, once, when its holder is built: the one
-positive semi-definiteness rule lives there, and draws read the stored
-factor.
+Every covariance, of a model or of a Gaussian noise plan, is checked,
+decomposed and factored by `covariance_spectrum`, once, when its holder
+is built: the one positive semi-definiteness rule lives there. A model
+keeps its spectrum and its factor, and a family keeps its mean gaps, so
+draws, calibrations and assumption measurements read stored facts
+instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -71,12 +73,15 @@ class GaussianModel:
     """Multivariate Gaussian approximation of a query distribution.
 
     Holds a mean vector, a symmetric positive semi-definite covariance
-    matrix (symmetrized on construction), its `covariance_factor`, and the
-    number of samples used in estimation. Arrays are read-only after
-    construction; instances are safe to share across threads.
+    matrix (symmetrized on construction), the number of samples used in
+    estimation, and the covariance's `covariance_spectrum` from its one
+    decomposition: `eigenvalues` (descending), `eigenvectors` (column k
+    belongs to eigenvalue k) and `factor` (A with A A^T = cov), which
+    draws read. Arrays are read-only after construction; instances are
+    safe to share across threads.
     """
 
-    __slots__ = ("mean", "cov", "factor", "sample_count")
+    __slots__ = ("mean", "cov", "eigenvalues", "eigenvectors", "factor", "sample_count")
 
     def __init__(self, mean, cov, sample_count: int):
         mean = np.asarray(mean, dtype=float)
@@ -89,12 +94,14 @@ class GaussianModel:
             raise ValueError("mean must be finite")
         if int(sample_count) < 1:
             raise ValueError("sample_count must be positive")
-        factor = covariance_factor(cov)
+        eigenvalues, eigenvectors, factor = covariance_spectrum(cov)
         mean.setflags(write=False)
         cov = 0.5 * (cov + cov.T)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "sample_count", int(sample_count))
 
@@ -127,10 +134,14 @@ class PairFamily:
 
     Pairs must be symmetric: whenever (i, j) is protected, (j, i) must be
     listed as well, so the indistinguishability guarantee runs both ways.
+    Every label of a pair must have a model in the catalog. `gaps` holds
+    the mean gaps, computed once: row k is mu_a - mu_b for the k-th pair
+    (a, b), and the array is read-only.
     """
 
     catalog: Mapping[SecretLabel, GaussianModel]
     pairs: Tuple[Pair, ...]
+    gaps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, catalog, pairs):
         catalog = dict(catalog)
@@ -138,19 +149,20 @@ class PairFamily:
         if not pairs:
             raise ConfigError("pair family requires at least one protected pair")
         pair_set = set(pairs)
-        dims = set()
         for a, b in pairs:
             for lab in (a, b):
                 if lab not in catalog:
                     raise ConfigError(f"pair label {lab} missing from catalog")
             if (b, a) not in pair_set:
                 raise ConfigError(f"pair {(a, b)} lacks its reverse; protection must be symmetric")
-        for model in catalog.values():
-            dims.add(model.dim)
+        dims = {model.dim for model in catalog.values()}
         if len(dims) != 1:
             raise ConfigError(f"catalog models disagree on dimension: {sorted(dims)}")
+        gaps = np.array([catalog[a].mean - catalog[b].mean for a, b in pairs])
+        gaps.setflags(write=False)
         object.__setattr__(self, "catalog", catalog)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "gaps", gaps)
 
     @property
     def dim(self) -> int:
@@ -158,11 +170,6 @@ class PairFamily:
 
     def sorted_labels(self) -> List[SecretLabel]:
         return sorted(self.catalog)
-
-    def gap_vectors(self) -> np.ndarray:
-        """Mean-difference vectors, one column per protected pair."""
-        cols = [self.catalog[a].mean - self.catalog[b].mean for a, b in self.pairs]
-        return np.column_stack(cols)
 
 
 @dataclass(frozen=True)
@@ -207,11 +214,10 @@ def delta_E(family: PairFamily, norm: int) -> float:
     """Worst-case distance between expected values over protected pairs."""
     if norm not in (1, 2):
         raise ValueError(f"norm must be 1 or 2, got {norm}")
-    gaps = family.gap_vectors()
-    if norm == 1:
-        per_pair = np.abs(gaps).sum(axis=0)
-    else:
-        per_pair = np.sqrt((gaps**2).sum(axis=0))
+    # One column per pair, so each sum runs in coordinate order: numpy sums
+    # a contiguous row pairwise, which can move a last bit from 9 entries on.
+    cols = np.ascontiguousarray(family.gaps.T)
+    per_pair = np.abs(cols).sum(axis=0) if norm == 1 else np.sqrt((cols**2).sum(axis=0))
     return float(per_pair.max())
 
 
@@ -223,12 +229,11 @@ def fit_common_direction(family: PairFamily) -> np.ndarray:
     vector with the usual sign convention (first nonzero entry positive);
     falls back to the first axis when every gap is zero.
     """
-    gaps = family.gap_vectors()
-    if not np.any(gaps):
+    if not np.any(family.gaps):
         v = np.zeros(family.dim)
         v[0] = 1.0
         return v
-    u, _, _ = np.linalg.svd(gaps, full_matrices=False)
+    u, _, _ = np.linalg.svd(family.gaps.T, full_matrices=False)
     v = u[:, 0]
     return _fix_sign(v / np.linalg.norm(v))
 
@@ -254,8 +259,7 @@ def gap_angle(family: PairFamily, v: np.ndarray) -> Tuple[float, Optional[Pair]]
     gap is parallel to v).
     """
     worst, where = 0.0, None
-    for a, b in family.pairs:
-        gap = family.catalog[a].mean - family.catalog[b].mean
+    for (a, b), gap in zip(family.pairs, family.gaps):
         norm = float(np.linalg.norm(gap))
         if norm == 0.0:
             continue  # zero-difference pairs are parallel to anything
@@ -268,15 +272,15 @@ def gap_angle(family: PairFamily, v: np.ndarray) -> Tuple[float, Optional[Pair]]
 
 def eigenbasis_residual(family: PairFamily) -> Tuple[float, Optional[Pair]]:
     """Largest off-diagonal magnitude of any covariance expressed in the
-    reference model's eigenbasis (the smallest label in sorted order),
-    relative to the reference's largest eigenvalue magnitude, and the
-    (reference label, worst label) pair attaining it (None when every
+    reference model's stored eigenbasis (the smallest label in sorted
+    order), relative to the reference's largest eigenvalue magnitude, and
+    the (reference label, worst label) pair attaining it (None when every
     covariance is diagonal in that basis).
     """
     labels = family.sorted_labels()
-    eig = eigendecompose(family.catalog[labels[0]].cov)
-    basis = np.column_stack([vec for _, vec in eig])
-    lam_scale = max(abs(val) for val, _ in eig)
+    reference = family.catalog[labels[0]]
+    basis = reference.eigenvectors
+    lam_scale = float(np.abs(reference.eigenvalues).max())
     worst, where = 0.0, None
     off_mask = ~np.eye(family.dim, dtype=bool)
     for lab in labels:
@@ -304,11 +308,12 @@ def check_assumptions(family: PairFamily) -> AssumptionReport:
     )
 
 
-def eigendecompose(cov) -> List[Tuple[float, np.ndarray]]:
+def eigendecompose(cov) -> Tuple[np.ndarray, np.ndarray]:
     """Symmetric eigendecomposition with a deterministic output convention.
 
-    Eigenvalues are sorted descending; each eigenvector is normalized and
-    sign-fixed so its first nonzero component is positive.
+    Returns (values, vectors): the eigenvalues sorted descending, and a
+    C-contiguous matrix whose column k is the normalized eigenvector of
+    values[k], sign-fixed so its first nonzero entry is positive.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -316,31 +321,29 @@ def eigendecompose(cov) -> List[Tuple[float, np.ndarray]]:
     _require_symmetric(cov)
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
     order = np.argsort(vals)[::-1]
-    out = []
-    for idx in order:
-        out.append((float(vals[idx]), _fix_sign(vecs[:, idx].copy())))
-    return out
+    return vals[order], _fix_sign(np.ascontiguousarray(vecs[:, order]))
 
 
-def covariance_factor(cov) -> np.ndarray:
-    """Matrix A with A A^T = cov, from the deterministic eigendecomposition.
+def covariance_spectrum(cov) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (eigenvalues, eigenvectors) from eigendecompose of a
+    covariance, and the factor A = eigenvectors * sqrt(eigenvalues), A A^T = cov.
 
     The one check of a covariance: it must be finite, square and symmetric
     (eigendecompose), and positive semi-definite, which means no eigenvalue
     below -PSD_RTOL times the largest (or times 1e-300 when none is
-    positive). Negative eigenvalues within that bound count as zero.
+    positive). Negative eigenvalues within that bound count as zero in
+    the factor.
     """
     cov = np.asarray(cov, dtype=float)
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance must be finite")
-    pairs = eigendecompose(cov)
-    vals = np.array([lam for lam, _ in pairs])
+    vals, vecs = eigendecompose(cov)
     if vals.size and not vals[-1] >= -PSD_RTOL * max(vals[0], 1e-300):
         raise ValueError(f"covariance is not positive semi-definite (min eigenvalue {vals[-1]:g})")
-    basis = np.column_stack([vec for _, vec in pairs])
-    factor = basis * np.sqrt(np.clip(vals, 0.0, None))
-    factor.setflags(write=False)
-    return factor
+    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    for array in (vals, vecs, factor):
+        array.setflags(write=False)
+    return vals, vecs, factor
 
 
 def ridge_repaired(cov: np.ndarray) -> np.ndarray:
@@ -407,22 +410,15 @@ def family_from_catalog(
 ) -> PairFamily:
     """Build the family of property_id's labels at (value_i, value_j) pairs.
 
-    Pairs are closed under reversal automatically.
+    Pairs are closed under reversal automatically; a label the catalog
+    lacks raises ConfigError from PairFamily.
     """
-    pairs = []
-    seen = set()
+    pairs = {}  # insertion-ordered and without repeats
     for vi, vj in value_pairs:
-        a = SecretLabel(property_id, float(vi))
-        b = SecretLabel(property_id, float(vj))
-        for pair in ((a, b), (b, a)):
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
+        a, b = SecretLabel(property_id, float(vi)), SecretLabel(property_id, float(vj))
+        pairs.update(dict.fromkeys([(a, b), (b, a)]))
     used = {lab for pair in pairs for lab in pair}
-    missing = [lab for lab in used if lab not in catalog]
-    if missing:
-        raise ConfigError(f"catalog lacks models for {missing}")
-    return PairFamily(catalog={lab: catalog[lab] for lab in used}, pairs=pairs)
+    return PairFamily(catalog={lab: catalog[lab] for lab in used if lab in catalog}, pairs=pairs)
 
 
 def _require_symmetric(mat: np.ndarray) -> None:
@@ -432,10 +428,8 @@ def _require_symmetric(mat: np.ndarray) -> None:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if x != 0.0:
-            if x < 0.0:
-                return -v
-            return v
-    return v
+def _fix_sign(vectors: np.ndarray) -> np.ndarray:
+    """A vector, or each column of a matrix, negated if its first nonzero entry is negative."""
+    cols = vectors.reshape(vectors.shape[0], -1)
+    lead = cols[np.argmax(cols != 0.0, axis=0), np.arange(cols.shape[1])]
+    return np.where(lead < 0.0, -vectors, vectors)

@@ -571,7 +571,7 @@ def closeness_from_bounds(delta_e1: float, c: float) -> float:
     radius c of its mean, every protected pair is (delta_e1 + 2c, delta)-
     close, where delta_e1 is the worst-case L1 distance between means.
     """
-    if delta_e1 < 0 or c < 0:
+    if not delta_e1 >= 0 or not c >= 0:
         raise ValueError("both bound terms must be nonnegative")
     return float(delta_e1) + 2.0 * float(c)
 

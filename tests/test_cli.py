@@ -158,6 +158,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="attack config"):
             main(["model", "--config", str(cfg_path)])
 
+    @pytest.mark.parametrize("overrides", [
+        {"p_center": 0.8, "delta_p": [0.1, 0.6]},  # the second pair needs the value 1.1
+        {"delta_p": [1.5]},
+        {"p_center": 1.0},
+        {"p_center": float("nan")},
+        {"property": "age"},
+    ])
+    def test_property_values_outside_the_unit_interval_rejected_before_reading_the_table(
+        self, synth_csv, tmp_path, monkeypatch, overrides
+    ):
+        def no_table(cfg):
+            raise AssertionError("a rejected config read the table")
+
+        monkeypatch.setattr(cli, "load_splits", no_table)
+        monkeypatch.setattr(cli, "load_dataset", no_table)
+        doc = base_config(synth_csv, tmp_path / "out").__dict__.copy()
+        doc["property"] = doc.pop("property_name")
+        doc.update(overrides)
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            main(["model", "--config", str(cfg_path)])
+
     @pytest.mark.parametrize("field,value", [
         ("seed", 1.5), ("seed", True), ("seed", -1), ("seed", 2**64), ("n", 2.5),
         ("modeling_samples", 200.0), ("repetitions", True), ("group_size", 1.5), ("workers", True),
@@ -599,6 +624,21 @@ class TestTransportCommand:
         mu_path, nu_path = fig1_files(tmp_path)
         assert transport_report(mu_path, nu_path, 1.0)["min_w_for_delta"] == 0.0
 
+    def test_dimension_mismatch_names_both_files_before_any_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_solve(*args):
+            raise AssertionError("a mismatched pair reached the solver")
+
+        monkeypatch.setattr(cli, "winf_distance", no_solve)
+        mu_path, _ = fig1_files(tmp_path)
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({"points": [[0.0, 0.0]], "mass_num": [1], "mass_den": 1}))
+        with pytest.raises(FormatError) as err:
+            main(["transport", str(mu_path), str(flat)])
+        assert "mu.json" in str(err.value) and "flat.json" in str(err.value)
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("delta", ["1.5", "nan", "-0.1"])
     def test_delta_outside_unit_interval_is_a_config_error(self, tmp_path, capsys, delta):
         mu_path, nu_path = fig1_files(tmp_path)
@@ -641,6 +681,18 @@ class TestReleaseAndAudit:
         query.write_text("[NaN, 1.0, 2.0, 3.0, 4.0]")
         args[args.index("--query") + 1] = str(query)
         with pytest.raises(FormatError):
+            main(args)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("mechanism", ["wass", "expm-g", "gdp-l", "gdp-g", "none", "eig",
+                                           "dir-l"])
+    def test_release_refuses_a_query_of_the_wrong_length(self, catalog_dir, tmp_path, capsys,
+                                                          mechanism):
+        args = self.release_args(catalog_dir, mechanism=mechanism)
+        query = tmp_path / "short-query.json"
+        query.write_text("[1.0, 2.0, 3.0]")  # the catalog and the query components are 5-D
+        args[args.index("--query") + 1] = str(query)
+        with pytest.raises(FormatError, match="short-query.json.*3 values, expected 5"):
             main(args)
         assert capsys.readouterr().out == ""
 

@@ -827,6 +827,15 @@ class TestNoisePlanValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             NoisePlan(kind=kind, **{field: math.nan}, **extra)
 
+    @pytest.mark.parametrize("build", [
+        lambda: calibrate_wasserstein(math.inf, PrivacyParams(1.0)),
+        lambda: NoisePlan(kind="gaussian_iid", sigma=math.inf),
+        lambda: group_dp_calibrate(1.0, 1, PrivacyParams(1e-320), "laplace"),  # 1 / 1e-320 = inf
+    ], ids=["wass-infinite-distance", "infinite-sigma", "overflowing-scale"])
+    def test_rejects_infinite_scale(self, build):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            build()
+
     def test_rejects_nan_direction(self):
         with pytest.raises(ValueError, match="unit norm"):
             NoisePlan(kind="scalar_along_direction", dist="laplace", scale=1.0,
@@ -854,7 +863,6 @@ class TestNoisePlanValidation:
         assert plan.direction.tolist() == [1.0, 0.0]
 
     def test_draws_read_the_factor_stored_at_construction(self, monkeypatch):
-        import distpriv.mechanisms
         import distpriv.model
 
         fam = worked_example_family()
@@ -870,9 +878,29 @@ class TestNoisePlanValidation:
         def refuse(cov):
             raise AssertionError("a covariance was decomposed after construction")
 
-        for module in (distpriv.model, distpriv.mechanisms):
-            monkeypatch.setattr(module, "eigendecompose", refuse)
+        monkeypatch.setattr(distpriv.model, "eigendecompose", refuse)
         assert draws() == before
+
+    def test_plans_read_the_spectrum_stored_in_the_catalog(self, monkeypatch):
+        import distpriv.model
+
+        fam = family_from_catalog(load_catalog(GOLDEN_CATALOG), [(0.45, 0.55)], "income")
+
+        def results():
+            plan = eig_plan(fam, PARAMS)
+            return plan.cov.tobytes(), plan.factor.tobytes(), plan.provenance, \
+                eigenbasis_residual(fam)
+
+        before = results()
+        decompose = distpriv.model.eigendecompose
+
+        def refuse_catalog_covariances(cov):
+            if any(np.array_equal(cov, model.cov) for model in fam.catalog.values()):
+                raise AssertionError("a catalog covariance was decomposed again")
+            return decompose(cov)  # the plan's own covariance, once
+
+        monkeypatch.setattr(distpriv.model, "eigendecompose", refuse_catalog_covariances)
+        assert results() == before
 
 
 class TestAudit:

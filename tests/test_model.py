@@ -11,7 +11,7 @@ from distpriv.model import (
     SecretLabel,
     check_assumptions,
     cov_discrepancy,
-    covariance_factor,
+    covariance_spectrum,
     delta_E,
     eigenbasis_residual,
     eigendecompose,
@@ -85,7 +85,9 @@ class TestGaussianModel:
         a = rng.normal(size=(4, 4))
         model = GaussianModel(np.zeros(4), a @ a.T, 5)
         assert np.allclose(model.factor @ model.factor.T, model.cov, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(model.factor, covariance_factor(model.cov))
+        for stored, fresh in zip((model.eigenvalues, model.eigenvectors, model.factor),
+                                 covariance_spectrum(model.cov)):
+            assert np.array_equal(stored, fresh)
 
     def test_rejects_nonfinite_covariance(self):
         with pytest.raises(ValueError, match="finite"):
@@ -269,46 +271,47 @@ class TestCheckAssumptions:
 
 class TestEigendecompose:
     def test_worked_example(self):
-        pairs = eigendecompose(WORKED_COV)
-        vals = [lam for lam, _ in pairs]
-        assert vals == pytest.approx([25.0, 10.0])
-        v1, v2 = pairs[0][1], pairs[1][1]
-        assert np.allclose(v1, np.array([2.0, -1.0]) / np.sqrt(5))
-        assert np.allclose(v2, np.array([1.0, 2.0]) / np.sqrt(5))
+        vals, vecs = eigendecompose(WORKED_COV)
+        assert vals.tolist() == pytest.approx([25.0, 10.0])
+        assert np.allclose(vecs[:, 0], np.array([2.0, -1.0]) / np.sqrt(5))
+        assert np.allclose(vecs[:, 1], np.array([1.0, 2.0]) / np.sqrt(5))
 
     def test_identity(self):
-        for lam, _ in eigendecompose(np.eye(4)):
-            assert lam == pytest.approx(1.0)
+        vals, _ = eigendecompose(np.eye(4))
+        assert vals.tolist() == pytest.approx([1.0] * 4)
 
     def test_reconstruction_random_symmetric(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             a = rng.normal(size=(5, 5))
             sym = a + a.T  # indefinite in general
-            pairs = eigendecompose(sym)
-            recon = sum(lam * np.outer(v, v) for lam, v in pairs)
-            assert np.allclose(recon, sym, atol=1e-8 * np.abs(sym).max())
-            basis = np.column_stack([v for _, v in pairs])
-            assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-8)
-            for lam, v in pairs:
-                assert np.allclose(sym @ v, lam * v, atol=1e-8 * np.linalg.norm(sym))
+            vals, vecs = eigendecompose(sym)
+            assert np.allclose((vecs * vals) @ vecs.T, sym, atol=1e-8 * np.abs(sym).max())
+            assert np.allclose(vecs.T @ vecs, np.eye(5), atol=1e-8)
+            assert np.allclose(sym @ vecs, vecs * vals, atol=1e-8 * np.linalg.norm(sym))
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(29)
         a = rng.normal(size=(4, 4))
         sym = a @ a.T
-        base = eigendecompose(sym)
-        scaled = eigendecompose(2.5 * sym)
-        for (lam_b, v_b), (lam_s, v_s) in zip(base, scaled):
-            assert lam_s == pytest.approx(2.5 * lam_b, rel=1e-10)
-            assert np.allclose(v_b, v_s, atol=1e-9)
+        vals_b, vecs_b = eigendecompose(sym)
+        vals_s, vecs_s = eigendecompose(2.5 * sym)
+        assert vals_s == pytest.approx(2.5 * vals_b, rel=1e-10)
+        assert np.allclose(vecs_b, vecs_s, atol=1e-9)
 
     def test_descending_order_and_sign(self):
-        pairs = eigendecompose(np.diag([1.0, 3.0, 2.0]))
-        assert [lam for lam, _ in pairs] == pytest.approx([3.0, 2.0, 1.0])
-        for _, v in pairs:
+        vals, vecs = eigendecompose(np.diag([1.0, 3.0, 2.0]))
+        assert vals.tolist() == pytest.approx([3.0, 2.0, 1.0])
+        for v in vecs.T:
             first_nonzero = v[np.nonzero(v)[0][0]]
             assert first_nonzero > 0.0
+
+    def test_vectors_are_c_contiguous_columns(self):
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(5, 5))
+        vals, vecs = eigendecompose(a @ a.T)
+        assert vals.shape == (5,) and vecs.shape == (5, 5)
+        assert vecs.flags["C_CONTIGUOUS"]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -509,6 +509,9 @@ class TestClosenessFromBounds:
             closeness_from_bounds(-1.0, 0.0)
         with pytest.raises(ValueError):
             closeness_from_bounds(0.0, -2.0)
+        for bad in ((math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                closeness_from_bounds(*bad)
 
     def test_bound_dominates_discretized_gaussians(self):
         # Samples of two 1-D Gaussians with an L1 mean gap of 4. Each
