@@ -8,63 +8,12 @@ for translation-like families, adversarial-uncertainty variants that
 credit the data's own randomness, relaxed budget accounting for
 imperfect modeling assumptions, plus a property-inference attack
 benchmark on census-style tables.
+
+Each name is imported from the module that defines it, for example
+`from distpriv.transport import winf_distance`; the package itself
+holds only `__version__`. Values that hold arrays (models, families,
+plans, distributions, classifiers, assumption reports) compare and
+hash by identity.
 """
 
 __version__ = "0.1.0"
-
-from .model import (  # noqa: F401
-    AssumptionReport,
-    GaussianModel,
-    PairFamily,
-    PrivacyParams,
-    SecretLabel,
-    check_assumptions,
-    delta_E,
-    eigendecompose,
-    estimate_gaussian,
-    fit_common_direction,
-)
-from .transport import (  # noqa: F401
-    ClosenessCertificate,
-    DiscreteDistribution,
-    closeness_from_bounds,
-    discretize_samples,
-    is_w_delta_close,
-    max_mass_within,
-    min_w_for_delta,
-    winf_distance,
-)
-from .mechanisms import (  # noqa: F401
-    AuditReport,
-    NoisePlan,
-    RelaxedBudget,
-    apply,
-    apply_batch,
-    audit,
-    calibrate_approx_wasserstein,
-    calibrate_directional,
-    calibrate_expm,
-    calibrate_wasserstein,
-    dau_plan,
-    eig_plan,
-    group_dp_calibrate,
-    no_noise_check,
-    per_record_sensitivity,
-    relaxed_budget_maxdiv,
-    relaxed_budget_wasserstein,
-)
-from .attack import (  # noqa: F401
-    LinearClassifier,
-    ShadowConfig,
-    evaluate_attack,
-    run_attack_trial,
-    train_meta_classifier,
-)
-from .dataio import (  # noqa: F401
-    PropertySpec,
-    SplitTables,
-    Table,
-    compute_query,
-    load_adult,
-    split_dataset,
-)

@@ -56,7 +56,7 @@ class ShadowConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearClassifier:
     """Logistic-regression meta-classifier with stored standardization."""
 

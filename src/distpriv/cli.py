@@ -96,8 +96,9 @@ ATTACK_KEYS = ("shadow_count", "test_count", "repetitions")
 
 def _round_p(value: float) -> float:
     # Property values are labels; pin them to 10 decimals so values computed
-    # as p_center +/- dp/2 and values typed in config compare equal.
-    return round(float(value), 10)
+    # as p_center +/- dp/2 and values typed in config compare equal. Adding
+    # 0.0 turns a -0.0 (rounded from just below zero) into 0.0.
+    return round(float(value), 10) + 0.0
 
 
 @dataclass
@@ -125,6 +126,11 @@ class ExperimentConfig:
         for name in ("delta_p", "epsilon", "delta", "mechanisms"):
             if not getattr(self, name):
                 raise ConfigError(f"config list {name} must be nonempty")
+        numbers = {"epsilon": self.epsilon, "delta": self.delta, "delta_p": self.delta_p,
+                   "p_center": [self.p_center]}
+        for name, values in numbers.items():
+            if any(isinstance(value, bool) for value in values):
+                raise ConfigError(f"{name} must hold numbers, not bools, got {getattr(self, name)!r}")
         for dp in self.delta_p:
             if not dp > 0.0:
                 raise ConfigError(f"delta_p entries must be positive, got {dp}")
@@ -579,7 +585,6 @@ def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
 def _add_config_command(sub, name, help_text):
     cmd = sub.add_parser(name, help=help_text)
     cmd.add_argument("--config", required=True, help="experiment config JSON")
-    cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
     cmd.add_argument("--out", default=None, help="override the config output directory")
     return cmd
 
@@ -627,8 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
-    overrides = {"seed": args.seed, "out_dir": args.out}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    return cfg if args.out is None else replace(cfg, out_dir=args.out)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -8,17 +8,18 @@ scalar noise component along a single direction. Each calibration states
 its sensitivity S, and one rule, `_noise_scale`, turns it into the scale
 and the claimed budget: Laplace S / epsilon with (epsilon, 0), or
 Gaussian c * S / epsilon with c = sqrt(2 ln(1.25/delta)) and
-(epsilon, delta). Adversarial-uncertainty
-variants subtract the query's inherent randomness from the noise that
-must be added. An empirical auditor estimates violations of the
-indistinguishability guarantee from samples.
+(epsilon, delta). Adversarial-uncertainty variants subtract the query's
+inherent randomness from the noise that must be added. An empirical
+auditor estimates violations of the indistinguishability guarantee from
+samples.
 
 Plans are immutable, and a plan owns the range of its noise scale: a
 scale or sigma must be finite and nonnegative, so a calibration whose
 sensitivity is negative, NaN or infinite, or whose scale overflows, is
-refused when its plan is built; no calibration checks its sensitivity. A `gaussian_cov` plan, like a `GaussianModel`, checks
-and factors its covariance once when it is built
-(`model.covariance_spectrum`), and every draw reads the stored factor.
+refused when its plan is built; no calibration checks its sensitivity.
+A `gaussian_cov` plan, like a `GaussianModel`, checks and factors its
+covariance once when it is built (`model.covariance_spectrum`), and
+every draw reads the stored factor.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ MAX_L1_RADIUS_DIM = 12
 _UNIT_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePlan:
     """A fully resolved, immutable noise description.
 
@@ -77,10 +78,9 @@ class NoisePlan:
     Construction checks every field once. The scale of laplace_iid and
     scalar_along_direction, and the sigma of gaussian_iid, must be finite
     and nonnegative (NaN fails); this is the only check of a noise scale's
-    range. A gaussian_cov
-    plan symmetrizes its covariance and keeps the factor of its
-    `covariance_spectrum` as `factor`, which every draw reads; cov,
-    direction and factor are read-only arrays.
+    range. A gaussian_cov plan symmetrizes its covariance and keeps the
+    factor of its `covariance_spectrum` as `factor`, which every draw
+    reads; cov, direction and factor are read-only arrays.
     """
 
     kind: str
@@ -90,7 +90,7 @@ class NoisePlan:
     direction: Optional[np.ndarray] = None
     dist: Optional[str] = None
     provenance: dict = field(default_factory=dict)
-    factor: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:

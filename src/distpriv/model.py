@@ -115,20 +115,8 @@ class GaussianModel:
     def __repr__(self):
         return f"GaussianModel(dim={self.dim}, sample_count={self.sample_count})"
 
-    def __eq__(self, other):
-        if not isinstance(other, GaussianModel):
-            return NotImplemented
-        return (
-            self.sample_count == other.sample_count
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.cov, other.cov)
-        )
 
-    def __hash__(self):
-        return hash((self.mean.tobytes(), self.cov.tobytes(), self.sample_count))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairFamily:
     """A catalog of Gaussian models plus the protected ordered pairs.
 
@@ -141,7 +129,7 @@ class PairFamily:
 
     catalog: Mapping[SecretLabel, GaussianModel]
     pairs: Tuple[Pair, ...]
-    gaps: np.ndarray = field(init=False, repr=False, compare=False)
+    gaps: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, catalog, pairs):
         catalog = dict(catalog)
@@ -172,7 +160,7 @@ class PairFamily:
         return sorted(self.catalog)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssumptionReport:
     """How far a family sits from the mechanisms' modeling assumptions.
 

@@ -22,10 +22,9 @@ longest edge its flow uses, a threshold that flow shows feasible. Max flow
 is Dinic's: a phase whose first column layer already reaches the sink is a
 greedy fill, rows in ascending order each pushing into their columns from
 the highest index down, which is the order the generic DFS takes on such a
-phase, so both give the same flow. In one
-dimension W-infinity needs no flow at all: it is the largest gap between
-the two quantile functions, found by walking the sorted supports in
-integer masses.
+phase, so both give the same flow. In one dimension W-infinity needs no
+flow at all: it is the largest gap between the two quantile functions,
+found by walking the sorted supports in integer masses.
 
 The relaxed notion, (W, delta)-closeness, asks for a coupling that moves
 all but delta of the mass by at most W; it is decided by the same flow
@@ -42,19 +41,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "DiscreteDistribution",
-    "ClosenessCertificate",
-    "winf_distance",
-    "max_mass_within",
-    "is_w_delta_close",
-    "min_w_for_delta",
-    "closeness_from_bounds",
-    "discretize_samples",
-]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Finite support points in R^m with exact rational masses.
 
@@ -109,13 +97,6 @@ class DiscreteDistribution:
 
     def masses(self) -> List[Fraction]:
         return [Fraction(n, self.mass_den) for n in self.mass_num]
-
-    def to_json(self) -> dict:
-        return {
-            "points": [[float(x) for x in row] for row in self.points],
-            "mass_num": list(self.mass_num),
-            "mass_den": self.mass_den,
-        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "DiscreteDistribution":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -197,19 +198,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             base_config(synth_csv, tmp_path, attack=attack)
 
-    def test_seed_override_is_validated_before_reading_the_table(
-        self, synth_csv, tmp_path, monkeypatch
+    @pytest.mark.parametrize("field,value", [
+        ("epsilon", [True]), ("epsilon", [1.0, False]), ("delta", [False]),
+        ("delta_p", [True]), ("p_center", True),
+    ], ids=["epsilon-true", "epsilon-false", "delta-false", "delta_p-true", "p_center-true"])
+    def test_number_fields_refuse_bools(self, synth_csv, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must hold numbers"):
+            base_config(synth_csv, tmp_path, **{field: value})
+
+    def test_seed_flag_is_refused_on_config_commands(
+        self, synth_csv, tmp_path, monkeypatch, capsys
     ):
+        # The seed is set in the config, where its range is checked.
         def no_table(cfg):
-            raise AssertionError("a rejected config read the table")
+            raise AssertionError("a refused command read the table")
 
         monkeypatch.setattr(cli, "load_splits", no_table)
         doc = base_config(synth_csv, tmp_path / "out").__dict__.copy()
         doc.update(property=doc.pop("property_name"))
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="seed"):
-            main(["model", "--config", str(cfg_path), "--seed", "-1"])
+        for command in ("model", "utility", "attack"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", str(cfg_path), "--seed", "99"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
 
 
 class TestCmdModel:
@@ -221,6 +234,19 @@ class TestCmdModel:
         assert SecretLabel("income", 0.55) in catalog
         pairs_doc = json.loads((tmp_path / "out" / "pairs.json").read_text())
         assert [0.45, 0.55] in pairs_doc["pairs"] and [0.55, 0.45] in pairs_doc["pairs"]
+
+    def test_a_value_rounded_to_zero_is_a_positive_zero(self, synth_csv, tmp_path):
+        # 0.5 - (1 + 1e-11)/2 rounds to zero from below.
+        cfg = base_config(synth_csv, tmp_path / "out", delta_p=[1 + 1e-11])
+        assert cfg.required_p_values() == [0.0, 1.0]
+        values = cfg.required_p_values() + [p for pair in cfg.pair_values() for p in pair]
+        assert all(math.copysign(1.0, p) == 1.0 for p in values)
+        cmd_model(cfg)
+        text = (tmp_path / "out" / "pairs.json").read_text()
+        assert "-0.0" not in text
+        written = [p for pair in json.loads(text)["pairs"] for p in pair]
+        assert sorted(written) == [0.0, 0.0, 1.0, 1.0]
+        assert all(math.copysign(1.0, p) == 1.0 for p in written)
 
     def test_byte_identical_reruns(self, synth_csv, tmp_path):
         cfg = base_config(synth_csv, tmp_path / "out")
@@ -516,19 +542,18 @@ class TestSweepVariants:
         # wider protected gaps force more noise
         assert means[0.3] > means[0.1]
 
-    def test_main_seed_and_out_overrides(self, synth_csv, tmp_path, capsys):
+    def test_main_out_override(self, synth_csv, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         doc = base_config(synth_csv, tmp_path / "ignored").__dict__.copy()
         doc["property"] = doc.pop("property_name")
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "override"
-        assert main([
-            "model", "--config", str(cfg_path), "--seed", "99", "--out", str(out),
-        ]) == 0
+        assert main(["model", "--config", str(cfg_path), "--out", str(out)]) == 0
         capsys.readouterr()
         assert (out / "catalog.json").exists()
+        assert not (tmp_path / "ignored").exists()
         manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["seed"] == 99
+        assert manifest["seed"] == doc["seed"]
 
 
 class TestCmdAttack:

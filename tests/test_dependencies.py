@@ -38,11 +38,8 @@ def _bound_names(node) -> list:
     return []
 
 
-@pytest.mark.parametrize("path", sorted(set(PACKAGE_DIR.glob("*.py"))
-                                        - {PACKAGE_DIR / "__init__.py"}),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    # __init__ imports names to re-export them, so it is left out.
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = {name for node in ast.walk(tree) for name in _bound_names(node)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from distpriv.attack import LinearClassifier
 from distpriv.cli import ExperimentConfig, build_plan
 from distpriv.dataio import QUERY_COMPONENTS
 from distpriv.errors import AssumptionViolation, ConfigError, NumericError
@@ -33,6 +34,7 @@ from distpriv.mechanisms import (
     relaxed_budget_wasserstein,
 )
 from distpriv.model import (
+    AssumptionReport,
     GaussianModel,
     PairFamily,
     PrivacyParams,
@@ -46,6 +48,7 @@ from distpriv.model import (
     load_catalog,
 )
 from distpriv.seeding import derive_rng
+from distpriv.transport import DiscreteDistribution
 
 from helpers import WORKED_COV, translation_family, worked_example_family
 
@@ -1081,3 +1084,23 @@ class TestPlanBits:
             c = PrivacyParams(eps, delta).gaussian_c()
             sensitive.append(c * k * sens / eps != c * (k * sens) / eps)
         assert any(sensitive)
+
+
+# Builders of values that hold arrays; two calls give two values of equal content.
+VALUES_HOLDING_ARRAYS = {
+    "NoisePlan": lambda: NoisePlan(kind="gaussian_cov", cov=WORKED_COV),
+    "DiscreteDistribution": lambda: DiscreteDistribution([[0.0], [1.0]], [1, 1], 2),
+    "PairFamily": worked_example_family,
+    "GaussianModel": lambda: GaussianModel([100.0, 101.0], WORKED_COV, 1000),
+    "LinearClassifier": lambda: LinearClassifier(np.ones(2), 0.0, np.zeros(2), np.ones(2)),
+    "AssumptionReport": lambda: AssumptionReport(0.0, 0.0, 0.0, np.array([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_HOLDING_ARRAYS))
+def test_values_holding_arrays_compare_and_hash_by_identity(name):
+    a, b = VALUES_HOLDING_ARRAYS[name](), VALUES_HOLDING_ARRAYS[name]()
+    assert (a == a) is True
+    assert (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
