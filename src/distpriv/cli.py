@@ -80,7 +80,7 @@ from .model import (
     load_catalog,
     save_catalog,
 )
-from .seeding import derive_rng
+from .seeding import derive_rng, derive_seed_sequence
 from .transport import (
     DiscreteDistribution,
     closeness_from_bounds,
@@ -144,6 +144,16 @@ class ExperimentConfig:
             raise ConfigError(f"config: {exc}") from exc
         for mech, delta in itertools.product(self.mechanisms, self.delta):
             _mechanism_entry(mech, delta)
+        # A repeated grid value would compute and write the same cells twice;
+        # two delta_p values repeat when they give the same rounded pair.
+        grids = {"epsilon": self.epsilon, "delta": self.delta, "mechanisms": self.mechanisms,
+                 "delta_p": [self.pair(dp) for dp in self.delta_p]}
+        for name, keys in grids.items():
+            for index, key in enumerate(keys):
+                if key in keys[:index]:
+                    pair = f", the pair {key}" if name == "delta_p" else ""
+                    raise ConfigError(
+                        f"config list {name} repeats {getattr(self, name)[index]!r}{pair}")
         for name in ("seed", "n", "modeling_samples", "repetitions", "group_size", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -406,14 +416,17 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
         families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
                     for dp in cfg.delta_p}
-        return families, np.zeros(next(iter(catalog.values())).mean.size)
+        return families, np.zeros(next(iter(catalog.values())).mean.size), {}
 
     def compute(staged, mech, eps, delta, dp):
-        families, zero = staged
+        families, zero, seeds = staged
+        # Every mechanism replays the same streams, so each is derived once.
+        if (eps, delta, dp) not in seeds:
+            seeds[eps, delta, dp] = [derive_seed_sequence(cfg.seed, "utility", eps, delta, dp, rep)
+                                     for rep in range(cfg.repetitions)]
         plan = build_plan(mech, families[dp], PrivacyParams(eps, delta), cfg)
-        return [float(np.linalg.norm(
-                    apply(plan, zero, derive_rng(cfg.seed, "utility", eps, delta, dp, rep))))
-                for rep in range(cfg.repetitions)]
+        return [float(np.linalg.norm(apply(plan, zero, np.random.default_rng(seq))))
+                for seq in seeds[eps, delta, dp]]
 
     grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p))
     return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, inputs, compute)

@@ -3,12 +3,15 @@
 These deliberately share no code with the package solvers: max flow is
 plain breadth-first augmentation on a dense Fraction capacity matrix,
 the bottleneck distance scans every realized threshold from below, a
-certificate is checked one edge at a time in Fractions, and
-the Adult parser reads one decoded line at a time with str.split and int.
+certificate is checked one edge at a time in Fractions,
+the Adult parser reads one decoded line at a time with str.split and int,
+and the auditor's events are scored by sorting each side and calling
+np.quantile.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List
 
@@ -16,6 +19,7 @@ import numpy as np
 
 from distpriv.dataio import AGE_BOUNDS, EDUCATION_BOUNDS, HOURS_BOUNDS, Table, dataset_files
 from distpriv.errors import FormatError, ParseError
+from distpriv.mechanisms import _AUDIT_QUANTILES
 from distpriv.transport import DiscreteDistribution
 
 
@@ -197,3 +201,34 @@ def oracle_load_adult(path):
                 columns[5].append(label == ">50K")
                 columns[6].append(fields[1] == "Private")
     return Table(*columns), dropped_missing, dropped_range
+
+
+def oracle_audit_violation(out_i, out_j, direction, params) -> float:
+    """The auditor's score of release draws as `audit` once computed it:
+    per direction, sort the pool and take `np.quantile` of it, sort each
+    side, and count both tails of each side with its own `searchsorted`.
+    `direction` is the Mahalanobis direction, or None when the means agree."""
+    trials = out_i.shape[0]
+    axes = [(out_i[:, k], out_j[:, k]) for k in range(out_i.shape[1])]
+    if direction is not None:
+        axes.append((out_i @ direction, out_j @ direction))
+
+    def slack(p):
+        return 3.0 * np.sqrt(p * (1.0 - p) / trials + 1.0 / trials**2)
+
+    e_eps = math.exp(params.epsilon)
+    worst = -math.inf
+    for a_i, a_j in axes:
+        thresholds = np.quantile(np.sort(np.concatenate([a_i, a_j])), _AUDIT_QUANTILES)
+        s_i = np.sort(a_i)
+        s_j = np.sort(a_j)
+        for lower_tail in (True, False):
+            if lower_tail:
+                p_i = np.searchsorted(s_i, thresholds, side="right") / trials
+                p_j = np.searchsorted(s_j, thresholds, side="right") / trials
+            else:
+                p_i = 1.0 - np.searchsorted(s_i, thresholds, side="left") / trials
+                p_j = 1.0 - np.searchsorted(s_j, thresholds, side="left") / trials
+            viol = (p_i - slack(p_i)) - e_eps * (p_j + slack(p_j)) - params.delta
+            worst = max(worst, float(viol.max()))
+    return worst

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -204,6 +205,18 @@ class TestConfig:
     ], ids=["epsilon-true", "epsilon-false", "delta-false", "delta_p-true", "p_center-true"])
     def test_number_fields_refuse_bools(self, synth_csv, tmp_path, field, value):
         with pytest.raises(ConfigError, match=f"{field} must hold numbers"):
+            base_config(synth_csv, tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("epsilon", [1.0, 0.5, 1], "epsilon repeats 1"),
+        ("delta", [0.001, 0.001], "delta repeats 0.001"),
+        ("mechanisms", ["expm-g", "none", "expm-g"], "mechanisms repeats 'expm-g'"),
+        ("delta_p", [0.1, 0.2, 0.1], "delta_p repeats 0.1, the pair (0.45, 0.55)"),
+        ("delta_p", [0.1, 0.1 + 1e-12], "delta_p repeats 0.10000000000100001, the pair (0.45, 0.55)"),
+    ], ids=["epsilon", "delta", "mechanisms", "delta_p", "delta_p-after-rounding"])
+    def test_repeated_grid_values_refused(self, synth_csv, tmp_path, field, value, message):
+        # Each copy of a repeated value would compute and write the same cells again.
+        with pytest.raises(ConfigError, match=re.escape(message)):
             base_config(synth_csv, tmp_path, **{field: value})
 
     def test_seed_flag_is_refused_on_config_commands(

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import math
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distpriv.attack import LinearClassifier
-from distpriv.cli import ExperimentConfig, build_plan
+from distpriv.cli import MECHANISMS, ExperimentConfig, build_plan
 from distpriv.dataio import QUERY_COMPONENTS
 from distpriv.errors import AssumptionViolation, ConfigError, NumericError
 from distpriv.mechanisms import (
@@ -33,6 +35,7 @@ from distpriv.mechanisms import (
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,
 )
+from distpriv.mechanisms import _AUDIT_QUANTILES, _half_space_violation, _sorted_quantiles
 from distpriv.model import (
     AssumptionReport,
     GaussianModel,
@@ -46,11 +49,13 @@ from distpriv.model import (
     fit_common_direction,
     gap_angle,
     load_catalog,
+    solve_spd,
 )
 from distpriv.seeding import derive_rng
 from distpriv.transport import DiscreteDistribution
 
 from helpers import WORKED_COV, translation_family, worked_example_family
+from oracles import oracle_audit_violation
 
 PARAMS = PrivacyParams(1.0, 0.001)
 V_GAP = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -972,6 +977,113 @@ class TestAudit:
             report = audit(plan, model_a, model_b, params, 10_000, derive_rng(19, mech))
             got[mech] = report.estimated_violation.hex()
         assert got == self.PINNED_VIOLATIONS
+
+
+def audit_draws(plan, model_i, model_j, trials, rng):
+    """The release draws and Mahalanobis direction `audit` scores, drawn as it draws them."""
+    out_i = apply_batch(plan, gaussian_model_draws(model_i, trials, rng), rng)
+    out_j = apply_batch(plan, gaussian_model_draws(model_j, trials, rng), rng)
+    gap = model_i.mean - model_j.mean
+    return out_i, out_j, (solve_spd(model_i.cov, gap) if np.any(gap != 0.0) else None)
+
+
+class TestAuditScoringOracle:
+    """`audit` counts events from two sorts per direction and reads its
+    thresholds by numpy's linear rule; each violation must equal, bit for
+    bit, the one from sorting both sides and calling np.quantile."""
+
+    @staticmethod
+    def assert_matches_oracle(plan, model_i, model_j, params, trials, *tags):
+        report = audit(plan, model_i, model_j, params, trials, derive_rng(*tags))
+        draws = audit_draws(plan, model_i, model_j, trials, derive_rng(*tags))
+        assert report.estimated_violation.hex() == oracle_audit_violation(*draws, params).hex()
+
+    @staticmethod
+    def golden_family() -> PairFamily:
+        return family_from_catalog(load_catalog(GOLDEN_CATALOG), [(0.45, 0.55)], "income")
+
+    @pytest.mark.parametrize("eps", [0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("mech", list(MECHANISMS))
+    def test_golden_catalog(self, mech, eps):
+        fam = self.golden_family()
+        params = PrivacyParams(eps, 1e-3)
+        plan = build_plan(mech, fam, params, TestPlanBits.config())
+        lab_i, lab_j = fam.pairs[0]
+        self.assert_matches_oracle(plan, fam.catalog[lab_i], fam.catalog[lab_j], params,
+                                   10_000, 31, mech, eps)
+
+    def test_zero_gap_pair_has_no_mahalanobis_direction(self):
+        fam = self.golden_family()
+        lab_i, lab_j = fam.pairs[0]
+        model_i = fam.catalog[lab_i]
+        model_j = GaussianModel(model_i.mean, fam.catalog[lab_j].cov, 200)
+        params = PrivacyParams(1.0, 1e-3)
+        assert audit_draws(NoisePlan(kind="none"), model_i, model_j, 10_000,
+                           derive_rng(32))[2] is None
+        self.assert_matches_oracle(calibrate_expm(fam, params, "gaussian"), model_i, model_j,
+                                   params, 10_000, 32)
+
+    def test_odd_trial_count(self):
+        fam = self.golden_family()
+        params = PrivacyParams(0.5, 1e-3)
+        lab_i, lab_j = fam.pairs[0]
+        self.assert_matches_oracle(calibrate_expm(fam, params, "laplace"), fam.catalog[lab_i],
+                                   fam.catalog[lab_j], params, 10_001, 33)
+
+    def test_zero_variance_coordinate_ties_every_draw(self):
+        cov = np.diag([1.0, 0.0, 2.0])
+        model_i = GaussianModel([1.0, 4.0, 0.0], cov, 100)
+        model_j = GaussianModel([0.0, 4.0, 0.0], cov, 100)
+        params = PrivacyParams(1.0, 1e-3)
+        out_i = audit_draws(NoisePlan(kind="none"), model_i, model_j, 10_000, derive_rng(34))[0]
+        assert np.all(out_i[:, 1] == 4.0)
+        self.assert_matches_oracle(NoisePlan(kind="none"), model_i, model_j, params, 10_000, 34)
+
+    @staticmethod
+    def stepped_pool(rng, size):
+        """A sorted pool whose order statistics jump between each pair the
+        thresholds interpolate, so that a + d t and b - d (1 - t) often round
+        apart. The median's weight is exactly 0.5 in an even pool; its pair
+        is -3.0 and -0.9, where the two forms give different bits."""
+        index = np.floor((size - 1) * _AUDIT_QUANTILES).astype(np.intp)
+        steps = np.zeros(size)
+        steps[index + 1] = rng.uniform(0.5, 5.0, size=index.size)
+        pool = np.sort(rng.normal(size=size)) + np.cumsum(steps)
+        mid = index[_AUDIT_QUANTILES.size // 2]
+        pool[:mid + 1] = pool[:mid + 1] - pool[mid] - 3.0
+        pool[mid + 1:] = pool[mid + 1:] - pool[mid + 1] - 0.9
+        return pool
+
+    @pytest.mark.parametrize("trials", [10_000, 10_001, 100_000])
+    def test_thresholds_are_numpys_linear_quantiles(self, trials):
+        rng = derive_rng(35, trials)
+        # The tied pool holds no -0.0: np.quantile partitions the sorted pool
+        # again, which may swap -0.0 and 0.0 and so flip a zero threshold's
+        # sign, a difference no count can see.
+        pools = [np.sort(rng.normal(size=2 * trials)),
+                 np.sort(np.round(rng.normal(size=2 * trials), 1) + 0.0),
+                 self.stepped_pool(rng, 2 * trials)]
+        for pool in pools:
+            assert np.all(np.diff(pool) >= 0.0)
+            want = np.quantile(pool, _AUDIT_QUANTILES)
+            assert _sorted_quantiles(pool).tobytes() == want.tobytes()
+
+
+@pytest.mark.timing
+def test_audit_scoring_at_most_seven_tenths_of_the_oracle_time():
+    fam = TestAuditScoringOracle.golden_family()
+    params = PrivacyParams(1.0, 1e-3)
+    lab_i, lab_j = fam.pairs[0]
+    draws = audit_draws(calibrate_expm(fam, params, "gaussian"), fam.catalog[lab_i],
+                        fam.catalog[lab_j], 20_000, derive_rng(36))
+    assert draws[2] is not None
+    fast, slow = [], []
+    for _ in range(5):
+        for score, times in ((_half_space_violation, fast), (oracle_audit_violation, slow)):
+            start = time.perf_counter()
+            score(*draws, params)
+            times.append(time.perf_counter() - start)
+    assert statistics.median(fast) <= 0.7 * statistics.median(slow)
 
 
 @pytest.mark.parametrize("calibrate", [
