@@ -456,15 +456,18 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
         queries = [draw_attack_queries(aux, test, shadow,
                                        derive_rng(cfg.seed, "attack-subsets", rep))
                    for rep in range(shadow.repetitions)]
-        return family, queries
+        return family, queries, {}
 
     def compute(staged, mech, eps, delta, _dp):
-        family, queries = staged
+        family, queries, seeds = staged
+        # Every mechanism replays the same streams, so each is derived once.
+        if (eps, delta) not in seeds:
+            seeds[eps, delta] = [derive_seed_sequence(cfg.seed, "attack", eps, delta, rep)
+                                 for rep in range(len(queries))]
         plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
         return [
-            run_attack_trial(shadow_x, test_x, shadow, plan,
-                             derive_rng(cfg.seed, "attack", eps, delta, rep))
-            for rep, (shadow_x, test_x) in enumerate(queries)
+            run_attack_trial(shadow_x, test_x, shadow, plan, np.random.default_rng(seq))
+            for (shadow_x, test_x), seq in zip(queries, seeds[eps, delta])
         ]
 
     return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, inputs, compute)

@@ -22,9 +22,12 @@ longest edge its flow uses, a threshold that flow shows feasible. Max flow
 is Dinic's: a phase whose first column layer already reaches the sink is a
 greedy fill, rows in ascending order each pushing into their columns from
 the highest index down, which is the order the generic DFS takes on such a
-phase, so both give the same flow. In one dimension W-infinity needs no
-flow at all: it is the largest gap between the two quantile functions,
-found by walking the sorted supports in integer masses.
+phase, so both give the same flow. Any deeper phase first prunes its dead
+ends, walking from the sink back to the roots, then builds the candidate
+lists of a whole layer from one nonzero over that layer's submatrix, so
+its DFS calls no numpy per node it visits. In one dimension W-infinity
+needs no flow at all: it is the largest gap between the two quantile
+functions, found by walking the sorted supports in integer masses.
 
 The relaxed notion, (W, delta)-closeness, asks for a coupling that moves
 all but delta of the mass by at most W; it is decided by the same flow
@@ -62,7 +65,7 @@ class DiscreteDistribution:
             raise ValueError("points must form a 2-D array of row vectors")
         if not np.all(np.isfinite(pts)):
             raise ValueError("support points must be finite")
-        pts = pts + 0.0  # fold -0.0 into 0.0 so distinctness is numeric
+        pts = pts + 0.0  # fold -0.0 into 0.0, so numeric and byte equality agree
         try:
             nums = tuple(map(operator.index, mass_num))
             den = operator.index(mass_den)
@@ -76,12 +79,10 @@ class DiscreteDistribution:
             raise ValueError("masses must be nonnegative")
         if sum(nums) != den:
             raise ValueError(f"masses must sum to 1 exactly ({sum(nums)}/{den} given)")
-        seen = set()
-        for row in pts:
-            key = row.tobytes()
-            if key in seen:
-                raise ValueError("support points must be pairwise distinct")
-            seen.add(key)
+        # Sorted rows put equal points side by side.
+        ordered = pts[np.lexsort(pts.T)] if pts.shape[1] else pts
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            raise ValueError("support points must be pairwise distinct")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "mass_num", nums)
@@ -187,9 +188,10 @@ class _Dinic:
     mass scale reaches 2**63, so no scale of masses can overflow.
 
     BFS levels come from numpy reductions over whole rows and columns.
-    The blocking flow is an iterative DFS over candidate lists that each
-    node computes once per phase, so support sizes are limited by time,
-    not recursion depth. A phase with a single column layer, whose every
+    The blocking flow is an iterative DFS, so support sizes are limited by
+    time, not recursion depth. It runs over candidate lists built once per
+    phase, a layer at a time, after the nodes that cannot reach the sink
+    are pruned. A phase with a single column layer, whose every
     column in reach drains to the sink, is a greedy fill in the order the
     DFS would take, with no paths to keep. Undoing flow is keeping a copy.
     """
@@ -278,15 +280,18 @@ class _Dinic:
         graph, or until the flow has grown by at least `limit`.
 
         A path alternates rows (even positions) and columns (odd ones).
-        Each node's candidate list holds its next-layer neighbours, with
-        the one to try next at its end. A node found to be a dead end
-        leaves its layer mask, so candidate lists skip it from then on;
-        so does an edge back to a row once it carries no flow.
+        Each node's candidate list holds its live next-layer neighbours as
+        the phase starts (see _phase_candidates), with the one to try next
+        at its end. A node found to be a dead end leaves its layer mask,
+        so candidate lists skip it from then on; so does an edge back to a
+        row once it carries no flow. Within a phase masks only shrink and
+        the flow on edges back to rows only falls, so these lists find the
+        paths a list built at each node's first visit would, in the same
+        order.
         """
         flow, supply, demand = self.flow, self.supply, self.demand
         last = len(col_layers) - 1
-        row_next: dict = {}
-        col_next: dict = {}
+        row_next, col_next = _phase_candidates(allowed, flow, row_layers, col_layers)
         total = 0
         for root in row_layers[0].nonzero()[0].tolist():
             path = [root]
@@ -295,9 +300,7 @@ class _Dinic:
                 depth = (len(path) - 1) // 2
                 if len(path) % 2:  # a row
                     live = col_layers[depth]
-                    nxt = row_next.get(node)
-                    if nxt is None:
-                        nxt = row_next[node] = (allowed[node] & live).nonzero()[0].tolist()
+                    nxt = row_next[node]
                     while nxt and not live[nxt[-1]]:
                         nxt.pop()
                     if nxt:
@@ -306,9 +309,7 @@ class _Dinic:
                     row_layers[depth][node] = False
                 elif depth < last:  # a column short of the sink
                     live = row_layers[depth + 1]
-                    nxt = col_next.get(node)
-                    if nxt is None:
-                        nxt = col_next[node] = ((flow[:, node] > 0) & live).nonzero()[0].tolist()
+                    nxt = col_next[node]
                     while nxt and not (live[nxt[-1]] and flow[nxt[-1], node] > 0):
                         nxt.pop()
                     if nxt:
@@ -338,6 +339,46 @@ class _Dinic:
                     continue
                 path.pop()
         return total
+
+
+def _phase_candidates(allowed, flow, row_layers, col_layers):
+    """Every live node's candidate list for one phase, dead ends pruned.
+
+    Walks the layers from the sink back to the roots. A column short of
+    the sink stays live only with flow to a live row of the next layer,
+    and a row only with an allowed edge to a live column of its own
+    layer; the DFS would find every pruned node a dead end on its first
+    visit. One nonzero over each layer's submatrix gives all of that
+    layer's lists. Returns (row lists, column lists) keyed by node.
+    """
+    row_next: dict = {}
+    col_next: dict = {}
+    last = len(col_layers) - 1
+    for depth in range(last, -1, -1):
+        if depth < last:
+            cols, rows = col_layers[depth], row_layers[depth + 1]
+            _neighbour_lists(flow[rows][:, cols].T > 0, cols, rows, col_next)
+        rows, cols = row_layers[depth], col_layers[depth]
+        _neighbour_lists(allowed[rows][:, cols], rows, cols, row_next)
+    return row_next, col_next
+
+
+def _neighbour_lists(edges, src_mask, dst_mask, out: dict) -> None:
+    """Store in `out` the ascending neighbours of each node of src_mask
+    over the (src, dst) submatrix `edges`, and drop the nodes that have
+    none from src_mask."""
+    src, dst = src_mask.nonzero()[0], dst_mask.nonzero()[0]
+    a, b = edges.nonzero()  # row-major, so each node's neighbours ascend
+    lists: dict = {}
+    for node, nbr in zip(src[a].tolist(), dst[b].tolist()):
+        held = lists.get(node)
+        if held is None:
+            lists[node] = [nbr]
+        else:
+            held.append(nbr)
+    src_mask[src] = False
+    src_mask[list(lists)] = True
+    out.update(lists)
 
 
 _DIST_BLOCK_ROWS = 64

@@ -3,8 +3,9 @@
 These deliberately share no code with the package solvers: max flow is
 plain breadth-first augmentation on a dense Fraction capacity matrix,
 the bottleneck distance scans every realized threshold from below, a
-certificate is checked one edge at a time in Fractions,
-the Adult parser reads one decoded line at a time with str.split and int,
+certificate is checked one edge at a time in Fractions, a Dinic
+blocking flow builds each node's candidate list when the DFS first visits
+it, the Adult parser reads one decoded line at a time with str.split and int,
 and the auditor's events are scored by sorting each side and calling
 np.quantile.
 """
@@ -122,6 +123,70 @@ def scipy_max_mass(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float)
     caps = np.concatenate([sup, np.minimum(sup[ii], dem[jj]), dem])
     graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
     return Fraction(int(maximum_flow(graph, 0, sink).flow_value), mu.mass_den)
+
+
+def oracle_blocking_flow(net, allowed, row_layers, col_layers, limit) -> int:
+    """One Dinic phase on a transport._Dinic, each node's candidate list
+    built when the DFS first visits it.
+
+    The same DFS as the package's, with nothing computed ahead of the
+    search: no pruning, and one numpy mask and nonzero per node visited.
+    Mutates `net` and the layer masks as the package does.
+    """
+    flow, supply, demand = net.flow, net.supply, net.demand
+    last = len(col_layers) - 1
+    row_next: dict = {}
+    col_next: dict = {}
+    total = 0
+    for root in row_layers[0].nonzero()[0].tolist():
+        path = [root]
+        while path:
+            node = path[-1]
+            depth = (len(path) - 1) // 2
+            if len(path) % 2:  # a row
+                live = col_layers[depth]
+                nxt = row_next.get(node)
+                if nxt is None:
+                    nxt = row_next[node] = (allowed[node] & live).nonzero()[0].tolist()
+                while nxt and not live[nxt[-1]]:
+                    nxt.pop()
+                if nxt:
+                    path.append(nxt[-1])
+                    continue
+                row_layers[depth][node] = False
+            elif depth < last:  # a column short of the sink
+                live = row_layers[depth + 1]
+                nxt = col_next.get(node)
+                if nxt is None:
+                    nxt = col_next[node] = ((flow[:, node] > 0) & live).nonzero()[0].tolist()
+                while nxt and not (live[nxt[-1]] and flow[nxt[-1], node] > 0):
+                    nxt.pop()
+                if nxt:
+                    path.append(nxt[-1])
+                    continue
+                col_layers[depth][node] = False
+            else:  # a column that drains to the sink
+                forward = list(zip(path[0::2], path[1::2]))
+                backward = list(zip(path[2::2], path[1::2]))
+                push = min(supply[root], demand[node], *(flow[e] for e in backward))
+                supply[root] -= push
+                demand[node] -= push
+                for e in forward:
+                    flow[e] += push
+                for e in backward:
+                    flow[e] -= push
+                total += int(push)
+                if limit is not None and total >= limit:
+                    return total
+                if supply[root] == 0:
+                    break
+                if demand[node] == 0:
+                    col_layers[last][node] = False
+                cut = next((2 * q + 2 for q, e in enumerate(backward) if flow[e] == 0), len(path) - 1)
+                del path[cut:]
+                continue
+            path.pop()
+    return total
 
 
 def oracle_mean_cov_two_pass(samples: np.ndarray):

@@ -20,6 +20,7 @@ from distpriv.transport import (
 )
 
 from oracles import (
+    oracle_blocking_flow,
     oracle_max_mass,
     oracle_verify,
     oracle_winf,
@@ -54,6 +55,35 @@ def budget_pair():
     return make(200, 10**6), make(200, 10**6)
 
 
+def big_scale_pair(seed, k, dim):
+    """A k-point cloud over a denominator past 2**63 and a jittered copy
+    over 1000, so the flow network holds Python integers."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(k, dim)) * 10
+    den = 2**64 + 13
+    weights = rng.integers(1, 1000, size=k).tolist()
+    nums = [w * (den // sum(weights)) for w in weights]
+    nums[0] += den - sum(nums)
+    mu = DiscreteDistribution(pts, nums, den)
+    nu = DiscreteDistribution(pts + rng.normal(size=(k, dim)), random_masses(rng, k, 1000), 1000)
+    return mu, nu
+
+
+def multi_layer_phases(net, allowed):
+    """Run max flow on `net` within `allowed` a phase at a time, yielding
+    the _Dinic before each phase with more than one column layer."""
+    dinic = net.net
+    while True:
+        layers = dinic._levels(allowed)
+        if layers is None:
+            return
+        if len(layers[1]) > 1:
+            yield dinic
+            dinic._blocking_flow(allowed, *layers, None)
+        else:
+            dinic._fill(allowed, layers[0][0], layers[1][0], None)
+
+
 def jittered_pair(seed, k, dim, den=10**6):
     """A k-point cloud and a jittered copy, with independent masses."""
     rng = np.random.default_rng(seed)
@@ -75,6 +105,19 @@ class TestDiscreteDistribution:
     def test_points_distinct(self):
         with pytest.raises(ValueError):
             DiscreteDistribution([[1.0], [1.0]], [5, 5], 10)
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 2.0], [3.0, 0.0], [1.0, 5.0], [2.0, 2.0], [1.0, 2.0]],
+        [[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]],
+        [[], []],
+    ], ids=["non-adjacent", "signed-zero", "no-coordinates"])
+    def test_equal_points_rejected_wherever_they_sit(self, points):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            DiscreteDistribution(points, [1] * len(points), len(points))
+
+    def test_points_differing_in_one_coordinate_accepted(self):
+        points = [[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [0.0, 2.0, 3.0], [-0.0, 1.0, 3.0]]
+        assert DiscreteDistribution(points, [1, 1, 1, 1], 4).size == 4
 
     def test_points_finite(self):
         with pytest.raises(ValueError):
@@ -359,6 +402,38 @@ class TestWDeltaCloseness:
                     assert ends[0] == ends[1]
                     assert ends[0][0] > 0
 
+    def test_blocking_flow_matches_the_oracle(self):
+        # The blocking flow prunes dead ends and builds its candidate lists
+        # a layer at a time before its DFS starts; it must push the flow
+        # the oracle's DFS pushes, which builds each list at its node's
+        # first visit, on int64 and Python-integer networks alike. The
+        # thresholds rise on one network, as the solver's warm start does.
+        phases = {np.dtype(np.int64): 0, np.dtype(object): 0}
+        pruned_roots = pruned_columns = 0
+        for seed in range(6):
+            for pair in (jittered_pair(300 + seed, 40, 2, den=1000), big_scale_pair(300 + seed, 40, 2)):
+                net = transport._ThresholdNetwork(*pair)
+                for quantile in (0.05, 0.1, 0.3, 1.0):
+                    allowed = net.dist <= np.quantile(net.dist, quantile)
+                    for dinic in multi_layer_phases(net, allowed):
+                        phases[dinic.flow.dtype] += 1
+                        rows, cols = dinic._levels(allowed)
+                        live_rows, live_cols = [r.copy() for r in rows], [c.copy() for c in cols]
+                        transport._phase_candidates(allowed, dinic.flow, live_rows, live_cols)
+                        pruned_roots += bool((rows[0] & ~live_rows[0]).any())
+                        pruned_columns += any((c & ~live).any() for c, live in zip(cols[:-1], live_cols))
+                        for limit in (None, 1, 137):
+                            ends = []
+                            for solve in (oracle_blocking_flow, transport._Dinic._blocking_flow):
+                                trial = dinic.copy()
+                                pushed = solve(trial, allowed, *trial._levels(allowed), limit)
+                                ends.append((pushed, trial.flow.tolist(), trial.supply.tolist(),
+                                             trial.demand.tolist()))
+                            assert ends[0] == ends[1]
+                            assert ends[0][0] > 0
+        assert min(phases.values()) > 20
+        assert pruned_roots > 0 and pruned_columns > 0
+
     def test_verify_rejects_nan_and_negative_radius(self):
         mu, nu = fig1_pair()
         _, cert = is_w_delta_close(mu, nu, 1.0, 0.1)
@@ -638,6 +713,39 @@ class TestExactness:
 
 @pytest.mark.timing
 class TestPerformanceBudget:
+    def test_blocking_flow_beats_the_oracle(self, monkeypatch):
+        # The phases the solver runs for the budget instance's W-infinity
+        # and delta radius, replayed from the same starting flows.
+        import time
+
+        mu, nu = budget_pair()
+        phases = []
+        solve = transport._Dinic._blocking_flow
+
+        def record(net, allowed, row_layers, col_layers, limit):
+            phases.append((net.copy(), allowed, [r.copy() for r in row_layers],
+                           [c.copy() for c in col_layers], limit))
+            return solve(net, allowed, row_layers, col_layers, limit)
+
+        monkeypatch.setattr(transport._Dinic, "_blocking_flow", record)
+        winf_distance(mu, nu)
+        min_w_for_delta(mu, nu, 0.05)
+        monkeypatch.undo()
+        assert len(phases) > 10
+
+        def seconds(blocking_flow):
+            runs = []
+            for _ in range(5):
+                fresh = [(net.copy(), allowed, [r.copy() for r in rows], [c.copy() for c in cols], limit)
+                         for net, allowed, rows, cols, limit in phases]
+                start = time.perf_counter()
+                for args in fresh:
+                    blocking_flow(*args)
+                runs.append(time.perf_counter() - start)
+            return sorted(runs)[2]
+
+        assert seconds(solve) <= 0.7 * seconds(oracle_blocking_flow)
+
     def test_two_hundred_points_per_side_under_one_second(self):
         import time
 
