@@ -7,8 +7,12 @@ Subcommands:
   attack     property-inference attack accuracy per (mechanism, eps, delta); each
              repetition's subsets are drawn once and shared by every cell
   transport  exact transport report for two discrete distributions
-  release    noise one query vector under a chosen mechanism
+  release    noise one query vector under a chosen mechanism and budget
   audit      empirical indistinguishability check for a calibrated plan
+
+Every command but `transport` reads one config (`--config`, `--out`);
+`release` and `audit` build, from its catalog, the plan a sweep cell of
+that config builds at their budget.
 
 A run is a pure function of (config, dataset bytes): the root seed fans
 out to (stage, parameter tuple, repetition) derived generators, and
@@ -210,14 +214,6 @@ class ExperimentConfig:
     def required_p_values(self) -> List[float]:
         return sorted({p for dp in self.delta_p for p in self.pair(dp)})
 
-    def pair_values(self) -> List[Tuple[float, float]]:
-        """Ordered (low, high) and (high, low) pairs, one set per delta_p."""
-        pairs = []
-        for dp in self.delta_p:
-            low, high = self.pair(dp)
-            pairs += [(low, high), (high, low)]
-        return pairs
-
     def canonical_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
         doc.pop("out_dir")
@@ -237,6 +233,14 @@ def load_dataset(cfg: ExperimentConfig) -> Table:
 
 def load_splits(cfg: ExperimentConfig) -> SplitTables:
     return split_dataset(load_dataset(cfg), cfg.seed)
+
+
+def _catalog_family(cfg: ExperimentConfig, delta_ps: Sequence[float], catalog=None) -> PairFamily:
+    """The family of the pairs `cfg.pair(dp)`, dp in `delta_ps`, from
+    `catalog` or else from the catalog `model` wrote to the output directory."""
+    if catalog is None:
+        catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
+    return family_from_catalog(catalog, [cfg.pair(dp) for dp in delta_ps], cfg.property_name)
 
 
 # --- plan construction ----------------------------------------------------
@@ -328,14 +332,6 @@ def cmd_model(cfg: ExperimentConfig) -> Path:
 
     catalog_path = out_dir / "catalog.json"
     save_catalog(catalog, catalog_path)
-    with output_file(out_dir / "pairs.json") as fh:
-        json.dump(
-            {"property": cfg.property_name, "pairs": [list(p) for p in cfg.pair_values()]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
     _write_run_manifest(cfg, out_dir)
     return catalog_path
 
@@ -414,8 +410,7 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
     """
     def inputs():
         catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
-        families = {dp: family_from_catalog(catalog, [cfg.pair(dp)], cfg.property_name)
-                    for dp in cfg.delta_p}
+        families = {dp: _catalog_family(cfg, [dp], catalog) for dp in cfg.delta_p}
         return families, np.zeros(next(iter(catalog.values())).mean.size), {}
 
     def compute(staged, mech, eps, delta, dp):
@@ -444,12 +439,10 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
     draws, as in `cmd_utility`: mechanism comparisons are paired.
     """
     shadow = cfg.shadow_config()
-    grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta,
-                                  [_round_p(shadow.p_high - shadow.p_low)]))
+    grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p[:1]))
 
     def inputs():
-        catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
-        family = family_from_catalog(catalog, [(shadow.p_low, shadow.p_high)], cfg.property_name)
+        family = _catalog_family(cfg, cfg.delta_p[:1])
         splits = load_splits(cfg)
         aux = SubsetSampler(splits.aux, cfg.property_name)
         test = SubsetSampler(splits.test, cfg.property_name)
@@ -522,43 +515,37 @@ def transport_report(file_mu, file_nu, delta: float) -> dict:
     return report
 
 
-def _pair_labels(doc) -> Tuple[str, List[Tuple[float, float]]]:
-    """The property and value pairs of a {"property", "pairs"} document,
-    each value checked as a SecretLabel (so a value outside [0, 1] raises)."""
-    pairs = [(float(lo), float(hi)) for lo, hi in doc["pairs"]]
-    for value in itertools.chain.from_iterable(pairs):
-        SecretLabel(doc["property"], value)
-    return doc["property"], pairs
-
-
-def _family_from_args(models_path, pairs_path) -> PairFamily:
-    """The catalog's family for the {"property", "pairs"} file `model` writes."""
-    property_name, pairs = read_json(pairs_path, _pair_labels)
-    return family_from_catalog(load_catalog(models_path), pairs, property_name)
+def _one_shot_plan(args: argparse.Namespace, with_family: bool):
+    """The (family, params, plan) of a `release` or `audit`: the plan a sweep
+    cell of the `--config` builds for `--mechanism` at this budget, and the
+    family of every protected pair of the config, read from its catalog
+    when `with_family` (else None). A bad budget, or a mechanism that
+    spends delta at delta = 0, raises ConfigError before the catalog is read."""
+    try:
+        params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
+    except ValueError as exc:
+        raise ConfigError(f"budget: {exc}") from exc
+    _mechanism_entry(args.mechanism, args.delta)
+    cfg = _config_from_args(args)
+    family = _catalog_family(cfg, cfg.delta_p) if with_family else None
+    return family, params, build_plan(args.mechanism, family, params, cfg)
 
 
 def release_report(args: argparse.Namespace) -> dict:
-    cfg = _adhoc_config(args)
-    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
-    needs_family = MECHANISMS[args.mechanism][0]
-    family = _family_from_args(args.models, args.pairs) if needs_family else None
-    plan = build_plan(args.mechanism, family, params, cfg)
+    family, _, plan = _one_shot_plan(args, with_family=MECHANISMS[args.mechanism][0])
     query = load_query_json(args.query)
-    dim = family.dim if needs_family else len(QUERY_COMPONENTS)
+    dim = family.dim if family is not None else len(QUERY_COMPONENTS)
     if query.size != dim:
-        expected = "the catalog's dimension" if needs_family else "one per query component"
+        expected = "the catalog's dimension" if family is not None else "one per query component"
         raise FormatError(f"{args.query}: query has {query.size} values, expected {dim} ({expected})")
     noised = apply(plan, query, derive_rng(args.seed, "release", args.mechanism))
     return {"noised_value": [float(x) for x in noised], "plan": plan.to_json()}
 
 
 def audit_report_json(args: argparse.Namespace) -> dict:
-    cfg = _adhoc_config(args)
     if args.trials < MIN_AUDIT_TRIALS:
         raise ConfigError(f"audit needs at least {MIN_AUDIT_TRIALS} trials, got {args.trials}")
-    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta)
-    family = _family_from_args(args.models, args.pairs)
-    plan = build_plan(args.mechanism, family, params, cfg)
+    family, params, plan = _one_shot_plan(args, with_family=True)
     rng = derive_rng(args.seed, "audit", args.mechanism)
     per_pair = []
     for a, b in family.pairs:
@@ -578,23 +565,6 @@ def audit_report_json(args: argparse.Namespace) -> dict:
     }
 
 
-def _adhoc_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Minimal config carrying the budget and sizing flags of one-shot commands;
-    building it rejects a bad budget with ConfigError."""
-    return ExperimentConfig(
-        dataset="",
-        seed=args.seed,
-        delta_p=[0.1],
-        epsilon=[args.epsilon],
-        delta=[args.delta],
-        mechanisms=[args.mechanism],
-        n=args.n,
-        group_size=args.group_size,
-        modeling_samples=2,
-        repetitions=1,
-    )
-
-
 # --- argparse wiring --------------------------------------------------------
 
 
@@ -605,19 +575,13 @@ def _add_config_command(sub, name, help_text):
     return cmd
 
 
-def _add_adhoc_flags(cmd, with_query: bool):
-    defaults = {name: f.default for name, f in ExperimentConfig.__dataclass_fields__.items()}
+def _add_one_shot_command(sub, name, help_text):
+    cmd = _add_config_command(sub, name, help_text)
     cmd.add_argument("--mechanism", required=True, choices=tuple(MECHANISMS))
     cmd.add_argument("--epsilon", type=float, required=True)
     cmd.add_argument("--delta", type=float, default=0.0)
-    cmd.add_argument("--models", required=True, help="model catalog JSON")
-    cmd.add_argument("--pairs", required=True, help="pairs.json as written by `model`")
-    if with_query:
-        cmd.add_argument("--query", required=True, help="query vector JSON file")
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--n", type=int, default=defaults["n"],
-                     help="subset size for group-DP sensitivity")
-    cmd.add_argument("--group-size", dest="group_size", type=int, default=defaults["group_size"])
+    return cmd
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -636,11 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("file_nu", help="second DiscreteDistribution JSON file")
     tr.add_argument("--delta", type=float, default=0.0)
 
-    rel = sub.add_parser("release", help="noise one query vector")
-    _add_adhoc_flags(rel, with_query=True)
+    rel = _add_one_shot_command(sub, "release", "noise one query vector")
+    rel.add_argument("--query", required=True, help="query vector JSON file")
 
-    aud = sub.add_parser("audit", help="empirical indistinguishability check")
-    _add_adhoc_flags(aud, with_query=False)
+    aud = _add_one_shot_command(sub, "audit", "empirical indistinguishability check")
     aud.add_argument("--trials", type=int, default=100_000)
 
     return parser
@@ -653,21 +616,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "model":
-        path = cmd_model(_config_from_args(args))
-        print(str(path))
-    elif args.command == "utility":
-        path = cmd_utility(_config_from_args(args))
-        print(str(path))
-    elif args.command == "attack":
-        path = cmd_attack(_config_from_args(args))
-        print(str(path))
-    elif args.command == "transport":
+    if args.command == "transport":
         print(json.dumps(transport_report(args.file_mu, args.file_nu, args.delta), indent=2))
     elif args.command == "release":
         print(json.dumps(release_report(args), indent=2))
     elif args.command == "audit":
         print(json.dumps(audit_report_json(args), indent=2))
+    else:  # a sweep stage, looked up at call time so that a rebound stage runs
+        stage = {"model": cmd_model, "utility": cmd_utility, "attack": cmd_attack}[args.command]
+        print(stage(_config_from_args(args)))
     return 0
 
 

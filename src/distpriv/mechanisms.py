@@ -515,8 +515,10 @@ _AUDIT_QUANTILES = np.linspace(0.025, 0.975, 41)
 _AUDIT_EVENT_FAMILY = (
     "axis-aligned half-spaces at 41 pooled quantiles per axis (both tails) "
     "plus half-spaces along the Mahalanobis direction of the mean gap under "
-    "the first model's covariance (likelihood-ratio events only when the two "
-    "covariances are equal); "
+    "the first model's data covariance, Sigma_i^-1 gap (likelihood-ratio "
+    "events only for a plan that adds no noise, on two equal covariances: "
+    "noise moves the release's likelihood-ratio direction, to "
+    "(Sigma_i + Sigma_add)^-1 gap for Gaussian noise); "
     "3-sigma binomial slack subtracted; any finite family only lower-bounds "
     "the true violation"
 )

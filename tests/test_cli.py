@@ -2,7 +2,6 @@ import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +22,9 @@ from distpriv.cli import (
     main,
     transport_report,
 )
+from distpriv.dataio import QUERY_COMPONENTS
 from distpriv.errors import ConfigError, FormatError
-from distpriv.mechanisms import apply
+from distpriv.mechanisms import apply, per_record_sensitivity
 from distpriv.model import (
     GaussianModel,
     PrivacyParams,
@@ -45,7 +45,7 @@ def synth_csv(tmp_path_factory):
     return path
 
 
-def base_config(synth_csv, out_dir, **overrides):
+def config_doc(synth_csv, out_dir, **overrides) -> dict:
     doc = {
         "dataset": str(synth_csv),
         "dataset_format": "simple",
@@ -63,7 +63,16 @@ def base_config(synth_csv, out_dir, **overrides):
         "out_dir": str(out_dir),
     }
     doc.update(overrides)
-    return ExperimentConfig.from_dict(doc)
+    return doc
+
+
+def base_config(synth_csv, out_dir, **overrides) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(config_doc(synth_csv, out_dir, **overrides))
+
+
+def write_config(path, synth_csv, out_dir, **overrides) -> Path:
+    path.write_text(json.dumps(config_doc(synth_csv, out_dir, **overrides)))
+    return path
 
 
 def fig1_files(tmp_path):
@@ -102,17 +111,6 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(json.loads(blocks[0].split("```", 1)[0]))
         assert cfg.shadow_config() == ShadowConfig(0.45, 0.55, n=100, shadow_count=200,
                                                    test_count=200, repetitions=50)
-
-    def test_readme_commands_parse(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-        commands = []
-        for block in readme.split("```console\n")[1:]:
-            for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
-                if line.startswith("distpriv "):
-                    commands.append(shlex.split(line, comments=True)[1:])
-        assert len(commands) >= 3
-        for argv in commands:
-            cli.build_parser().parse_args(argv)
 
     def test_hash_ignores_out_dir_and_workers(self, synth_csv, tmp_path):
         a = base_config(synth_csv, tmp_path / "a")
@@ -245,20 +243,17 @@ class TestCmdModel:
         catalog = load_catalog(path)
         assert SecretLabel("income", 0.45) in catalog
         assert SecretLabel("income", 0.55) in catalog
-        pairs_doc = json.loads((tmp_path / "out" / "pairs.json").read_text())
-        assert [0.45, 0.55] in pairs_doc["pairs"] and [0.55, 0.45] in pairs_doc["pairs"]
+        assert sorted(p.name for p in path.parent.iterdir()) == ["catalog.json",
+                                                                 "run_manifest.json"]
 
     def test_a_value_rounded_to_zero_is_a_positive_zero(self, synth_csv, tmp_path):
         # 0.5 - (1 + 1e-11)/2 rounds to zero from below.
         cfg = base_config(synth_csv, tmp_path / "out", delta_p=[1 + 1e-11])
         assert cfg.required_p_values() == [0.0, 1.0]
-        values = cfg.required_p_values() + [p for pair in cfg.pair_values() for p in pair]
+        values = cfg.required_p_values() + list(cfg.pair(cfg.delta_p[0]))
         assert all(math.copysign(1.0, p) == 1.0 for p in values)
-        cmd_model(cfg)
-        text = (tmp_path / "out" / "pairs.json").read_text()
-        assert "-0.0" not in text
-        written = [p for pair in json.loads(text)["pairs"] for p in pair]
-        assert sorted(written) == [0.0, 0.0, 1.0, 1.0]
+        written = [entry["value"] for entry in json.loads(cmd_model(cfg).read_text())]
+        assert sorted(written) == [0.0, 1.0]
         assert all(math.copysign(1.0, p) == 1.0 for p in written)
 
     def test_byte_identical_reruns(self, synth_csv, tmp_path):
@@ -283,8 +278,7 @@ def run(synth_csv, tmp_path_factory):
 @pytest.fixture(scope="module")
 def catalog_dir(synth_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("rel")
-    cfg = base_config(synth_csv, out)
-    cmd_model(cfg)
+    cmd_model(ExperimentConfig.from_json(write_config(out / "config.json", synth_csv, out)))
     query = out / "query.json"
     query.write_text(json.dumps([40.0, 10.0, 30.0, 35.0, 41.0]))
     return out
@@ -608,6 +602,16 @@ class TestCmdAttack:
         shadow = cfg.shadow_config()
         assert counts == [shadow.repetitions * (shadow.shadow_count + shadow.test_count)] * 2
 
+    def test_rows_join_the_utility_rows_on_delta_p(self, synth_csv, tmp_path):
+        # The attack's cells are labelled with the config's delta_p, not with
+        # p_high - p_low, which rounds it to 10 decimals.
+        cfg = base_config(synth_csv, tmp_path / "out", delta_p=[0.123456789012])
+        cmd_model(cfg)
+        keys = [{tuple(row.split(",")[:5]) for row in stage(cfg).read_text().splitlines()[1:]}
+                for stage in (cmd_utility, cmd_attack)]
+        assert keys[0] == keys[1]
+        assert {key[4] for key in keys[1]} == {"0.123456789012"}
+
     def test_cells_are_paired(self, synth_csv, tmp_path):
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["none", "wass", "expm-l"],
                           epsilon=[0.2, 1.0, 5.0])
@@ -688,9 +692,8 @@ class TestTransportCommand:
 class TestReleaseAndAudit:
     def release_args(self, catalog_dir, mechanism="expm-g", seed="3"):
         return [
-            "release", "--mechanism", mechanism, "--epsilon", "1.0", "--delta", "0.001",
-            "--models", str(catalog_dir / "catalog.json"),
-            "--pairs", str(catalog_dir / "pairs.json"),
+            "release", "--config", str(catalog_dir / "config.json"),
+            "--mechanism", mechanism, "--epsilon", "1.0", "--delta", "0.001",
             "--query", str(catalog_dir / "query.json"), "--seed", seed,
         ]
 
@@ -711,6 +714,43 @@ class TestReleaseAndAudit:
         main(self.release_args(catalog_dir, mechanism="none"))
         doc = json.loads(capsys.readouterr().out)
         assert doc["noised_value"] == [40.0, 10.0, 30.0, 35.0, 41.0]
+
+    @pytest.mark.parametrize("mechanism", list(cli.MECHANISMS))
+    def test_release_builds_the_plan_of_a_sweep_cell(self, catalog_dir, capsys, mechanism):
+        main(self.release_args(catalog_dir, mechanism=mechanism))
+        printed = json.loads(capsys.readouterr().out)["plan"]
+        cfg = ExperimentConfig.from_json(catalog_dir / "config.json")
+        assert len(cfg.delta_p) == 1
+        family = family_from_catalog(load_catalog(catalog_dir / "catalog.json"),
+                                     [cfg.pair(cfg.delta_p[0])], cfg.property_name)
+        plan = build_plan(mechanism, family, PrivacyParams(1.0, 0.001), cfg)
+        assert printed == json.loads(json.dumps(plan.to_json()))
+
+    @pytest.mark.parametrize("mechanism,norm", [("gdp-l", 1), ("gdp-g", 2)])
+    def test_group_dp_takes_n_and_group_size_from_the_config(
+        self, synth_csv, catalog_dir, tmp_path, capsys, mechanism, norm
+    ):
+        # The output directory holds no catalog: the group-DP plans read none.
+        config = write_config(tmp_path / "config.json", synth_csv, tmp_path, n=50, group_size=7)
+        args = self.release_args(catalog_dir, mechanism=mechanism)
+        args[args.index("--config") + 1] = str(config)
+        main(args)
+        provenance = json.loads(capsys.readouterr().out)["plan"]["provenance"]
+        assert provenance["k"] == 7
+        assert provenance["per_record_sensitivity"] == per_record_sensitivity(
+            QUERY_COMPONENTS, 50, norm)
+        assert provenance["per_record_sensitivity"] > per_record_sensitivity(
+            QUERY_COMPONENTS, 100, norm)
+
+    def test_out_overrides_the_config_output_directory(self, synth_csv, catalog_dir, tmp_path,
+                                                       capsys):
+        config = write_config(tmp_path / "config.json", synth_csv, tmp_path / "absent")
+        args = self.release_args(catalog_dir)
+        args[args.index("--config") + 1] = str(config)
+        main(args + ["--out", str(catalog_dir)])
+        overridden = capsys.readouterr().out
+        main(self.release_args(catalog_dir))
+        assert capsys.readouterr().out == overridden
 
     @pytest.mark.parametrize("mechanism", ["expm-g", "gdp-l"])
     def test_release_rejects_nan_query(self, catalog_dir, tmp_path, capsys, mechanism):
@@ -748,12 +788,10 @@ class TestReleaseAndAudit:
         save_catalog({low: GaussianModel(np.zeros(24), np.eye(24), 100),
                       high: GaussianModel(np.ones(24), np.eye(24), 100)},
                      tmp_path / "catalog.json")
-        (tmp_path / "pairs.json").write_text(
-            json.dumps({"property": "income", "pairs": [[0.45, 0.55], [0.55, 0.45]]}))
         (tmp_path / "query.json").write_text(json.dumps([0.0] * 24))
-        args = [command, "--mechanism", "awass", "--epsilon", "1", "--delta", "0.001",
-                "--models", str(tmp_path / "catalog.json"),
-                "--pairs", str(tmp_path / "pairs.json")]
+        config = write_config(tmp_path / "config.json", tmp_path / "unread.csv", tmp_path)
+        args = [command, "--config", str(config), "--mechanism", "awass", "--epsilon", "1",
+                "--delta", "0.001"]
         if command == "release":
             args += ["--query", str(tmp_path / "query.json")]
         with pytest.raises(ConfigError, match="has 24"):
@@ -762,9 +800,8 @@ class TestReleaseAndAudit:
 
     def test_audit_command(self, catalog_dir, capsys):
         args = [
-            "audit", "--mechanism", "expm-g", "--epsilon", "0.5", "--delta", "0.001",
-            "--models", str(catalog_dir / "catalog.json"),
-            "--pairs", str(catalog_dir / "pairs.json"),
+            "audit", "--config", str(catalog_dir / "config.json"),
+            "--mechanism", "expm-g", "--epsilon", "0.5", "--delta", "0.001",
             "--trials", "20000", "--seed", "1",
         ]
         assert main(args) == 0
@@ -774,9 +811,8 @@ class TestReleaseAndAudit:
 
     def test_audit_covers_every_pair(self, catalog_dir, capsys):
         args = [
-            "audit", "--mechanism", "none", "--epsilon", "0.2", "--delta", "0.001",
-            "--models", str(catalog_dir / "catalog.json"),
-            "--pairs", str(catalog_dir / "pairs.json"),
+            "audit", "--config", str(catalog_dir / "config.json"),
+            "--mechanism", "none", "--epsilon", "0.2", "--delta", "0.001",
             "--trials", "10000", "--seed", "1",
         ]
         assert main(args) == 0
@@ -788,23 +824,22 @@ class TestReleaseAndAudit:
         assert (doc["pair"], doc["estimated_violation"]) == (
             worst["pair"], worst["estimated_violation"])
 
-    # Inline pairs JSON and the flags that once set the property and the
-    # assumption tolerances are refused: --pairs names model's pairs.json.
+    # The flags that once named the catalog, the pairs, the property, the
+    # subset and group sizes and the assumption tolerances are refused: the
+    # config and its catalog fix them all.
     @pytest.mark.parametrize("flag,value,error", [
-        ("--pairs", json.dumps([[0.45, 0.55]]), FileNotFoundError),
+        ("--pairs", json.dumps([[0.45, 0.55]]), SystemExit),
         ("--property", "income", SystemExit),
         ("--cov-tol", "0.5", SystemExit),
         ("--eigenbasis-tol", "0.5", SystemExit),
+        ("--models", "catalog.json", SystemExit),
+        ("--n", "50", SystemExit),
+        ("--group-size", "10", SystemExit),
     ])
     def test_removed_pair_and_tolerance_inputs_refused(self, catalog_dir, capsys, flag, value,
                                                        error):
-        args = self.release_args(catalog_dir)
-        if flag in args:
-            args[args.index(flag) + 1] = value
-        else:
-            args += [flag, value]
         with pytest.raises(error):
-            main(args)
+            main(self.release_args(catalog_dir) + [flag, value])
         assert capsys.readouterr().out == ""
 
 
@@ -813,64 +848,48 @@ class TestMalformedInputs:
 
     @staticmethod
     def argv(case, tmp_path, catalog_dir):
+        """The command line of `case` and the file its error must name."""
         bad = tmp_path / f"{case}.json"
-        models, pairs = catalog_dir / "catalog.json", catalog_dir / "pairs.json"
         if case == "config-list":
             bad.write_text("[1, 2]")
-            return ["model", "--config", str(bad)]
+            return ["model", "--config", str(bad)], bad
         if case == "config-not-json":
             bad.write_text('{"seed": ')
-            return ["model", "--config", str(bad)]
+            return ["model", "--config", str(bad)], bad
         if case == "config-without-dataset":
             bad.write_text(json.dumps({"seed": 1, "delta_p": [0.1], "epsilon": [1.0],
                                        "delta": [0.001], "mechanisms": ["none"]}))
-            return ["model", "--config", str(bad)]
+            return ["model", "--config", str(bad)], bad
         if case == "transport-without-mass_num":
             bad.write_text(json.dumps({"points": [[1.0]], "mass_den": 1}))
-            return ["transport", str(bad), str(bad)]
-        if case == "audit-trials-below-minimum":
-            absent = str(tmp_path / "absent.json")  # reading any file would raise first
-            return ["audit", "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
-                    "--models", absent, "--pairs", absent, "--trials", "5"]
-        if case == "pairs-without-pairs":
-            bad.write_text(json.dumps({"property": "income"}))
-            pairs = bad
-        elif case == "catalog-entry-without-mean":
-            docs = json.loads(models.read_text())
-            del docs[0]["mean"]
-            bad.write_text(json.dumps(docs))
-            models = bad
-        return ["release", "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
-                "--models", str(models), "--pairs", str(pairs),
-                "--query", str(catalog_dir / "query.json")]
+            return ["transport", str(bad), str(bad)], bad
+        out = tmp_path / case
+        out.mkdir()
+        one_shot = ["--config", str(catalog_dir / "config.json"), "--out", str(out),
+                    "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001"]
+        if case == "audit-trials-below-minimum":  # out holds no catalog: reading it would raise
+            return ["audit", *one_shot, "--trials", "5"], None
+        docs = json.loads((catalog_dir / "catalog.json").read_text())
+        del docs[0]["mean"]
+        (out / "catalog.json").write_text(json.dumps(docs))
+        return ["release", *one_shot, "--query", str(catalog_dir / "query.json")], \
+            out / "catalog.json"
 
     @pytest.mark.parametrize("case,error,named", [
         ("config-list", ConfigError, "config-list.json"),
         ("config-not-json", FormatError, "config-not-json.json"),
         ("config-without-dataset", ConfigError, "'dataset'"),
-        ("pairs-without-pairs", FormatError, "missing key 'pairs'"),
         ("transport-without-mass_num", FormatError, "missing key 'mass_num'"),
         ("catalog-entry-without-mean", FormatError, "missing key 'mean'"),
         ("audit-trials-below-minimum", ConfigError, "at least 10000 trials"),
     ])
     def test_typed_error(self, tmp_path, catalog_dir, capsys, case, error, named):
+        argv, path = self.argv(case, tmp_path, catalog_dir)
         with pytest.raises(error) as err:
-            main(self.argv(case, tmp_path, catalog_dir))
+            main(argv)
         assert named in str(err.value)
         if error is FormatError:
-            assert f"{case}.json" in str(err.value)
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("command", ["release", "audit"])
-    def test_pairs_value_outside_the_unit_interval(self, tmp_path, catalog_dir, capsys, command):
-        bad = tmp_path / "pairs-out-of-range.json"
-        bad.write_text(json.dumps({"property": "income", "pairs": [[0.45, 1.5]]}))
-        argv = [command, "--mechanism", "expm-g", "--epsilon", "1", "--delta", "0.001",
-                "--models", str(catalog_dir / "catalog.json"), "--pairs", str(bad)]
-        if command == "release":
-            argv += ["--query", str(catalog_dir / "query.json")]
-        with pytest.raises(FormatError, match="pairs-out-of-range.json.*1.5"):
-            main(argv)
+            assert str(path) in str(err.value)
         assert capsys.readouterr().out == ""
 
 
@@ -879,9 +898,8 @@ class TestBudgetErrors:
 
     def args(self, catalog_dir, mechanism, *budget):
         return [
-            "release", "--mechanism", mechanism, *budget,
-            "--models", str(catalog_dir / "catalog.json"),
-            "--pairs", str(catalog_dir / "pairs.json"),
+            "release", "--config", str(catalog_dir / "config.json"),
+            "--mechanism", mechanism, *budget,
             "--query", str(catalog_dir / "query.json"),
         ]
 
@@ -891,15 +909,16 @@ class TestBudgetErrors:
         ("expm-l", ("--epsilon", "1", "--delta", "1.5")),
         ("awass", ("--epsilon", "1", "--delta", "0")),
     ])
-    def test_release_rejects_bad_budget(self, catalog_dir, capsys, mechanism, budget):
+    def test_release_rejects_bad_budget(self, catalog_dir, tmp_path, capsys, mechanism, budget):
+        # The output directory holds no catalog: the budget is refused before it is read.
+        args = self.args(catalog_dir, mechanism, *budget) + ["--out", str(tmp_path)]
         with pytest.raises(ConfigError):
-            main(self.args(catalog_dir, mechanism, *budget))
+            main(args)
         assert capsys.readouterr().out == ""
 
-    def test_audit_rejects_gaussian_without_delta(self, catalog_dir, capsys):
-        args = ["audit", "--mechanism", "dir-g", "--epsilon", "1",
-                "--models", str(catalog_dir / "catalog.json"),
-                "--pairs", str(catalog_dir / "pairs.json"), "--trials", "100"]
+    def test_audit_rejects_gaussian_without_delta(self, catalog_dir, tmp_path, capsys):
+        args = ["audit", "--config", str(catalog_dir / "config.json"), "--out", str(tmp_path),
+                "--mechanism", "dir-g", "--epsilon", "1", "--trials", "100"]
         with pytest.raises(ConfigError):
             main(args)
         capsys.readouterr()

@@ -1,9 +1,9 @@
 """Golden outputs of a small seeded sweep, compared with files kept in tests/golden/.
 
 One run of every mechanism through `model`, `utility`, `attack` and
-`release` on a synthetic simple-format table. Its `catalog.json`,
-`pairs.json`, both result CSVs and the `release` JSON of each mechanism
-must match the expected files:
+`release` (given the same config file) on a synthetic simple-format
+table. Its `catalog.json`, both result CSVs and the `release` JSON of
+each mechanism must match the expected files:
 
 * on the toolchain recorded in `golden/toolchain.json` (Python, numpy and
   machine), byte for byte;
@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from helpers import synthetic_census_table, write_simple_csv  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SWEEP_FILES = ("catalog.json", "pairs.json", "results_utility.csv", "results_attack.csv")
+SWEEP_FILES = ("catalog.json", "results_utility.csv", "results_attack.csv")
 TEST_COUNT = 60
 REL_TOL, ABS_TOL = 1e-6, 1e-9
 ACCURACY_STEPS = 2
@@ -52,7 +52,8 @@ def golden_run(work: Path) -> dict:
     """Every compared output of the run, by file name, as bytes."""
     data = write_simple_csv(synthetic_census_table(30_000, seed=11), work / "synth.csv")
     out = work / "out"
-    cfg = ExperimentConfig.from_dict({
+    config = work / "config.json"
+    config.write_text(json.dumps({
         "dataset": str(data),
         "dataset_format": "simple",
         "seed": 7,
@@ -67,7 +68,8 @@ def golden_run(work: Path) -> dict:
         "repetitions": 2,
         "attack": {"repetitions": 2, "shadow_count": 60, "test_count": TEST_COUNT},
         "out_dir": str(out),
-    })
+    }), encoding="utf-8")
+    cfg = ExperimentConfig.from_json(config)
     cmd_model(cfg)
     cmd_utility(cfg)
     cmd_attack(cfg)
@@ -77,9 +79,8 @@ def golden_run(work: Path) -> dict:
     for mech in cli.MECHANISMS:
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            main(["release", "--mechanism", mech, "--epsilon", "1", "--delta", "0.001",
-                  "--models", str(out / "catalog.json"), "--pairs", str(out / "pairs.json"),
-                  "--query", str(query), "--seed", "3"])
+            main(["release", "--config", str(config), "--mechanism", mech, "--epsilon", "1",
+                  "--delta", "0.001", "--query", str(query), "--seed", "3"])
         outputs[f"release-{mech}.json"] = printed.getvalue().encode("utf-8")
     return outputs
 

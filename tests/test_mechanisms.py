@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import statistics
 import time
@@ -658,13 +657,12 @@ class TestAssumptionTolerances:
 
     def test_direct_calls_match_build_plan_on_the_golden_catalog(self):
         golden = Path(__file__).resolve().parent / "golden"
-        pairs = json.loads((golden / "pairs.json").read_text(encoding="utf-8"))
-        fam = family_from_catalog(load_catalog(golden / "catalog.json"), pairs["pairs"],
-                                  pairs["property"])
+        cfg = TestPlanBits.config()
+        fam = family_from_catalog(load_catalog(golden / "catalog.json"),
+                                  [cfg.pair(dp) for dp in cfg.delta_p], cfg.property_name)
         report = check_assumptions(fam)
         assert 0.1 < report.max_cov_discrepancy <= COV_TOL
         assert 0.1 < report.common_eigenbasis_residual <= BASIS_TOL
-        cfg = TestPlanBits.config()
         direct = {"eig": eig_plan(fam, PARAMS), "dau": dau_plan(fam, PARAMS),
                   "dir-l": calibrate_directional(fam, PARAMS, "laplace"),
                   "dir-g": calibrate_directional(fam, PARAMS, "gaussian")}
