@@ -7,7 +7,8 @@ Subcommands:
   attack     property-inference attack accuracy per (mechanism, eps, delta); each
              repetition's subsets are drawn once and shared by every cell
   transport  exact transport report for two discrete distributions
-  release    noise one query vector under a chosen mechanism and budget
+  release    noise one query vector under a chosen mechanism and budget; without
+             --seed the noise comes from fresh OS entropy
   audit      empirical indistinguishability check for a calibrated plan
 
 Every command but `transport` reads one config (`--config`, `--out`);
@@ -538,7 +539,12 @@ def release_report(args: argparse.Namespace) -> dict:
     if query.size != dim:
         expected = "the catalog's dimension" if family is not None else "one per query component"
         raise FormatError(f"{args.query}: query has {query.size} values, expected {dim} ({expected})")
-    noised = apply(plan, query, derive_rng(args.seed, "release", args.mechanism))
+    # Without a seed the noise comes from fresh OS entropy: a seed reused
+    # across queries would add the same noise to each, so their difference
+    # would come out exact.
+    rng = (np.random.default_rng() if args.seed is None
+           else derive_rng(args.seed, "release", args.mechanism))
+    noised = apply(plan, query, rng)
     return {"noised_value": [float(x) for x in noised], "plan": plan.to_json()}
 
 
@@ -580,7 +586,6 @@ def _add_one_shot_command(sub, name, help_text):
     cmd.add_argument("--mechanism", required=True, choices=tuple(MECHANISMS))
     cmd.add_argument("--epsilon", type=float, required=True)
     cmd.add_argument("--delta", type=float, default=0.0)
-    cmd.add_argument("--seed", type=int, default=0)
     return cmd
 
 
@@ -602,9 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     rel = _add_one_shot_command(sub, "release", "noise one query vector")
     rel.add_argument("--query", required=True, help="query vector JSON file")
+    rel.add_argument("--seed", type=int, default=None,
+                     help="seed of the noise, which anyone who knows it can redraw; "
+                          "default: fresh OS entropy")
 
     aud = _add_one_shot_command(sub, "audit", "empirical indistinguishability check")
     aud.add_argument("--trials", type=int, default=100_000)
+    aud.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -439,69 +439,119 @@ def split_dataset(table: Table, seed: int) -> SplitTables:
     )
 
 
-def _strata(table: Table, which: str):
-    mask = table.property_mask(which)
-    return np.nonzero(mask)[0], np.nonzero(~mask)[0]
+def _distinct_rows(size: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count x k positions in [0, size), each row k distinct values and
+    uniform over the k-subsets of [0, size).
 
-
-def _stratified_draw(strata, prop: PropertySpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    pos_pool, neg_pool = strata
-    n_pos = int(round(n * prop.p))
-    n_neg = n - n_pos
-    if len(pos_pool) < n_pos:
-        raise SamplingError(
-            f"table has {len(pos_pool)} records with {prop.which} positive; need {n_pos}"
-        )
-    if len(neg_pool) < n_neg:
-        raise SamplingError(
-            f"table has {len(neg_pool)} records with {prop.which} negative; need {n_neg}"
-        )
-    chosen_pos = rng.choice(pos_pool, size=n_pos, replace=False)
-    chosen_neg = rng.choice(neg_pool, size=n_neg, replace=False)
-    return np.concatenate([chosen_pos, chosen_neg])
-
-
-def sample_subset_indices(
-    table: Table, prop: PropertySpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices of a subset of size n with exactly round(n*p) positives.
-
-    Rounding is half-to-even. Both strata are drawn uniformly without
-    replacement, so the subset proportion is exact, not binomial.
+    Every entry is drawn uniformly, then each round redraws the entries
+    that repeat a value earlier in their row, until no row repeats one.
+    Which entries are redrawn depends only on which values are equal, so
+    the law of the result is unchanged by any relabeling of [0, size):
+    uniform over ordered k-tuples of distinct values. Past half the pool
+    the size - k positions left out are drawn instead, which keeps each
+    entry's chance of a repeat under one half; the kept positions come
+    out sorted.
     """
-    return _stratified_draw(_strata(table, prop.which), prop, n, rng)
+    if k > size // 2:
+        return _complement_rows(_distinct_rows(size, size - k, count, rng), size)
+    if k == 0:
+        return np.empty((count, 0), dtype=np.int64)
+    rows = rng.integers(size, size=(count, k))
+    todo = np.arange(count)  # the rows that may still repeat a value
+    while True:
+        # an unstable sort finds the rows with a repeat, a stable one the
+        # repeats themselves: it keeps a value's first entry before the others
+        ranked = np.sort(rows[todo], axis=1)
+        todo = todo[(ranked[:, 1:] == ranked[:, :-1]).any(axis=1)]
+        if not todo.size:
+            return rows
+        sub = rows[todo]
+        order = np.argsort(sub, axis=1, kind="stable")
+        ranked = np.take_along_axis(sub, order, axis=1)
+        row, col = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+        rows[todo[row], order[row, col + 1]] = rng.integers(size, size=row.size)
+        todo = np.unique(todo[row])
+
+
+def _complement_rows(left_out: np.ndarray, size: int) -> np.ndarray:
+    """Each row's positions in [0, size) that are not in that row, ascending.
+
+    With a row's left-out positions sorted as e_0 < e_1 < ..., the i-th kept
+    position is i plus the number of t with e_t - t <= i. Offsetting row r's
+    values of e_t - t (which lie in [0, k]) by r(k + 1) makes them one
+    ascending array, so one searchsorted counts them for every row.
+    """
+    count, m = left_out.shape
+    k = size - m
+    offsets = np.arange(count)[:, None] * (k + 1)
+    gaps = (np.sort(left_out, axis=1) - np.arange(m) + offsets).ravel()
+    below = np.searchsorted(gaps, (np.arange(k) + offsets).ravel(), side="right")
+    return np.arange(k) + below.reshape(count, k) - np.arange(count)[:, None] * m
 
 
 def _query_features(table: Table) -> np.ndarray:
-    """Rows x 5 integer contributions to the query's sums, in query order."""
-    return np.column_stack([table.age, table.education_num, table.never_married,
-                            table.female, table.hours_per_week]).astype(np.int64)
+    """5 x rows integer contributions to the query's sums, in query order."""
+    return np.stack([table.age, table.education_num, table.never_married,
+                     table.female, table.hours_per_week]).astype(np.int64)
 
 
 def _gather_queries(features: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    # Exact int64 sums divided in float64 round as int(sum) / n does.
+    """The query of each row of indices into the columns of features.
+
+    Sums are exact in int64 and gathered one component at a time, so no
+    rows x n x 5 array is built; dividing in float64 rounds as int(sum) / n.
+    """
     n = indices.shape[1]
-    return features[indices].sum(axis=1) / np.array([n, n, 1, 1, n], dtype=float)
+    sums = np.empty((len(indices), len(features)), dtype=np.int64)
+    for j, column in enumerate(features):
+        sums[:, j] = column[indices].sum(axis=1)
+    return sums / np.array([n, n, 1, 1, n], dtype=float)
 
 
 class SubsetSampler:
     """Stratified subsets of one table by one property, drawn in batches.
 
-    The strata and the table's query features are computed once. Each
-    subset takes exactly the generator calls of `sample_subset_indices`,
-    so a batch equals that many calls in a row on the same generator.
+    The strata and the table's query features are computed once. A batch
+    of subsets takes a number of generator calls that does not grow with
+    its size: each stratum draws all its subsets' positions at once (see
+    `_distinct_rows`), positives first. The rows of a batch are independent
+    and each is uniform over the stratified subsets, but a batch of k rows
+    draws other values than k one-row batches from the same generator.
     """
 
     def __init__(self, table: Table, which: str):
         self.which = which
-        self.strata = _strata(table, which)
+        mask = table.property_mask(which)
+        self.strata = np.flatnonzero(mask), np.flatnonzero(~mask)
         self.features = _query_features(table)
 
     def draw(self, p: float, n: int, count: int, rng: np.random.Generator):
-        """(count x n indices, count x 5 queries) of count subsets at proportion p."""
+        """(count x n indices, count x 5 queries) of count subsets of n
+        records with exactly round(n*p) positives.
+
+        Rounding is half-to-even. Both strata are drawn uniformly without
+        replacement, so the subset proportion is exact, not binomial. A
+        stratum too small for its share raises SamplingError before the
+        generator is used.
+        """
         prop = PropertySpec(self.which, p)
-        indices = np.stack([_stratified_draw(self.strata, prop, n, rng) for _ in range(count)])
+        n_pos = int(round(n * prop.p))
+        shares = (n_pos, n - n_pos)
+        for pool, k, side in zip(self.strata, shares, ("positive", "negative")):
+            if len(pool) < k:
+                raise SamplingError(
+                    f"table has {len(pool)} records with {self.which} {side}; need {k}")
+        indices = np.hstack([pool[_distinct_rows(len(pool), k, count, rng)]
+                             for pool, k in zip(self.strata, shares)])
         return indices, _gather_queries(self.features, indices)
+
+
+def sample_subset_indices(
+    table: Table, prop: PropertySpec, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Indices of a subset of size n with exactly round(n*p) positives: a
+    one-row `SubsetSampler.draw`, drawing from rng as that does."""
+    return SubsetSampler(table, prop.which).draw(prop.p, n, 1, rng)[0][0]
 
 
 def compute_query(subset: Table) -> np.ndarray:

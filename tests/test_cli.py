@@ -583,14 +583,14 @@ class TestCmdAttack:
     def test_subsets_are_drawn_once_for_every_mechanism(self, synth_csv, tmp_path, monkeypatch):
         from distpriv import dataio
 
-        draws = []
-        draw = dataio._stratified_draw
+        draws = []  # the row count of each SubsetSampler.draw call
+        draw = dataio.SubsetSampler.draw
 
-        def counting_draw(*args):
-            draws.append(args)
-            return draw(*args)
+        def counting_draw(self, p, n, count, rng):
+            draws.append(count)
+            return draw(self, p, n, count, rng)
 
-        monkeypatch.setattr(dataio, "_stratified_draw", counting_draw)
+        monkeypatch.setattr(dataio.SubsetSampler, "draw", counting_draw)
         counts = []
         for name, mechanisms in (("one", ["none"]), ("three", ["none", "expm-l", "expm-g"])):
             cfg = base_config(synth_csv, tmp_path / name, mechanisms=mechanisms,
@@ -598,9 +598,11 @@ class TestCmdAttack:
             cmd_model(cfg)
             draws.clear()
             cmd_attack(cfg)
-            counts.append(len(draws))
+            counts.append((len(draws), sum(draws)))
         shadow = cfg.shadow_config()
-        assert counts == [shadow.repetitions * (shadow.shadow_count + shadow.test_count)] * 2
+        # one batch per (shadow or test, p_low or p_high) per repetition
+        assert counts == [(4 * shadow.repetitions,
+                           shadow.repetitions * (shadow.shadow_count + shadow.test_count))] * 2
 
     def test_rows_join_the_utility_rows_on_delta_p(self, synth_csv, tmp_path):
         # The attack's cells are labelled with the config's delta_p, not with
@@ -690,11 +692,12 @@ class TestTransportCommand:
 
 
 class TestReleaseAndAudit:
-    def release_args(self, catalog_dir, mechanism="expm-g", seed="3"):
+    def release_args(self, catalog_dir, mechanism="expm-g", seed="3", query=None):
         return [
             "release", "--config", str(catalog_dir / "config.json"),
             "--mechanism", mechanism, "--epsilon", "1.0", "--delta", "0.001",
-            "--query", str(catalog_dir / "query.json"), "--seed", seed,
+            "--query", str(query or catalog_dir / "query.json"),
+            *(["--seed", seed] if seed else []),
         ]
 
     def test_release_outputs_plan_and_vector(self, catalog_dir, capsys):
@@ -709,6 +712,21 @@ class TestReleaseAndAudit:
         first = capsys.readouterr().out
         main(self.release_args(catalog_dir))
         assert capsys.readouterr().out == first
+
+    def test_seedless_releases_draw_fresh_noise(self, catalog_dir, tmp_path, capsys):
+        # A seed fixes the noise whatever the query, so the difference of two
+        # releases under one seed is exactly the difference of their queries.
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps([41.0, 10.0, 30.0, 35.0, 41.0]))
+        gaps = {}
+        for seed in ("3", None):
+            noised = []
+            for query in (None, other):
+                main(self.release_args(catalog_dir, seed=seed, query=query))
+                noised.append(np.array(json.loads(capsys.readouterr().out)["noised_value"]))
+            gaps[seed] = noised[1] - noised[0]
+        assert np.array_equal(gaps["3"], [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert not np.array_equal(gaps[None], [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_release_none_is_identity(self, catalog_dir, capsys):
         main(self.release_args(catalog_dir, mechanism="none"))

@@ -1,7 +1,9 @@
 import logging
+import math
 import re
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -501,14 +503,66 @@ class TestComputeQuery:
 
 
 class TestSubsetSampler:
-    @pytest.mark.parametrize("which,p,n", [("income", 0.45, 100), ("workclass", 0.3, 37)])
-    def test_batch_equals_repeated_single_draws(self, which, p, n):
+    CASES = [("income", 0.45, 100), ("workclass", 0.3, 37)]
+
+    @pytest.mark.parametrize("which,p,n", CASES)
+    def test_rows_are_distinct_and_exactly_stratified(self, which, p, n):
+        table = synthetic_census_table(5_000, seed=14)
+        indices, queries = SubsetSampler(table, which).draw(p, n, 300, derive_rng(9, which))
+        assert indices.shape == (300, n) and indices.dtype == np.int64
+        assert queries.shape == (300, 5)
+        assert all(len(set(row)) == n for row in indices.tolist())
+        assert np.all(table.property_mask(which)[indices].sum(axis=1) == round(n * p))
+
+    @pytest.mark.parametrize("which,p,n", CASES)
+    def test_same_generator_gives_the_same_bytes(self, which, p, n):
+        sampler = SubsetSampler(synthetic_census_table(5_000, seed=14), which)
+        first, second = (sampler.draw(p, n, 25, derive_rng(9, which)) for _ in range(2))
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+
+    def test_sample_subset_indices_is_a_one_row_draw(self):
+        table = synthetic_census_table(5_000, seed=14)
+        single = sample_subset_indices(table, PropertySpec("workclass", 0.3), 37, derive_rng(4))
+        indices, _ = SubsetSampler(table, "workclass").draw(0.3, 37, 1, derive_rng(4))
+        assert single.tobytes() == indices[0].tobytes()
+
+    # k = 3 redraws repeats; k = 4, past half the pool, draws the 2 left out
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_subset_of_a_small_pool_is_equally_likely(self, k):
+        stats = pytest.importorskip("scipy.stats")
+        six = Table(age=range(20, 26), education_num=[9] * 6, never_married=[False] * 6,
+                    female=[True] * 6, hours_per_week=[40] * 6, income_gt_50k=[True] * 6,
+                    private_workclass=[False] * 6)
+        indices, _ = SubsetSampler(six, "income").draw(1.0, k, 20_000, derive_rng(15, k))
+        counts = Counter(tuple(sorted(row)) for row in indices.tolist())
+        assert len(counts) == math.comb(6, k)
+        assert stats.chisquare(list(counts.values())).pvalue > 1e-6
+
+    def test_a_whole_stratum_is_taken_without_drawing(self):
+        table = synthetic_census_table(5_000, seed=14)
+        positives = np.flatnonzero(table.income_gt_50k)
+        rng = derive_rng(16)
+        state = rng.bit_generator.state
+        indices, _ = SubsetSampler(table, "income").draw(1.0, positives.size, 50, rng)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(indices, np.tile(positives, (50, 1)))
+
+    # 200 records, 91 of them positive: at p = 0.2 the 30 positives fit and the
+    # 120 negatives do not, so a check made only after drawing the positives fails
+    @pytest.mark.parametrize("p,side", [(1.0, "positive"), (0.2, "negative")])
+    def test_a_small_stratum_raises_before_the_generator_is_used(self, p, side):
+        sampler = SubsetSampler(synthetic_census_table(200, seed=9), "income")
+        rng = derive_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError, match=f"income {side}"):
+            sampler.draw(p, 150, 10, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("which,p,n", CASES)
+    def test_queries_are_the_integer_arithmetic(self, which, p, n):
         table = synthetic_census_table(5_000, seed=14)
         indices, queries = SubsetSampler(table, which).draw(p, n, 25, derive_rng(9, which))
-        rng = derive_rng(9, which)
-        singles = [sample_subset_indices(table, PropertySpec(which, p), n, rng) for _ in range(25)]
-        assert indices.dtype == singles[0].dtype
-        assert indices.tobytes() == np.stack(singles).tobytes()
         for idx, query in zip(indices, queries):
             subset = table.take(idx)
             assert query.tobytes() == compute_query(subset).tobytes()
