@@ -460,7 +460,8 @@ def _distinct_rows(size: int, k: int, count: int, rng: np.random.Generator) -> n
     todo = np.arange(count)  # the rows that may still repeat a value
     while True:
         # an unstable sort finds the rows with a repeat, a stable one the
-        # repeats themselves: it keeps a value's first entry before the others
+        # repeats themselves: it keeps a value's first entry before the others.
+        # Most rows have no repeat, so the dearer stable sort sees few rows.
         ranked = np.sort(rows[todo], axis=1)
         todo = todo[(ranked[:, 1:] == ranked[:, :-1]).any(axis=1)]
         if not todo.size:

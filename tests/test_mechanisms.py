@@ -655,6 +655,16 @@ class TestAssumptionTolerances:
         with pytest.raises(AssumptionViolation, match="eigenbasis"):
             eig_plan(above, PARAMS)
 
+    @staticmethod
+    def assert_direct_calls_match_build_plan(fam):
+        cfg = TestPlanBits.config()
+        direct = {"eig": eig_plan(fam, PARAMS), "dau": dau_plan(fam, PARAMS),
+                  "dir-l": calibrate_directional(fam, PARAMS, "laplace"),
+                  "dir-g": calibrate_directional(fam, PARAMS, "gaussian")}
+        for mech, plan in direct.items():
+            assert plan.to_json() == build_plan(mech, fam, PARAMS, cfg).to_json()
+        assert isinstance(no_noise_check(fam, PARAMS), bool)
+
     def test_direct_calls_match_build_plan_on_the_golden_catalog(self):
         golden = Path(__file__).resolve().parent / "golden"
         cfg = TestPlanBits.config()
@@ -664,12 +674,21 @@ class TestAssumptionTolerances:
         # the covariances differ, so both checks measure a discrepancy
         assert 0.0 < report.max_cov_discrepancy <= COV_TOL
         assert 0.0 < report.common_eigenbasis_residual <= BASIS_TOL
-        direct = {"eig": eig_plan(fam, PARAMS), "dau": dau_plan(fam, PARAMS),
-                  "dir-l": calibrate_directional(fam, PARAMS, "laplace"),
-                  "dir-g": calibrate_directional(fam, PARAMS, "gaussian")}
-        for mech, plan in direct.items():
-            assert plan.to_json() == build_plan(mech, fam, PARAMS, cfg).to_json()
-        assert isinstance(no_noise_check(fam, PARAMS), bool)
+        self.assert_direct_calls_match_build_plan(fam)
+
+    def test_direct_calls_accept_a_family_past_the_retired_default(self):
+        # Direct calls once refused a family past 0.1 on either measurement;
+        # this one is past it on both and every call returns build_plan's plan.
+        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        fam = PairFamily(
+            {lab_a: GaussianModel([1.0, 0.0], np.diag([2.0, 1.0]), 10),
+             lab_b: GaussianModel([0.0, 0.0], [[2.0, 0.5], [0.5, 1.5]], 10)},
+            [(lab_a, lab_b), (lab_b, lab_a)],
+        )
+        report = check_assumptions(fam)
+        assert 0.1 < report.max_cov_discrepancy < COV_TOL
+        assert 0.1 < report.common_eigenbasis_residual < BASIS_TOL
+        self.assert_direct_calls_match_build_plan(fam)
 
 
 class TestGroupDpBaseline:
