@@ -46,6 +46,7 @@ import numpy as np
 from . import __version__
 from .attack import ShadowConfig, draw_attack_queries, run_attack_trial
 from .dataio import (
+    CANONICAL_ROW_COUNT,
     QUERY_COMPONENTS,
     PropertySpec,
     SplitTables,
@@ -227,9 +228,15 @@ class ExperimentConfig:
 
 
 def load_dataset(cfg: ExperimentConfig) -> Table:
-    if cfg.dataset_format == "adult":
-        return load_adult(cfg.dataset)
-    return load_simple_csv(cfg.dataset)
+    """The config's table; Adult files must hold the canonical record count."""
+    if cfg.dataset_format != "adult":
+        return load_simple_csv(cfg.dataset)
+    table = load_adult(cfg.dataset)
+    if len(table) != CANONICAL_ROW_COUNT:
+        raise ConfigError(
+            f"expected the canonical {CANONICAL_ROW_COUNT} preprocessed records, got {len(table)}"
+        )
+    return table
 
 
 def load_splits(cfg: ExperimentConfig) -> SplitTables:

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ParseError, SamplingError
+from .errors import FormatError, ParseError, SamplingError
 
 logger = logging.getLogger(__name__)
 
@@ -176,15 +176,15 @@ def dataset_sha256(path, dataset_format: str = "adult") -> str:
     return outer.hexdigest()
 
 
-def load_adult(path, allow_variant: bool = False) -> Table:
+def load_adult(path) -> Table:
     """Load UCI Adult census CSV data into a Table.
 
     Accepts a single concatenated file or a directory holding adult.data
     and adult.test. Rows with the missing marker '?' are dropped, the
     test file's trailing '.' on labels is normalized, and out-of-range
     rows are rejected; both rejection counts are logged. The canonical
-    files yield exactly 45222 records, which is asserted unless
-    allow_variant is set.
+    files yield exactly CANONICAL_ROW_COUNT records, which the sweep
+    commands check (`cli.load_dataset`); this loader reads any count.
 
     The syntax read: UTF-8 text whose lines end in "\\n" or "\\r\\n" (the
     last may have no end). Blank lines and lines whose first non-blank
@@ -213,13 +213,7 @@ def load_adult(path, allow_variant: bool = False) -> Table:
     if dropped_range:
         logger.warning("dropped %d rows with out-of-range attributes", dropped_range)
 
-    table = Table(*(np.concatenate(column) for column in zip(*parts))) if parts else Table(*[()] * 7)
-    if len(table) != CANONICAL_ROW_COUNT and not allow_variant:
-        raise ConfigError(
-            f"expected the canonical {CANONICAL_ROW_COUNT} preprocessed records, got "
-            f"{len(table)}; pass allow_variant=True for non-canonical files"
-        )
-    return table
+    return Table(*(np.concatenate(column) for column in zip(*parts))) if parts else Table(*[()] * 7)
 
 
 def _newline_blocks(file: Path):

@@ -78,9 +78,9 @@ class NoisePlan:
     Construction checks every field once. The scale of laplace_iid and
     scalar_along_direction, and the sigma of gaussian_iid, must be finite
     and nonnegative (NaN fails); this is the only check of a noise scale's
-    range. A gaussian_cov plan symmetrizes its covariance and keeps the
-    factor of its `covariance_spectrum` as `factor`, which every draw
-    reads; cov, direction and factor are read-only arrays.
+    range. A gaussian_cov plan keeps the symmetric covariance and the
+    factor of its `covariance_spectrum` as `cov` and `factor`, which every
+    draw reads; cov, direction and factor are read-only arrays.
     """
 
     kind: str
@@ -101,10 +101,8 @@ class NoisePlan:
             if value is None or not 0.0 <= value < math.inf:
                 raise ValueError(f"{self.kind} requires a finite nonnegative {name}, got {value}")
         if self.kind == "gaussian_cov":
-            cov = np.asarray(self.cov, dtype=float)
-            object.__setattr__(self, "factor", covariance_spectrum(cov)[2])
-            cov = 0.5 * (cov + cov.T)
-            cov.setflags(write=False)
+            _, _, factor, cov = covariance_spectrum(self.cov)
+            object.__setattr__(self, "factor", factor)
             object.__setattr__(self, "cov", cov)
         elif self.kind == "scalar_along_direction":
             if self.dist not in ("laplace", "gaussian"):

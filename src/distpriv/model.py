@@ -9,11 +9,11 @@ the data satisfy the assumptions the noise mechanisms rely on
 (shared covariance, common gap direction, common eigenbasis).
 
 Every covariance, of a model or of a Gaussian noise plan, is checked,
-decomposed and factored by `covariance_spectrum`, once, when its holder
-is built: the one positive semi-definiteness rule lives there. A model
-keeps its spectrum and its factor, and a family keeps its mean gaps, so
-draws, calibrations and assumption measurements read stored facts
-instead of recomputing them.
+symmetrized, decomposed and factored by `covariance_spectrum`, once, when
+its holder is built: the one positive semi-definiteness rule lives there.
+A model keeps its symmetric covariance, its spectrum and its factor, and
+a family keeps its mean gaps, so draws, calibrations and assumption
+measurements read stored facts instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ class PrivacyParams:
 class GaussianModel:
     """Multivariate Gaussian approximation of a query distribution.
 
-    Holds a mean vector, a symmetric positive semi-definite covariance
-    matrix (symmetrized on construction), the number of samples used in
-    estimation, and the covariance's `covariance_spectrum` from its one
-    decomposition: `eigenvalues` (descending), `eigenvectors` (column k
-    belongs to eigenvalue k) and `factor` (A with A A^T = cov), which
-    draws read. Arrays are read-only after construction; instances are
-    safe to share across threads.
+    Holds a mean vector, the number of samples used in estimation, and
+    the covariance's `covariance_spectrum` from its one decomposition:
+    `cov`, the symmetric positive semi-definite form of the covariance
+    given, `eigenvalues` (descending), `eigenvectors` (column k belongs
+    to eigenvalue k) and `factor` (A with A A^T = cov), which draws read.
+    Arrays are read-only after construction; instances are safe to share
+    across threads.
     """
 
     __slots__ = ("mean", "cov", "eigenvalues", "eigenvectors", "factor", "sample_count")
@@ -94,10 +94,8 @@ class GaussianModel:
             raise ValueError("mean must be finite")
         if int(sample_count) < 1:
             raise ValueError("sample_count must be positive")
-        eigenvalues, eigenvectors, factor = covariance_spectrum(cov)
+        eigenvalues, eigenvectors, factor, cov = covariance_spectrum(cov)
         mean.setflags(write=False)
-        cov = 0.5 * (cov + cov.T)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "eigenvalues", eigenvalues)
@@ -312,9 +310,10 @@ def eigendecompose(cov) -> Tuple[np.ndarray, np.ndarray]:
     return vals[order], _fix_sign(np.ascontiguousarray(vecs[:, order]))
 
 
-def covariance_spectrum(cov) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def covariance_spectrum(cov) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (eigenvalues, eigenvectors) from eigendecompose of a
-    covariance, and the factor A = eigenvectors * sqrt(eigenvalues), A A^T = cov.
+    covariance, the factor A = eigenvectors * sqrt(eigenvalues), A A^T = cov,
+    and the symmetric form 0.5 * (cov + cov^T) that its holder keeps.
 
     The one check of a covariance: it must be finite, square and symmetric
     (eigendecompose), and positive semi-definite, which means no eigenvalue
@@ -329,24 +328,20 @@ def covariance_spectrum(cov) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     if vals.size and not vals[-1] >= -PSD_RTOL * max(vals[0], 1e-300):
         raise ValueError(f"covariance is not positive semi-definite (min eigenvalue {vals[-1]:g})")
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    for array in (vals, vecs, factor):
+    symmetric = 0.5 * (cov + cov.T)
+    for array in (vals, vecs, factor, symmetric):
         array.setflags(write=False)
-    return vals, vecs, factor
-
-
-def ridge_repaired(cov: np.ndarray) -> np.ndarray:
-    """Covariance with the standard ridge added before any inversion."""
-    cov = np.asarray(cov, dtype=float)
-    m = cov.shape[0]
-    ridge = RIDGE_REL * float(np.trace(cov)) / m
-    if ridge <= 0.0:
-        return cov.copy()
-    return cov + ridge * np.eye(m)
+    return vals, vecs, factor, symmetric
 
 
 def solve_spd(cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (cov + ridge) x = rhs by Cholesky; raise NumericError if singular."""
-    repaired = ridge_repaired(cov)
+    """Solve (cov + ridge) x = rhs by Cholesky, with the standard ridge
+    RIDGE_REL * trace / dim added before the inversion when it is
+    positive; raise NumericError if singular."""
+    cov = np.asarray(cov, dtype=float)
+    m = cov.shape[0]
+    ridge = RIDGE_REL * float(np.trace(cov)) / m
+    repaired = cov + ridge * np.eye(m) if ridge > 0.0 else cov
     try:
         chol = np.linalg.cholesky(repaired)
     except np.linalg.LinAlgError as exc:

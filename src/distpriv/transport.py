@@ -9,15 +9,16 @@ finite set of realized pairwise distances. Only the distances themselves
 are floating point; no feasibility decision ever depends on float
 rounding.
 
-The flow network is dense and bipartite: rows are the positive-mass
-points of mu, columns those of nu, and one integer matrix holds the flow
-between them, beside the residual supply and demand vectors. A threshold
-is the mask dist <= t. The search bisects over thresholds with a warm
-start: a flow feasible within t stays feasible within every larger
+Each call builds one network object, _Dinic, dense and bipartite: rows
+are the positive-mass points of mu, columns those of nu, and it holds
+their distances, one integer matrix of the flow between them, the
+residual supply and demand vectors and the total flow carried. A
+threshold is the mask dist <= t. The search bisects over thresholds with
+a warm start: a flow feasible within t stays feasible within every larger
 threshold, so a probe that falls short keeps its maximum flow as the base
 of every later probe, which lies above it. A probe that reaches the
-needed mass is undone by restoring a copy of the flow, supply and demand
-taken before it, and it lowers the upper end of the bisection to the
+needed mass is undone by restoring the supply, demand, flow and total
+saved before it, and it lowers the upper end of the bisection to the
 longest edge its flow uses, a threshold that flow shows feasible. Max flow
 is Dinic's: a phase whose first column layer already reaches the sink is a
 greedy fill, rows in ascending order each pushing into their columns from
@@ -174,51 +175,100 @@ def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.abs(x - y).sum(axis=-1)
 
 
-class _Dinic:
-    """Max flow on the dense bipartite transport network of one pair.
+_DIST_BLOCK_ROWS = 64
 
-    Rows are the positive-mass points of mu, columns those of nu. One
-    matrix `flow` holds the flow on every transport edge, and two vectors
-    the residual supply of each row (the source edge) and the residual
-    demand of each column (the sink edge). Transport edges have no
-    capacity of their own: conservation already bounds flow[i, j] by
-    min(supply_i, demand_j). So the residual network has an edge i -> j
-    wherever the threshold allows one and an edge j -> i wherever
-    flow[i, j] > 0. Entries are int64, or Python integers once the common
-    mass scale reaches 2**63, so no scale of masses can overflow.
+
+def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
+    scale = math.lcm(mu.mass_den, nu.mass_den)
+    supplies = [n * (scale // mu.mass_den) for n in mu.mass_num]
+    demands = [n * (scale // nu.mass_den) for n in nu.mass_num]
+    return supplies, demands, scale
+
+
+class _Dinic:
+    """The transport network of one pair, and its max flow.
+
+    Rows are the positive-mass points of mu, columns those of nu. `dist`
+    holds their L1 distances, `flow` the flow on every transport edge,
+    `supply` and `demand` the residual source and sink edges, and `total`
+    the flow carried so far, out of the common mass scale `scale`.
+    Transport edges have no capacity of their own: conservation already
+    bounds flow[i, j] by min(supply_i, demand_j). So within threshold w
+    the residual network has an edge i -> j wherever dist[i, j] <= w and
+    an edge j -> i wherever flow[i, j] > 0. Entries are int64, or Python
+    integers once the scale reaches 2**63, so no scale of masses can
+    overflow.
 
     BFS levels come from numpy reductions over whole rows and columns.
     The blocking flow is an iterative DFS, so support sizes are limited by
     time, not recursion depth. It runs over candidate lists built once per
     phase, a layer at a time, after the nodes that cannot reach the sink
-    are pruned. A phase with a single column layer, whose every
-    column in reach drains to the sink, is a greedy fill in the order the
-    DFS would take, with no paths to keep. Undoing flow is keeping a copy.
+    are pruned. A phase with a single column layer, whose every column in
+    reach drains to the sink, is a greedy fill in the order the DFS would
+    take, with no paths to keep.
     """
 
-    def __init__(self, supply: np.ndarray, demand: np.ndarray, flow: np.ndarray):
-        self.supply = supply
-        self.demand = demand
-        self.flow = flow
+    def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution):
+        if mu.dim != nu.dim:
+            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+        supplies, demands, self.scale = _scaled_masses(mu, nu)
+        dtype = np.int64 if self.scale < 2**63 else object  # exact either way
+        sup = np.array(supplies, dtype=dtype)
+        dem = np.array(demands, dtype=dtype)
+        self.rows, self.cols = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
+        # Measured by _l1, as ClosenessCertificate.verify measures its edges,
+        # so each distance is bit-equal to the one verify recomputes. Blocks
+        # of rows bound the (rows, cols, dim) differences held at once.
+        p, q = mu.points[self.rows][:, None, :], nu.points[self.cols][None, :, :]
+        self.dist = np.empty((self.rows.size, self.cols.size))
+        for start in range(0, self.rows.size, _DIST_BLOCK_ROWS):
+            block = slice(start, start + _DIST_BLOCK_ROWS)
+            self.dist[block] = _l1(p[block], q)
+        self.supply, self.demand = sup[self.rows], dem[self.cols]
+        self.flow = np.zeros((self.rows.size, self.cols.size), dtype=dtype)
+        self.total = 0
 
-    def copy(self) -> "_Dinic":
-        return _Dinic(self.supply.copy(), self.demand.copy(), self.flow.copy())
-
-    def max_flow(self, allowed: np.ndarray, limit: Optional[int] = None) -> int:
-        """Augment the flow over the allowed transport edges until it is
-        maximal, or until it has grown by at least `limit`; return how much
-        it grew."""
-        total = 0
-        while limit is None or total < limit:
+    def max_flow(self, w: float, limit: Optional[int] = None) -> int:
+        """Augment the flow within threshold w until it is maximal, or
+        until the total reaches at least `limit`; return the total."""
+        allowed = self.dist <= w
+        while limit is None or self.total < limit:
             layers = self._levels(allowed)
             if layers is None:
-                return total
-            rest = None if limit is None else limit - total
+                break
+            rest = None if limit is None else limit - self.total
             if len(layers[1]) == 1:
-                total += self._fill(allowed, layers[0][0], layers[1][0], rest)
+                self.total += self._fill(allowed, layers[0][0], layers[1][0], rest)
             else:
-                total += self._blocking_flow(allowed, *layers, rest)
-        return total
+                self.total += self._blocking_flow(allowed, *layers, rest)
+        return self.total
+
+    def longest_edge(self, w: float, needed: int) -> Optional[float]:
+        """The longest edge of a flow of `needed` within w; None if none fits.
+
+        A probe that falls short leaves its maximum flow in place as the
+        base for every later probe, which lies above it. A probe that
+        succeeds is undone: the supply, demand, flow and total saved
+        before it are restored. The edge it reports is itself a feasible
+        threshold, because the probe's flow fits within it.
+        """
+        saved = self.supply.copy(), self.demand.copy(), self.flow.copy(), self.total
+        if self.max_flow(w, needed) < needed:
+            return None
+        longest = self.longest_used()
+        self.supply, self.demand, self.flow, self.total = saved
+        return longest
+
+    def longest_used(self) -> float:
+        """The longest transport edge carrying flow; 0.0 when none does."""
+        return float(self.dist[self.flow > 0].max(initial=0.0))
+
+    def coupling(self) -> List[Tuple[int, int, Fraction]]:
+        """(i, j, mass) for every transport edge carrying flow, sorted."""
+        return [
+            (int(self.rows[a]), int(self.cols[b]), Fraction(int(self.flow[a, b]), self.scale))
+            for a, b in zip(*np.nonzero(self.flow > 0))  # row-major, so already sorted
+        ]
 
     def _levels(self, allowed: np.ndarray):
         """Rows and columns by BFS depth, as masks: rows of depth t reach
@@ -381,94 +431,20 @@ def _neighbour_lists(edges, src_mask, dst_mask, out: dict) -> None:
     out.update(lists)
 
 
-_DIST_BLOCK_ROWS = 64
-
-
-def _scaled_masses(mu: DiscreteDistribution, nu: DiscreteDistribution):
-    scale = math.lcm(mu.mass_den, nu.mass_den)
-    supplies = [n * (scale // mu.mass_den) for n in mu.mass_num]
-    demands = [n * (scale // nu.mass_den) for n in nu.mass_num]
-    return supplies, demands, scale
-
-
-class _ThresholdNetwork:
-    """The transport network of one pair, probed at rising thresholds.
-
-    Holds the L1 distances between the positive-mass points of mu (rows)
-    and of nu (columns), and the flow carried so far. A threshold is the
-    mask dist <= w. A flow feasible within some threshold stays feasible
-    within every larger one, so each probe resumes max flow from the flow
-    already carried.
-    """
-
-    def __init__(self, mu: DiscreteDistribution, nu: DiscreteDistribution):
-        if mu.dim != nu.dim:
-            raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-        supplies, demands, self.scale = _scaled_masses(mu, nu)
-        dtype = np.int64 if self.scale < 2**63 else object  # exact either way
-        sup = np.array(supplies, dtype=dtype)
-        dem = np.array(demands, dtype=dtype)
-        self.rows, self.cols = np.flatnonzero(sup > 0), np.flatnonzero(dem > 0)
-        # Measured by _l1, as ClosenessCertificate.verify measures its edges,
-        # so each distance is bit-equal to the one verify recomputes. Blocks
-        # of rows bound the (rows, cols, dim) differences held at once.
-        p, q = mu.points[self.rows][:, None, :], nu.points[self.cols][None, :, :]
-        self.dist = np.empty((self.rows.size, self.cols.size))
-        for start in range(0, self.rows.size, _DIST_BLOCK_ROWS):
-            block = slice(start, start + _DIST_BLOCK_ROWS)
-            self.dist[block] = _l1(p[block], q)
-        self.net = _Dinic(sup[self.rows], dem[self.cols],
-                          np.zeros((self.rows.size, self.cols.size), dtype=dtype))
-        self.flow = 0
-
-    def augment(self, w: float, limit: Optional[int] = None) -> int:
-        """Flow within threshold w: the maximum, or at least `limit` if that fits."""
-        rest = None if limit is None else limit - self.flow
-        self.flow += self.net.max_flow(self.dist <= w, rest)
-        return self.flow
-
-    def longest_edge(self, w: float, needed: int) -> Optional[float]:
-        """The longest edge of a flow of `needed` within w; None if none fits.
-
-        A probe that falls short leaves its maximum flow in place as the
-        base for every later probe, which lies above it. A probe that
-        succeeds is undone by restoring the copy taken before it. The
-        edge it reports is itself a feasible threshold, because the
-        probe's flow fits within it.
-        """
-        base, flow = self.net.copy(), self.flow
-        if self.augment(w, needed) < needed:
-            return None
-        longest = self.longest_used()
-        self.net, self.flow = base, flow
-        return longest
-
-    def longest_used(self) -> float:
-        """The longest transport edge carrying flow; 0.0 when none does."""
-        return float(self.dist[self.net.flow > 0].max(initial=0.0))
-
-    def coupling(self) -> List[Tuple[int, int, Fraction]]:
-        """(i, j, mass) for every transport edge carrying flow, sorted."""
-        flow = self.net.flow
-        return [
-            (int(self.rows[a]), int(self.cols[b]), Fraction(int(flow[a, b]), self.scale))
-            for a, b in zip(*np.nonzero(flow > 0))  # row-major, so already sorted
-        ]
-
-
-def _smallest_feasible_threshold(mu, nu, needed_of_scale) -> float:
-    """Least realized distance t whose flow reaches the needed fraction.
+def _smallest_feasible_threshold(mu, nu, delta: Fraction) -> float:
+    """Least realized distance t within which all but delta of the mass
+    can be transported.
 
     Bisects over the distances between positive-mass points, plus 0; the
     flow only changes at those, so no other distance can be the answer.
     A feasible probe lowers the upper end to the longest edge its flow
     uses, which is feasible too.
     """
-    net = _ThresholdNetwork(mu, nu)
+    net = _Dinic(mu, nu)
     thresholds = np.unique(net.dist)
     if thresholds[0] > 0.0:
         thresholds = np.concatenate(([0.0], thresholds))
-    needed = needed_of_scale(net.scale)
+    needed = net.scale - math.floor(delta * net.scale)
 
     lo, hi = 0, thresholds.size - 1
     if needed >= net.scale:
@@ -540,14 +516,14 @@ def winf_distance(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     """
     if mu.dim == 1 and nu.dim == 1:
         return _winf_on_line(mu, nu)
-    return _smallest_feasible_threshold(mu, nu, lambda scale: scale)
+    return min_w_for_delta(mu, nu, 0)
 
 
 def max_mass_within(mu: DiscreteDistribution, nu: DiscreteDistribution, w: float) -> Fraction:
     """Largest coupling mass placeable on pairs with L1 distance <= w."""
     w = _check_radius(w)
-    net = _ThresholdNetwork(mu, nu)
-    return Fraction(net.augment(w), net.scale)
+    net = _Dinic(mu, nu)
+    return Fraction(net.max_flow(w), net.scale)
 
 
 def is_w_delta_close(
@@ -561,8 +537,8 @@ def is_w_delta_close(
     """
     w = _check_radius(w)
     delta_frac = _check_delta(delta)
-    net = _ThresholdNetwork(mu, nu)
-    retained = Fraction(net.augment(w), net.scale)
+    net = _Dinic(mu, nu)
+    retained = Fraction(net.max_flow(w), net.scale)
     if retained < 1 - delta_frac:
         return False, None
     cert = ClosenessCertificate(
@@ -578,12 +554,7 @@ def min_w_for_delta(mu: DiscreteDistribution, nu: DiscreteDistribution, delta) -
 
     With delta = 0 this equals winf_distance; with delta = 1 it is 0.
     """
-    delta_frac = _check_delta(delta)
-
-    def needed(scale: int) -> int:
-        return scale - math.floor(delta_frac * scale)
-
-    return _smallest_feasible_threshold(mu, nu, needed)
+    return _smallest_feasible_threshold(mu, nu, _check_delta(delta))
 
 
 def closeness_from_bounds(delta_e1: float, c: float) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from distpriv import dataio
+from distpriv.cli import ExperimentConfig, load_dataset
 from distpriv.dataio import (
     CANONICAL_ROW_COUNT,
     PropertySpec,
@@ -50,7 +51,7 @@ def sample_subset(table, prop, n, rng):
 class TestLoadAdult:
     def test_field_mapping(self, tmp_path):
         rows = [make_row()]
-        table = load_adult(write_adult_file(tmp_path / "adult.csv", rows), allow_variant=True)
+        table = load_adult(write_adult_file(tmp_path / "adult.csv", rows))
         assert columns(table) == {
             "age": [39], "education_num": [13], "never_married": [True], "female": [False],
             "hours_per_week": [40], "income_gt_50k": [False], "private_workclass": [False],
@@ -59,50 +60,59 @@ class TestLoadAdult:
     def test_private_female_high_income(self, tmp_path):
         rows = [make_row(workclass="Private", marital="Married-civ-spouse",
                          sex="Female", label=">50K")]
-        table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+        table = load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert table.private_workclass[0] and table.female[0] and table.income_gt_50k[0]
         assert not table.never_married[0]
 
     def test_test_file_label_suffix_normalized(self, tmp_path):
         rows = [make_row(label=">50K."), make_row(label="<=50K.")]
-        table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+        table = load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert table.income_gt_50k.tolist() == [True, False]
 
     def test_missing_marker_dropped(self, tmp_path, caplog):
         rows = [make_row(), make_row(workclass="?")]
         with caplog.at_level(logging.WARNING):
-            table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+            table = load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert len(table) == 1
         assert "1 rows with missing" in caplog.text
 
     def test_out_of_range_dropped_with_warning(self, tmp_path, caplog):
         rows = [make_row(), make_row(age=16), make_row(hours=120)]
         with caplog.at_level(logging.WARNING):
-            table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+            table = load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert len(table) == 1
         assert "2 rows with out-of-range" in caplog.text
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         rows = ["|1x3 Cross validator", "", make_row()]
-        table = load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+        table = load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert len(table) == 1
 
     def test_wrong_column_count(self, tmp_path):
         rows = [make_row(), "1, 2, 3"]
         with pytest.raises(FormatError) as err:
-            load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+            load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert err.value.line == 2
 
     def test_malformed_integer(self, tmp_path):
         rows = [make_row().replace("39", "thirty-nine", 1)]
         with pytest.raises(ParseError) as err:
-            load_adult(write_adult_file(tmp_path / "a.csv", rows), allow_variant=True)
+            load_adult(write_adult_file(tmp_path / "a.csv", rows))
         assert err.value.line == 1
 
     def test_canonical_count_enforced(self, tmp_path):
-        rows = [make_row()]
-        with pytest.raises(ConfigError):
-            load_adult(write_adult_file(tmp_path / "a.csv", rows))
+        # load_adult reads any count; a sweep config's Adult table must
+        # hold the canonical one.
+        path = write_adult_file(tmp_path / "a.csv", [make_row()])
+        assert len(load_adult(path)) == 1
+        cfg = ExperimentConfig.from_dict({
+            "dataset": str(path), "dataset_format": "adult", "seed": 7, "property": "income",
+            "p_center": 0.5, "delta_p": [0.1], "epsilon": [1.0], "delta": [0.001],
+            "mechanisms": ["none"], "n": 100, "modeling_samples": 200, "repetitions": 4,
+            "out_dir": str(tmp_path / "out"),
+        })
+        with pytest.raises(ConfigError, match=f"canonical {CANONICAL_ROW_COUNT}"):
+            load_dataset(cfg)
 
     def test_directory_mode_wants_both_files(self, tmp_path):
         write_adult_file(tmp_path / "adult.data", [make_row()])
@@ -248,7 +258,7 @@ class TestAdultParser:
         path = write_corpus(tmp_path, ACCEPTED[case])
         expected, missing, out_of_range = oracle_load_adult(path)
         with caplog.at_level(logging.WARNING, logger="distpriv.dataio"):
-            table = load_adult(path, allow_variant=True)
+            table = load_adult(path)
         for name in FIELDS:
             assert getattr(table, name).dtype == getattr(expected, name).dtype
             assert getattr(table, name).tolist() == getattr(expected, name).tolist(), name
@@ -258,7 +268,7 @@ class TestAdultParser:
     def test_errors_match_the_row_loop(self, tmp_path, case):
         files, error, line = REFUSED[case]
         path = write_corpus(tmp_path, files)
-        for load in (oracle_load_adult, lambda p: load_adult(p, allow_variant=True)):
+        for load in (oracle_load_adult, load_adult):
             with pytest.raises(ParseError) as err:
                 load(path)
             assert (type(err.value), err.value.line) == (error, line)
@@ -277,7 +287,7 @@ class TestAdultParser:
         path = write_adult_file(tmp_path / "a.csv", [make_row(), row, make_row()])
         oracle_load_adult(path)
         with pytest.raises(error) as err:
-            load_adult(path, allow_variant=True)
+            load_adult(path)
         assert err.value.line == 2
 
     @pytest.mark.parametrize("replace, error, line", [
@@ -295,7 +305,7 @@ class TestAdultParser:
         path.write_bytes(b"".join(
             replace.get(k, row).encode("latin-1") + b"\n" for k, row in enumerate(rows, start=1)))
         with pytest.raises(error, match="a.csv") as err:
-            load_adult(path, allow_variant=True)
+            load_adult(path)
         assert type(err.value) is error and err.value.line == line
         if error is FormatError:
             assert "not UTF-8" in str(err.value)

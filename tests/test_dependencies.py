@@ -46,6 +46,36 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree) -> list:
+    """Private module-level functions, classes and constants, and private
+    methods, as (name, line)."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            defined += [(item.name, item.lineno) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(name, line) for name, line in defined if _private(name)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_definition_is_used(path):
+    # A private name is reachable only from its own module, so one that
+    # module never reads is dead code left behind by a refactor.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert [(name, line) for name, line in _private_definitions(tree) if name not in read] == []
+
+
 TESTS_DIR = Path(__file__).resolve().parent
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -69,10 +70,9 @@ def big_scale_pair(seed, k, dim):
     return mu, nu
 
 
-def multi_layer_phases(net, allowed):
-    """Run max flow on `net` within `allowed` a phase at a time, yielding
-    the _Dinic before each phase with more than one column layer."""
-    dinic = net.net
+def multi_layer_phases(dinic, allowed):
+    """Run max flow on the _Dinic `dinic` within `allowed` a phase at a
+    time, yielding it before each phase with more than one column layer."""
     while True:
         layers = dinic._levels(allowed)
         if layers is None:
@@ -82,6 +82,15 @@ def multi_layer_phases(net, allowed):
             dinic._blocking_flow(allowed, *layers, None)
         else:
             dinic._fill(allowed, layers[0][0], layers[1][0], None)
+
+
+def network_state(net):
+    """The supply, demand, flow and total of a _Dinic: each array's dtype,
+    shape and bytes, or its values when it holds Python integers."""
+    arrays = (net.supply, net.demand, net.flow)
+    if net.flow.dtype == object:
+        return [(a.dtype, a.shape, a.tolist()) for a in arrays] + [net.total]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [net.total]
 
 
 def jittered_pair(seed, k, dim, den=10**6):
@@ -386,11 +395,11 @@ class TestWDeltaCloseness:
             mu, nu = jittered_pair(200 + seed, 40, 2, den=1000)
             for quantile in (0.05, 0.3, 1.0):
                 for limit in (None, 1, 137):
-                    net = transport._ThresholdNetwork(mu, nu)
+                    net = transport._Dinic(mu, nu)
                     allowed = net.dist <= np.quantile(net.dist, quantile)
                     ends = []
                     for solve in ("_fill", "_blocking_flow"):
-                        dinic = net.net.copy()
+                        dinic = copy.deepcopy(net)
                         rows, cols = dinic._levels(allowed)
                         assert len(cols) == 1
                         if solve == "_fill":
@@ -412,7 +421,7 @@ class TestWDeltaCloseness:
         pruned_roots = pruned_columns = 0
         for seed in range(6):
             for pair in (jittered_pair(300 + seed, 40, 2, den=1000), big_scale_pair(300 + seed, 40, 2)):
-                net = transport._ThresholdNetwork(*pair)
+                net = transport._Dinic(*pair)
                 for quantile in (0.05, 0.1, 0.3, 1.0):
                     allowed = net.dist <= np.quantile(net.dist, quantile)
                     for dinic in multi_layer_phases(net, allowed):
@@ -425,7 +434,7 @@ class TestWDeltaCloseness:
                         for limit in (None, 1, 137):
                             ends = []
                             for solve in (oracle_blocking_flow, transport._Dinic._blocking_flow):
-                                trial = dinic.copy()
+                                trial = copy.deepcopy(dinic)
                                 pushed = solve(trial, allowed, *trial._levels(allowed), limit)
                                 ends.append((pushed, trial.flow.tolist(), trial.supply.tolist(),
                                              trial.demand.tolist()))
@@ -433,6 +442,31 @@ class TestWDeltaCloseness:
                             assert ends[0][0] > 0
         assert min(phases.values()) > 20
         assert pruned_roots > 0 and pruned_columns > 0
+
+    @pytest.mark.parametrize("pair", [
+        lambda: jittered_pair(401, 40, 2, den=1000),
+        lambda: big_scale_pair(401, 40, 2),
+    ], ids=["int64", "python-int"])
+    def test_longest_edge_undoes_a_probe_that_succeeds(self, pair):
+        # A probe short of the needed mass keeps its maximal flow as the
+        # warm start; one that reaches it reports its longest edge and
+        # leaves the network as it found it.
+        mu, nu = pair()
+        net = transport._Dinic(mu, nu)
+        low, high = float(np.quantile(net.dist, 0.05)), float(net.dist.max())
+        assert net.longest_edge(low, net.scale) is None
+        kept = network_state(net)
+        assert 0 < net.total < net.scale
+        assert Fraction(net.total, net.scale) == max_mass_within(mu, nu, low)
+        assert net.max_flow(low) == kept[-1]
+        assert network_state(net) == kept
+
+        probe = copy.deepcopy(net)
+        assert probe.max_flow(high, net.scale) == net.scale
+        assert network_state(probe) != kept
+        longest = net.longest_edge(high, net.scale)
+        assert longest is not None and low < longest <= high
+        assert network_state(net) == kept
 
     def test_verify_rejects_nan_and_negative_radius(self):
         mu, nu = fig1_pair()
@@ -653,7 +687,7 @@ class TestExactness:
         k = 2 * transport._DIST_BLOCK_ROWS + 7
         mu = DiscreteDistribution(rng.normal(size=(k, dim)) * 10, random_masses(rng, k, 10**4), 10**4)
         nu = DiscreteDistribution(rng.normal(size=(9, dim)) * 10, random_masses(rng, 9, 10**4), 10**4)
-        dist = transport._ThresholdNetwork(mu, nu).dist
+        dist = transport._Dinic(mu, nu).dist
         whole = np.abs(mu.points[:, None, :] - nu.points[None, :, :]).sum(axis=2)
         alone = [[float(np.abs(p - q).sum()) for q in nu.points] for p in mu.points]
         assert dist.tobytes() == whole.tobytes()
@@ -723,7 +757,7 @@ class TestPerformanceBudget:
         solve = transport._Dinic._blocking_flow
 
         def record(net, allowed, row_layers, col_layers, limit):
-            phases.append((net.copy(), allowed, [r.copy() for r in row_layers],
+            phases.append((copy.deepcopy(net), allowed, [r.copy() for r in row_layers],
                            [c.copy() for c in col_layers], limit))
             return solve(net, allowed, row_layers, col_layers, limit)
 
@@ -736,7 +770,7 @@ class TestPerformanceBudget:
         def seconds(blocking_flow):
             runs = []
             for _ in range(5):
-                fresh = [(net.copy(), allowed, [r.copy() for r in rows], [c.copy() for c in cols], limit)
+                fresh = [(copy.deepcopy(net), allowed, [r.copy() for r in rows], [c.copy() for c in cols], limit)
                          for net, allowed, rows, cols, limit in phases]
                 start = time.perf_counter()
                 for args in fresh:
