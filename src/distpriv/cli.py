@@ -72,7 +72,6 @@ from .mechanisms import (
     calibrate_wasserstein,
     dau_plan,
     eig_plan,
-    gaussian_l1_radius,
     group_dp_calibrate,
     per_record_sensitivity,
 )
@@ -80,7 +79,6 @@ from .model import (
     PairFamily,
     PrivacyParams,
     SecretLabel,
-    delta_E,
     estimate_gaussian,
     family_from_catalog,
     load_catalog,
@@ -89,7 +87,6 @@ from .model import (
 from .seeding import derive_rng, derive_seed_sequence
 from .transport import (
     DiscreteDistribution,
-    closeness_from_bounds,
     is_w_delta_close,
     min_w_for_delta,
     winf_distance,
@@ -129,7 +126,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dataset_format not in ("adult", "simple"):
             raise ConfigError(f"dataset_format must be 'adult' or 'simple', got {self.dataset_format!r}")
+        strings = {"dataset": self.dataset, "out_dir": self.out_dir, "property": self.property_name}
+        for name, value in strings.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         for name in ("delta_p", "epsilon", "delta", "mechanisms"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"config list {name} must be a JSON array, got {getattr(self, name)!r}")
             if not getattr(self, name):
                 raise ConfigError(f"config list {name} must be nonempty")
         numbers = {"epsilon": self.epsilon, "delta": self.delta, "delta_p": self.delta_p,
@@ -254,35 +257,17 @@ def _catalog_family(cfg: ExperimentConfig, delta_ps: Sequence[float], catalog=No
 # --- plan construction ----------------------------------------------------
 
 
-def _approx_wasserstein(family: PairFamily, params: PrivacyParams) -> NoisePlan:
-    """Laplace scaled to the L1 mean gap plus twice a certified L1 radius.
-
-    The radius is the largest `gaussian_l1_radius` at delta over the
-    family's models: each model holds at least 1 - delta/2 of its mass
-    within it of its mean, so every protected pair is (gap + 2 radius,
-    delta)-close. The provenance records the radius and how it was bounded.
-    """
-    radius = max(gaussian_l1_radius(family.catalog[label], params.delta)
-                 for label in family.sorted_labels())
-    plan = calibrate_approx_wasserstein(closeness_from_bounds(delta_E(family, 1), radius), params)
-    plan.provenance.update(l1_radius=radius, l1_radius_method="gaussian_union_bound")
-    return plan
-
-
 # Mechanism name -> (needs a model catalog, spends delta, builder(family,
-# params, cfg)). A plan spends delta when it adds Gaussian noise or, for
-# awass, when its L1 radius may leave delta/2 of each model's mass outside
-# (a union bound over sign vectors, `gaussian_l1_radius`); it needs
-# delta > 0. Builders look the calibrations up by name at call time, so
-# rebinding this module's names (as a tracer does) reaches every plan.
+# params, cfg)). Each builder is one calibration call. A plan spends delta
+# when it adds Gaussian noise or, for awass, when its L1 radius may leave
+# delta/2 of each model's mass outside; it needs delta > 0. Builders look
+# the calibrations up by name at call time, so rebinding this module's
+# names (as a tracer does) reaches every plan.
 MECHANISMS = {
     "none": (False, False, lambda fam, params, cfg: NoisePlan(
         kind="none", provenance={"mechanism": "none"})),
-    # Translation pairs make the worst-case transport distance equal the
-    # worst-case L1 mean gap, which is what the Gaussian catalog encodes.
-    "wass": (True, False, lambda fam, params, cfg: calibrate_wasserstein(
-        delta_E(fam, 1), params)),
-    "awass": (True, True, lambda fam, params, cfg: _approx_wasserstein(fam, params)),
+    "wass": (True, False, lambda fam, params, cfg: calibrate_wasserstein(fam, params)),
+    "awass": (True, True, lambda fam, params, cfg: calibrate_approx_wasserstein(fam, params)),
     "expm-l": (True, False, lambda fam, params, cfg: calibrate_expm(fam, params, "laplace")),
     "expm-g": (True, True, lambda fam, params, cfg: calibrate_expm(fam, params, "gaussian")),
     "dir-l": (True, False, lambda fam, params, cfg: calibrate_directional(fam, params, "laplace")),

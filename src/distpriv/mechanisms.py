@@ -1,22 +1,25 @@
 """Noise mechanisms and budget calculators for distribution privacy.
 
-Calibrations turn a protected pair family plus a privacy budget into a
-fully resolved noise plan: iid Laplace scaled to a transport distance or
-an L1 mean-gap sensitivity, iid Gaussian scaled to the L2 sensitivity,
-anisotropic Gaussian shaped by the data's own eigenstructure, or a
-scalar noise component along a single direction. Each calibration states
-its sensitivity S, and one rule, `_noise_scale`, turns it into the scale
-and the claimed budget: Laplace S / epsilon with (epsilon, 0), or
-Gaussian c * S / epsilon with c = sqrt(2 ln(1.25/delta)) and
-(epsilon, delta). Adversarial-uncertainty variants subtract the query's
-inherent randomness from the noise that must be added. An empirical
-auditor estimates violations of the indistinguishability guarantee from
-samples.
+Each calibration takes a protected pair family and a privacy budget and
+returns a finished noise plan: iid Laplace scaled to the worst L1 mean
+gap, or to that gap plus twice a certified L1 radius
+(`calibrate_approx_wasserstein`), iid Gaussian scaled to the L2
+sensitivity, anisotropic Gaussian shaped by the data's own
+eigenstructure, or a scalar noise component along a single direction.
+Each computes its sensitivity S from the family (the group-DP baseline
+takes the query's per-record sensitivity instead), and one rule,
+`_noise_scale`, turns S into the scale and the claimed budget: Laplace
+S / epsilon with (epsilon, 0), or Gaussian c * S / epsilon with
+c = sqrt(2 ln(1.25/delta)) and (epsilon, delta). Adversarial-uncertainty
+variants subtract the query's inherent randomness from the noise that
+must be added. An empirical auditor estimates violations of the
+indistinguishability guarantee from samples.
 
-Plans are immutable, and a plan owns the range of its noise scale: a
-scale or sigma must be finite and nonnegative, so a calibration whose
-sensitivity is negative, NaN or infinite, or whose scale overflows, is
-refused when its plan is built; no calibration checks its sensitivity.
+Plans are immutable, provenance included, and a plan owns the range of
+its noise scale: a scale or sigma must be finite and nonnegative, so a
+calibration whose sensitivity is negative, NaN or infinite, or whose
+scale overflows, is refused when its plan is built; no calibration
+checks its sensitivity.
 A `gaussian_cov` plan, like a `GaussianModel`, checks and factors its
 covariance once when it is built (`model.covariance_spectrum`), and
 every draw reads the stored factor.
@@ -27,7 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +77,7 @@ class NoisePlan:
     scale for laplace_iid, sigma for gaussian_iid, cov for gaussian_cov,
     and (dist, scale, direction) for scalar_along_direction. `none` adds
     no noise. Provenance records which calibration produced the plan and
-    the parameters it resolved.
+    the parameters it resolved; the plan keeps a read-only copy of it.
 
     Construction checks every field once. The scale of laplace_iid and
     scalar_along_direction, and the sigma of gaussian_iid, must be finite
@@ -89,12 +93,13 @@ class NoisePlan:
     cov: Optional[np.ndarray] = None
     direction: Optional[np.ndarray] = None
     dist: Optional[str] = None
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping = field(default_factory=dict)
     factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
+        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
         if self.kind in ("laplace_iid", "gaussian_iid", "scalar_along_direction"):
             name = "sigma" if self.kind == "gaussian_iid" else "scale"
             value = getattr(self, name)
@@ -124,7 +129,7 @@ class NoisePlan:
         return None
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "provenance": self.provenance}
+        doc = {"kind": self.kind, "provenance": dict(self.provenance)}
         if self.scale is not None:
             doc["scale"] = float(self.scale)
         if self.sigma is not None:
@@ -255,37 +260,38 @@ def apply_batch(plan: NoisePlan, values, rng: np.random.Generator) -> np.ndarray
 # --- calibrations ---------------------------------------------------------
 
 
-def calibrate_wasserstein(delta_w: float, params: PrivacyParams) -> NoisePlan:
-    """iid Laplace with scale delta_w / epsilon.
+def calibrate_wasserstein(family: PairFamily, params: PrivacyParams) -> NoisePlan:
+    """iid Laplace with scale delta_w / epsilon, guarantee (epsilon, 0).
 
-    delta_w is the worst-case infinity-Wasserstein distance over the
-    protected pairs; the guarantee is (epsilon, 0) and params.delta is
-    ignored.
+    delta_w = delta_E(family, 1), the worst L1 mean gap over the protected
+    pairs. It is the worst-case infinity-Wasserstein distance (in L1) when
+    every pair is a translation pair, two models that differ only in their
+    mean, which is what a Gaussian catalog of equal covariances encodes.
+    params.delta is ignored.
     """
+    delta_w = delta_E(family, 1)
     scale, budget = _noise_scale("laplace", params, delta_w)
-    return NoisePlan(
-        kind="laplace_iid",
-        scale=scale,
-        provenance={"mechanism": "wasserstein", "delta_w": float(delta_w), **budget},
-    )
+    return _iid_plan("laplace", scale, {"mechanism": "wasserstein", "delta_w": delta_w, **budget})
 
 
-def calibrate_approx_wasserstein(w: float, params: PrivacyParams) -> NoisePlan:
+def calibrate_approx_wasserstein(family: PairFamily, params: PrivacyParams) -> NoisePlan:
     """iid Laplace with scale w / epsilon for a certified (w, delta) closeness.
 
-    The caller is responsible for the closeness certificate (for example
-    via transport.is_w_delta_close at params.delta, or the concentration
-    bound closeness_from_bounds); the resulting guarantee is
-    (epsilon, delta).
+    The radius r is the largest `gaussian_l1_radius` at params.delta over
+    the family's models: each model holds at least 1 - delta/2 of its mass
+    within L1 distance r of its mean, so by the triangle inequality every
+    protected pair is (w, delta)-close with w = delta_E(family, 1) + 2r.
+    The guarantee is (epsilon, delta), and delta must lie in (0, 1). The
+    provenance records the radius and how it was bounded.
     """
+    radius = max(gaussian_l1_radius(family.catalog[label], params.delta)
+                 for label in family.sorted_labels())
+    w = delta_E(family, 1) + 2.0 * radius
     scale, budget = _noise_scale("laplace", params, w)
     # The closeness certificate, not the noise, spends delta.
-    return NoisePlan(
-        kind="laplace_iid",
-        scale=scale,
-        provenance={"mechanism": "approx_wasserstein", "w": float(w), **budget,
-                    "delta": params.delta},
-    )
+    return _iid_plan("laplace", scale, {
+        "mechanism": "approx_wasserstein", "w": w, **budget, "delta": params.delta,
+        "l1_radius": radius, "l1_radius_method": "gaussian_union_bound"})
 
 
 def calibrate_expm(family: PairFamily, params: PrivacyParams, noise: str) -> NoisePlan:
@@ -298,12 +304,8 @@ def calibrate_expm(family: PairFamily, params: PrivacyParams, noise: str) -> Noi
     norm = 1 if noise == "laplace" else 2
     sens = delta_E(family, norm)
     scale, budget = _noise_scale(noise, params, sens)
-    return NoisePlan(
-        kind=f"{noise}_iid",
-        scale=scale if noise == "laplace" else None,
-        sigma=scale if noise == "gaussian" else None,
-        provenance={"mechanism": f"expected_value_{noise}", f"delta_e{norm}": sens, **budget},
-    )
+    return _iid_plan(noise, scale,
+                     {"mechanism": f"expected_value_{noise}", f"delta_e{norm}": sens, **budget})
 
 
 def calibrate_directional(family: PairFamily, params: PrivacyParams, noise: str) -> NoisePlan:
@@ -432,13 +434,8 @@ def group_dp_calibrate(
     if k < 1:
         raise ValueError(f"group size must be at least 1, got {k}")
     scale, budget = _noise_scale(noise, params, k, per_record_sens)
-    return NoisePlan(
-        kind=f"{noise}_iid",
-        scale=scale if noise == "laplace" else None,
-        sigma=scale if noise == "gaussian" else None,
-        provenance={"mechanism": f"group_dp_{noise}", "k": int(k),
-                    "per_record_sensitivity": per_record_sens, **budget},
-    )
+    return _iid_plan(noise, scale, {"mechanism": f"group_dp_{noise}", "k": int(k),
+                                    "per_record_sensitivity": per_record_sens, **budget})
 
 
 def per_record_sensitivity(components: Iterable[Sequence], n: int, norm: int) -> float:
@@ -627,6 +624,13 @@ def _noise_scale(noise: str, params: PrivacyParams, *sensitivity: float) -> Tupl
     budget = {"c": c, "epsilon": params.epsilon, "delta": params.delta,
               "warnings": _epsilon_warnings(params)}
     return math.prod((c,) + sensitivity) / params.epsilon, budget
+
+
+def _iid_plan(noise: str, scale: float, provenance: dict) -> NoisePlan:
+    """iid noise of this scale: Laplace `scale` or Gaussian `sigma`."""
+    if noise == "laplace":
+        return NoisePlan(kind="laplace_iid", scale=scale, provenance=provenance)
+    return NoisePlan(kind="gaussian_iid", sigma=scale, provenance=provenance)
 
 
 def _epsilon_warnings(params: PrivacyParams) -> List[str]:

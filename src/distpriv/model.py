@@ -51,14 +51,14 @@ Pair = Tuple[SecretLabel, SecretLabel]
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget (epsilon, delta) with epsilon > 0 and 0 <= delta < 1."""
+    """Privacy budget (epsilon, delta) with 0 < epsilon < inf and 0 <= delta < 1."""
 
     epsilon: float
     delta: float = 0.0
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 

@@ -557,18 +557,6 @@ def min_w_for_delta(mu: DiscreteDistribution, nu: DiscreteDistribution, delta) -
     return _smallest_feasible_threshold(mu, nu, _check_delta(delta))
 
 
-def closeness_from_bounds(delta_e1: float, c: float) -> float:
-    """Closeness radius implied by mean gaps plus concentration.
-
-    If each query distribution puts mass at least 1 - delta/2 within L1
-    radius c of its mean, every protected pair is (delta_e1 + 2c, delta)-
-    close, where delta_e1 is the worst-case L1 distance between means.
-    """
-    if not delta_e1 >= 0 or not c >= 0:
-        raise ValueError("both bound terms must be nonnegative")
-    return float(delta_e1) + 2.0 * float(c)
-
-
 def discretize_samples(samples, mass_resolution: int) -> DiscreteDistribution:
     """Empirical distribution of samples with duplicate points merged.
 

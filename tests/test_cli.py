@@ -94,6 +94,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             base_config(synth_csv, tmp_path, mechanisms=["privacy-magic"])
 
+    @pytest.mark.parametrize("key,value", [
+        ("dataset", 5), ("out_dir", 7), ("property", 5), ("epsilon", 1.0), ("delta", 0.001),
+        ("delta_p", 0.1), ("mechanisms", "wass"),
+    ])
+    def test_values_of_the_wrong_json_type_rejected(self, synth_csv, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({**config_doc(synth_csv, tmp_path), key: value})
+
+    def test_infinite_epsilon_rejected_before_reading_the_table(
+        self, synth_csv, tmp_path, monkeypatch
+    ):
+        def no_table(cfg):
+            raise AssertionError("a rejected config read the table")
+
+        monkeypatch.setattr(cli, "load_dataset", no_table)
+        path = write_config(tmp_path / "config.json", synth_csv, tmp_path / "out",
+                            epsilon=[math.inf])
+        assert '"epsilon": [Infinity]' in path.read_text()
+        with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+            main(["model", "--config", str(path)])
+
     def test_unknown_keys_rejected(self, synth_csv, tmp_path):
         # all but the first were fields or spellings once; a config that still
         # sets one is refused
@@ -926,6 +947,7 @@ class TestBudgetErrors:
         ("expm-l", ("--epsilon", "0")),
         ("expm-l", ("--epsilon", "1", "--delta", "1.5")),
         ("awass", ("--epsilon", "1", "--delta", "0")),
+        ("expm-l", ("--epsilon", "inf")),
     ])
     def test_release_rejects_bad_budget(self, catalog_dir, tmp_path, capsys, mechanism, budget):
         # The output directory holds no catalog: the budget is refused before it is read.

@@ -43,6 +43,7 @@ from distpriv.model import (
     SecretLabel,
     check_assumptions,
     cov_discrepancy,
+    delta_E,
     eigenbasis_residual,
     family_from_catalog,
     fit_common_direction,
@@ -122,39 +123,36 @@ class TestSamplers:
 
 class TestWassersteinCalibrations:
     def test_scale_is_distance_over_epsilon(self):
-        plan = calibrate_wasserstein(97.0, PrivacyParams(1.0))
+        plan = calibrate_wasserstein(worked_example_family(), PrivacyParams(1.0))
         assert plan.kind == "laplace_iid"
-        assert plan.scale == 97.0
+        assert plan.scale == plan.provenance["delta_w"] == 2.0  # the L1 gap of (1, -1)
+        gap = np.array([1.0, 2.0, -4.0])
+        fam = translation_family(np.random.default_rng(3), gap=gap)
+        assert calibrate_wasserstein(fam, PrivacyParams(0.5)).scale == pytest.approx(14.0)
 
     def test_zero_distance(self):
-        assert calibrate_wasserstein(0.0, PrivacyParams(2.0)).scale == 0.0
+        fam = translation_family(np.random.default_rng(4), gap=np.zeros(3))
+        assert calibrate_wasserstein(fam, PrivacyParams(2.0)).scale == 0.0
 
     def test_linearity_in_epsilon(self):
+        fam = worked_example_family()
         assert (
-            calibrate_wasserstein(10.0, PrivacyParams(2.0)).scale
-            == calibrate_wasserstein(10.0, PrivacyParams(1.0)).scale / 2.0
+            calibrate_wasserstein(fam, PrivacyParams(2.0)).scale
+            == calibrate_wasserstein(fam, PrivacyParams(1.0)).scale / 2.0
         )
 
-    def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            calibrate_wasserstein(-1.0, PrivacyParams(1.0))
-
-    def test_rejects_nan_distance(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            calibrate_wasserstein(math.nan, PrivacyParams(1.0))
-        with pytest.raises(ValueError, match="nonnegative"):
-            calibrate_approx_wasserstein(math.nan, PrivacyParams(1.0, 0.1))
-
     def test_approx_variant_uses_certified_radius(self):
-        plan = calibrate_approx_wasserstein(1.0, PrivacyParams(1.0, 0.1))
-        assert plan.scale == 1.0
-        assert plan.provenance["w"] == 1.0
-        assert plan.provenance["delta"] == 0.1
-
-    def test_approx_at_delta_zero_matches_exact(self):
-        exact = calibrate_wasserstein(5.0, PrivacyParams(1.0))
-        approx = calibrate_approx_wasserstein(5.0, PrivacyParams(1.0, 0.0))
-        assert exact.scale == approx.scale
+        fam = worked_example_family()
+        params = PrivacyParams(0.7, 0.1)
+        plan = calibrate_approx_wasserstein(fam, params)
+        radius = max(gaussian_l1_radius(model, params.delta) for model in fam.catalog.values())
+        assert radius > 0.0
+        w = delta_E(fam, 1) + 2.0 * radius
+        assert plan.kind == "laplace_iid"
+        assert plan.scale == w / params.epsilon
+        assert list(plan.provenance.items()) == [
+            ("mechanism", "approx_wasserstein"), ("w", w), ("epsilon", 0.7), ("delta", 0.1),
+            ("l1_radius", radius), ("l1_radius_method", "gaussian_union_bound")]
 
 
 GOLDEN_CATALOG = Path(__file__).resolve().parent / "golden" / "catalog.json"
@@ -262,8 +260,8 @@ class TestScaleMonotonicity:
 
     def _calibrations(self, fam):
         return {
-            "wass": lambda p: calibrate_wasserstein(3.0, p),
-            "awass": lambda p: calibrate_approx_wasserstein(3.0, p),
+            "wass": lambda p: calibrate_wasserstein(fam, p),
+            "awass": lambda p: calibrate_approx_wasserstein(fam, p),
             "expm-l": lambda p: calibrate_expm(fam, p, "laplace"),
             "expm-g": lambda p: calibrate_expm(fam, p, "gaussian"),
             "dir-g": lambda p: calibrate_directional(fam, p, "gaussian"),
@@ -284,7 +282,7 @@ class TestScaleMonotonicity:
     def test_nonincreasing_in_delta(self):
         fam = worked_example_family()
         for name, calibrate in self._calibrations(fam).items():
-            if name in ("wass", "awass", "expm-l"):
+            if name in ("wass", "expm-l"):
                 continue  # pure-epsilon guarantees ignore delta
             mags = [
                 self._magnitude(calibrate(PrivacyParams(1.0, d)))
@@ -308,7 +306,7 @@ class TestScaleMonotonicity:
             [(labels[0], labels[1]), (labels[1], labels[0])],
         )
         params = PrivacyParams(1.0, 0.001)
-        for name in ("expm-l", "expm-g", "dir-g", "eig", "dau"):
+        for name in ("wass", "awass", "expm-l", "expm-g", "dir-g", "eig", "dau"):
             small_mag = self._magnitude(self._calibrations(small)[name](params))
             big_mag = self._magnitude(self._calibrations(big)[name](params))
             assert big_mag >= small_mag - 1e-12, name
@@ -853,8 +851,18 @@ class TestNoisePlanValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             NoisePlan(kind=kind, **{field: math.nan}, **extra)
 
+    @staticmethod
+    def overflowing_gap_family() -> PairFamily:
+        """Means of +-1e308, whose difference overflows to an infinite gap."""
+        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        with np.errstate(over="ignore"):
+            return PairFamily({lab_a: GaussianModel([1e308], [[1.0]], 10),
+                               lab_b: GaussianModel([-1e308], [[1.0]], 10)},
+                              [(lab_a, lab_b), (lab_b, lab_a)])
+
     @pytest.mark.parametrize("build", [
-        lambda: calibrate_wasserstein(math.inf, PrivacyParams(1.0)),
+        lambda: calibrate_wasserstein(TestNoisePlanValidation.overflowing_gap_family(),
+                                      PrivacyParams(1.0)),
         lambda: NoisePlan(kind="gaussian_iid", sigma=math.inf),
         lambda: group_dp_calibrate(1.0, 1, PrivacyParams(1e-320), "laplace"),  # 1 / 1e-320 = inf
     ], ids=["wass-infinite-distance", "infinite-sigma", "overflowing-scale"])
@@ -881,6 +889,16 @@ class TestNoisePlanValidation:
                 array[0, 0] = 0.0
         with pytest.raises(ValueError):
             dau_plan(fam, PARAMS).direction[0] = 0.0
+
+    def test_provenance_cannot_be_patched(self):
+        given = {"mechanism": "test", "w": 1.0}
+        plan = NoisePlan(kind="laplace_iid", scale=1.0, provenance=given)
+        with pytest.raises(TypeError):
+            plan.provenance["w"] = 2.0
+        given["w"] = 3.0
+        given["added"] = True
+        assert dict(plan.provenance) == {"mechanism": "test", "w": 1.0}
+        assert plan.to_json()["provenance"] == {"mechanism": "test", "w": 1.0}
 
     def test_direction_is_copied_not_frozen_in_place(self):
         v = np.array([1.0, 0.0])

@@ -40,6 +40,8 @@ class TestLabelAndParams:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             PrivacyParams(0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PrivacyParams(np.inf, 0.0)
         with pytest.raises(ValueError):
             PrivacyParams(1.0, 1.0)
         with pytest.raises(ValueError):

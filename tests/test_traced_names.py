@@ -1,25 +1,37 @@
-"""Every function the benchmark's tracer wraps still exists in distpriv.
+"""Every function the benchmark's tracer wraps still exists in distpriv, and
+each catalog plan makes one counted calibration call.
 
 `perfbench/tracing.py` replaces functions and methods by name; a rename or
-removal in the package would otherwise surface only when the benchmark
-runs. The tracer module imports only the standard library, so it loads here
-without the benchmark's own dependencies.
+removal in the package, or a builder that calls a calibration twice or not
+at all, would otherwise surface only when the benchmark runs. The tracer
+module imports only the standard library, so it loads here without the
+benchmark's own dependencies.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from distpriv import cli
+from distpriv.model import PrivacyParams
+
+from helpers import worked_example_family
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracer_targets():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(module_name, attr) for module_name, attr, _, _ in module.TARGETS]
+    return module.TARGETS
+
+
+def _targets():
+    return [(module_name, attr) for module_name, attr, _, _ in _tracer_targets()]
 
 
 @pytest.mark.parametrize("module_name,attr", _targets(), ids=lambda name: name)
@@ -31,3 +43,33 @@ def test_traced_name_resolves(module_name, attr):
     else:
         target = getattr(home, attr)
     assert callable(target)
+
+
+def test_each_catalog_plan_is_one_traced_calibration(monkeypatch):
+    """Every `cli.MECHANISMS` plan but `none` makes exactly one call the
+    tracer counts as `mechanisms.plan`, so the benchmark's plan count is the
+    number of plans built. The targets are rebound wherever a distpriv
+    module holds them, as the tracer rebinds them."""
+    calls = []
+    modules = [module for name, module in sys.modules.items()
+               if name == "distpriv" or name.startswith("distpriv.")]
+    for module_name, attr, key, _ in _tracer_targets():
+        if key != "mechanisms.plan":
+            continue
+        original = getattr(importlib.import_module(module_name), attr)
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls.append(_attr)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    cfg = cli.ExperimentConfig(dataset="", seed=1, delta_p=[0.1], epsilon=[1.0], delta=[1e-3],
+                               mechanisms=["none"])
+    family = worked_example_family()
+    for mechanism in cli.MECHANISMS:
+        calls.clear()
+        cli.build_plan(mechanism, family, PrivacyParams(1.0, 1e-3), cfg)
+        assert len(calls) == (mechanism != "none"), (mechanism, calls)

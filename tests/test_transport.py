@@ -12,7 +12,6 @@ from distpriv import transport
 from distpriv.transport import (
     ClosenessCertificate,
     DiscreteDistribution,
-    closeness_from_bounds,
     discretize_samples,
     is_w_delta_close,
     max_mass_within,
@@ -610,19 +609,6 @@ class TestWinfOnLine:
 
 
 class TestClosenessFromBounds:
-    def test_formula(self):
-        assert closeness_from_bounds(5.0, 2.0) == 9.0
-        assert closeness_from_bounds(0.0, 0.0) == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            closeness_from_bounds(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            closeness_from_bounds(0.0, -2.0)
-        for bad in ((math.nan, 0.0), (0.0, math.nan)):
-            with pytest.raises(ValueError):
-                closeness_from_bounds(*bad)
-
     def test_bound_dominates_discretized_gaussians(self):
         # Samples of two 1-D Gaussians with an L1 mean gap of 4. Each
         # empirical law puts mass at least 1 - delta/2 within c of its true
@@ -635,7 +621,7 @@ class TestClosenessFromBounds:
         samples = [rng.normal(mean, sigma, size=count) for mean in (0.0, 4.0)]
         within = math.ceil((1.0 - delta / 2.0) * count)  # samples needed inside c
         c = max(float(np.sort(np.abs(x - mean))[within - 1]) for x, mean in zip(samples, (0.0, 4.0)))
-        bound = closeness_from_bounds(4.0, c)
+        bound = 4.0 + 2.0 * c
         mu, nu = (discretize_samples(x, count) for x in samples)
         assert bound >= min_w_for_delta(mu, nu, delta)
 
