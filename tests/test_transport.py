@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from distpriv import transport
+from distpriv.mechanisms import calibrate_approx_wasserstein, gaussian_l1_radius
+from distpriv.model import GaussianModel, PairFamily, PrivacyParams, SecretLabel
 from distpriv.transport import (
     ClosenessCertificate,
     DiscreteDistribution,
@@ -609,6 +611,26 @@ class TestWinfOnLine:
 
 
 class TestClosenessFromBounds:
+    def test_formula(self):
+        # Two 1-D models with an L1 mean gap of 5 are (5 + 2r, delta)-close,
+        # r being the radius that holds 1 - delta/2 of each model's mass.
+        a, b = SecretLabel("p", 0.45), SecretLabel("p", 0.55)
+
+        def pair(var):
+            return PairFamily(
+                catalog={a: GaussianModel([0.0], [[var]], 10), b: GaussianModel([5.0], [[var]], 10)},
+                pairs=[(a, b), (b, a)],
+            )
+
+        params = PrivacyParams(1.0, 0.1)
+        point_masses = calibrate_approx_wasserstein(pair(0.0), params).provenance
+        assert point_masses["l1_radius"] == 0.0
+        assert point_masses["w"] == 5.0
+        spread = calibrate_approx_wasserstein(pair(4.0), params).provenance
+        radius = gaussian_l1_radius(GaussianModel([0.0], [[4.0]], 10), params.delta)
+        assert spread["l1_radius"] == radius > 0.0
+        assert spread["w"] == 5.0 + 2.0 * radius
+
     def test_bound_dominates_discretized_gaussians(self):
         # Samples of two 1-D Gaussians with an L1 mean gap of 4. Each
         # empirical law puts mass at least 1 - delta/2 within c of its true
