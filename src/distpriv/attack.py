@@ -9,13 +9,17 @@ release leaks nothing usable about the property.
 The subsets do not depend on the mechanism, so drawing them
 (`draw_attack_queries`) is kept apart from noising, training and
 scoring (`run_attack_trial`): one repetition's query matrices can serve
-every mechanism and budget of a sweep.
+every mechanism and budget of a sweep. `run_attack_trial` runs one
+sweep cell, every repetition of one plan. Its repetitions share the
+labels, so their meta-classifiers are fitted as one batch: a single
+damped Newton solve over the stack of their shadow releases, in which
+each repetition converges and stops on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,10 +62,16 @@ class ShadowConfig:
 
 @dataclass(frozen=True, eq=False)
 class LinearClassifier:
-    """Logistic-regression meta-classifier with stored standardization."""
+    """Logistic-regression meta-classifier with stored standardization.
+
+    One classifier holds weights of shape (m,) and a float bias. A stack
+    of r classifiers, fitted together, holds weights (r, m), biases (r,)
+    and per-member means and scales (r, m); it scores an (r, t, m) stack
+    of feature matrices, member k scoring matrix k.
+    """
 
     weights: np.ndarray
-    bias: float
+    bias: Union[float, np.ndarray]
     feature_means: np.ndarray = field(repr=False)
     feature_scales: np.ndarray = field(repr=False)
 
@@ -69,12 +79,13 @@ class LinearClassifier:
         x = np.asarray(features, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.weights.size:
+        if x.shape[-1] != self.weights.shape[-1]:
             raise ValueError(
-                f"feature dimension {x.shape[1]} does not match classifier {self.weights.size}"
+                f"feature dimension {x.shape[-1]} does not match classifier "
+                f"{self.weights.shape[-1]}"
             )
-        standardized = (x - self.feature_means) / self.feature_scales
-        return standardized @ self.weights + self.bias
+        standardized = (x - self.feature_means[..., None, :]) / self.feature_scales[..., None, :]
+        return _matvec(standardized, self.weights) + np.asarray(self.bias)[..., None]
 
     def predict(self, features) -> np.ndarray:
         # Exact-zero scores count as class 1.
@@ -84,17 +95,23 @@ class LinearClassifier:
 def train_meta_classifier(features, labels) -> LinearClassifier:
     """Fit L2-regularized logistic regression by full-batch Newton steps.
 
-    Features are standardized to zero mean and unit variance first
-    (noised counts and averages live on very different scales). The
-    penalty (strength 1.0, bias excluded) applies on the standardized
-    scale. Training is deterministic: it starts from zero weights and
-    runs damped Newton iterations until the gradient norm falls below
-    1e-6 or 500 iterations elapse.
+    `features` is one (n, m) matrix, or an (r, n, m) stack of r matrices
+    that share the n labels; a stack is fitted as one batched solve and
+    gives a stacked classifier, and a single matrix is a stack of one.
+    Features are standardized to zero mean and unit variance first, each
+    matrix on its own (noised counts and averages live on very different
+    scales). The penalty (strength 1.0, bias excluded) applies on the
+    standardized scale. Training is deterministic: each fit starts from
+    zero weights and runs damped Newton iterations until its gradient
+    norm falls below 1e-6, a step finds no descent in 30 halvings, or 500
+    iterations elapse; a fit that stops keeps its weights while the rest
+    go on, so each member equals the fit of its matrix alone.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
-        raise TrainingError("features must be (n, m) with one 0/1 label per row")
+    if x.ndim not in (2, 3) or y.ndim != 1 or x.shape[-2] != y.size:
+        raise TrainingError("features must be (n, m), or (r, n, m) for r fits, "
+                            "with one 0/1 label per row")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     classes, counts = np.unique(y, return_counts=True)
@@ -103,61 +120,100 @@ def train_meta_classifier(features, labels) -> LinearClassifier:
     if len(classes) < 2 or counts.min() < 2:
         raise TrainingError("need at least 2 examples of each class")
 
-    means = x.mean(axis=0)
-    scales = x.std(axis=0)
+    stack = x if x.ndim == 3 else x[None]
+    means = stack.mean(axis=1)
+    scales = stack.std(axis=1)
     scales = np.where(scales > 0.0, scales, 1.0)
-    z = (x - means) / scales
+    z = (stack - means[:, None, :]) / scales[:, None, :]
+    design = np.concatenate([z, np.ones(z.shape[:2] + (1,))], axis=2)
+    theta = _newton(design, y)
 
-    n, m = z.shape
-    design = np.column_stack([z, np.ones(n)])
-    theta = np.zeros(m + 1)
-    penalty = np.append(np.full(m, L2_STRENGTH), 0.0)
-    loss = _logistic_loss(design, y, theta, penalty)
+    m = x.shape[-1]
+    if x.ndim == 2:
+        return LinearClassifier(weights=theta[0, :m].copy(), bias=float(theta[0, m]),
+                                feature_means=means[0], feature_scales=scales[0])
+    return LinearClassifier(weights=theta[:, :m].copy(), bias=theta[:, m].copy(),
+                            feature_means=means, feature_scales=scales)
+
+
+def _newton(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (r, k) parameters of the r damped Newton fits of an (r, n, k) design stack.
+
+    Scores, gradients and Hessians are stacked matmuls and the steps one
+    batched solve, so member i takes, operation for operation, the steps
+    its fit alone would take. `live` indexes the fits still iterating and
+    `d` holds their designs; the scores of each accepted step are kept
+    for the next gradient.
+    """
+    r, _, k = design.shape
+    penalty = np.append(np.full(k - 1, L2_STRENGTH), 0.0)
+    penalty_matrix, jitter = np.diag(penalty), 1e-12 * np.eye(k)
+    theta = np.zeros((r, k))
+    scores = _matvec(design, theta)
+    loss = _logistic_loss(scores, y, theta, penalty)
+    live, d = np.arange(r), design
     for _ in range(MAX_ITER):
-        p = _sigmoid(design @ theta)
-        grad = design.T @ (p - y) + penalty * theta
-        if float(np.linalg.norm(grad)) <= GRAD_TOL:
-            break
+        th = theta[live]
+        p = _sigmoid(scores[live])
+        grad = _matvec(d.transpose(0, 2, 1), p - y) + penalty * th
+        # np.linalg.norm's sqrt(g . g), one dot per fit
+        norm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        moving = ~(norm <= GRAD_TOL)
+        if not moving.all():
+            live, d, th, p, grad = live[moving], d[moving], th[moving], p[moving], grad[moving]
+            if not live.size:
+                break
         w = np.clip(p * (1.0 - p), 1e-12, None)
-        hessian = (design * w[:, None]).T @ design + np.diag(penalty) + 1e-12 * np.eye(m + 1)
-        step = np.linalg.solve(hessian, grad)
-        # Backtrack if a full Newton step overshoots.
+        hessian = (d * w[..., None]).transpose(0, 2, 1) @ d + penalty_matrix + jitter
+        step = np.linalg.solve(hessian, grad[..., None])[..., 0]
+        # Backtrack each fit whose full Newton step overshoots; one that
+        # finds no descent in 30 halvings stops where it is.
         factor = 1.0
+        pending = np.arange(live.size)  # positions in `live` still backtracking
         for _ in range(30):
-            candidate = theta - factor * step
-            new_loss = _logistic_loss(design, y, candidate, penalty)
-            if new_loss <= loss:
-                theta, loss = candidate, new_loss
+            candidate = th[pending] - factor * step[pending]
+            new_scores = _matvec(d[pending] if pending.size < live.size else d, candidate)
+            new_loss = _logistic_loss(new_scores, y, candidate, penalty)
+            better = new_loss <= loss[live[pending]]
+            done = live[pending[better]]
+            theta[done], scores[done], loss[done] = (
+                candidate[better], new_scores[better], new_loss[better])
+            pending = pending[~better]
+            if not pending.size:
                 break
             factor *= 0.5
-        else:
-            break
+        if pending.size:
+            keep = np.ones(live.size, dtype=bool)
+            keep[pending] = False
+            live, d = live[keep], d[keep]
+    return theta
 
-    return LinearClassifier(
-        weights=theta[:m].copy(),
-        bias=float(theta[m]),
-        feature_means=means,
-        feature_scales=scales,
-    )
+
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """matrices[..., i, :] @ vectors[..., :] for every i: one BLAS gemv per matrix,
+    as `matrix @ vector` runs it."""
+    return (matrices @ vectors[..., None])[..., 0]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
-def _logistic_loss(design, y, theta, penalty) -> float:
-    scores = design @ theta
+def _logistic_loss(scores, y, theta, penalty) -> np.ndarray:
+    """Each fit's penalized loss, from its (n,) scores and (k,) parameters."""
     # log(1 + exp(-y' s)) with y' in {-1, +1}, computed stably.
     signed = np.where(y > 0.5, -scores, scores)
-    return float(np.logaddexp(0.0, signed).sum() + 0.5 * (penalty * theta**2).sum())
+    return np.logaddexp(0.0, signed).sum(axis=-1) + 0.5 * (penalty * theta**2).sum(axis=-1)
 
 
-def evaluate_attack(clf: LinearClassifier, features, labels) -> float:
-    """Fraction of examples whose predicted class matches the label."""
+def evaluate_attack(clf: LinearClassifier, features, labels):
+    """Fraction of examples whose predicted class matches the label: a float,
+    or for a stacked classifier one fraction per member (an (r,) array)."""
     y = np.asarray(labels, dtype=int)
     if y.size == 0:
         raise ValueError("evaluation set must be nonempty")
-    return float((clf.predict(features) == y).mean())
+    hits = (clf.predict(features) == y).mean(axis=-1)
+    return float(hits) if hits.ndim == 0 else hits
 
 
 def draw_attack_queries(
@@ -178,32 +234,39 @@ def draw_attack_queries(
 
 
 def run_attack_trial(
-    shadow_queries,
-    test_queries,
+    queries: Sequence[Tuple[np.ndarray, np.ndarray]],
     cfg: ShadowConfig,
     plan: NoisePlan,
-    rng: np.random.Generator,
-) -> float:
-    """One shadow-train / test-evaluate round; returns attack accuracy.
+    rngs: Sequence[np.random.Generator],
+) -> List[float]:
+    """One attack cell: shadow-train / test-evaluate per repetition; returns
+    one attack accuracy per repetition.
 
-    The query matrices are those of `draw_attack_queries`: the first half
-    of each is labeled p_low (0), the second half p_high (1). The rng
-    noises the shadow queries, then the test queries, each with fresh
-    draws, as an attacker simulating the release would see them. The
-    meta-classifier trains on the shadow releases and is scored on the
-    test releases. Averaging across cfg.repetitions with derived
-    per-repetition seeds is the caller's job.
+    `queries` holds each repetition's (shadow, test) query matrices from
+    `draw_attack_queries`: the first half of each is labeled p_low (0),
+    the second half p_high (1). Repetition k's generator `rngs[k]` noises
+    its shadow queries, then its test queries, each with fresh draws, as
+    an attacker simulating the release would see them. Every repetition's
+    meta-classifier trains on its shadow releases, all of them in one
+    batched `train_meta_classifier` call, and is scored on its test
+    releases. Deriving the per-repetition seeds is the caller's job.
     """
-    shadow_x = np.asarray(shadow_queries, dtype=float)
-    test_x = np.asarray(test_queries, dtype=float)
-    for name, x, count in (("shadow", shadow_x, cfg.shadow_count),
-                           ("test", test_x, cfg.test_count)):
-        if x.ndim != 2 or x.shape[0] != count:
-            raise ValueError(f"{name} queries must be a matrix of {count} rows, got {x.shape}")
-    shadow_x = apply_batch(plan, shadow_x, rng)
-    test_x = apply_batch(plan, test_x, rng)
-    clf = train_meta_classifier(shadow_x, _half_labels(cfg.shadow_count))
-    return evaluate_attack(clf, test_x, _half_labels(cfg.test_count))
+    rngs = list(rngs)
+    matrices = [tuple(np.asarray(x, dtype=float) for x in pair) for pair in queries]
+    if not matrices or len(matrices) != len(rngs):
+        raise ValueError(f"need one generator per repetition, got {len(matrices)} query "
+                         f"pairs and {len(rngs)} generators")
+    for shadow_x, test_x in matrices:
+        for name, x, count in (("shadow", shadow_x, cfg.shadow_count),
+                               ("test", test_x, cfg.test_count)):
+            if x.ndim != 2 or x.shape[0] != count:
+                raise ValueError(f"{name} queries must be a matrix of {count} rows, "
+                                 f"got {x.shape}")
+    noised = [(apply_batch(plan, shadow_x, rng), apply_batch(plan, test_x, rng))
+              for (shadow_x, test_x), rng in zip(matrices, rngs)]
+    shadow_stack, test_stack = (np.stack(side) for side in zip(*noised))
+    clf = train_meta_classifier(shadow_stack, _half_labels(cfg.shadow_count))
+    return evaluate_attack(clf, test_stack, _half_labels(cfg.test_count)).tolist()
 
 
 def _half_labels(count: int) -> np.ndarray:

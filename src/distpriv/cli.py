@@ -19,10 +19,13 @@ A run is a pure function of (config, dataset bytes): the root seed fans
 out to (stage, parameter tuple, repetition) derived generators, and
 outputs are written deterministically. Both sweeps run through one
 cell loop, `_sweep`: each cell is stored under, and checked on load
-against, the config hash and the sha256 of the dataset files, and a
-stage reads its inputs only when some cell is missing: the catalog,
-and for `attack` the table, from which it draws every repetition's
-shadow and test subsets once for all cells. No noise plan depends on
+against, the config hash and the sha256 of what its stage reads (the
+catalog file for `utility`; the dataset files and the catalog file for
+`attack`), and a stage reads its inputs only when some cell is missing:
+the catalog, and for `attack` the table, from which it draws every
+repetition's shadow and test subsets once for all cells. The
+repetitions of one attack cell fit their meta-classifiers as one
+batched solve (`attack.run_attack_trial`). No noise plan depends on
 the seed: `awass` takes its L1 radius from a closed-form union bound over
 each model's sign vectors (`mechanisms.gaussian_l1_radius`). Outputs go
 through `dataio.output_file`, which leaves a file holding the same bytes
@@ -357,20 +360,27 @@ def _store_cell(path: Path, stamp: dict, values) -> None:
         fh.write("\n")
 
 
-def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, inputs, compute) -> Path:
+def _catalog_sha256(cfg: ExperimentConfig) -> str:
+    """sha256 of the catalog file `model` wrote to the output directory."""
+    return hashlib.sha256((Path(cfg.out_dir) / "catalog.json").read_bytes()).hexdigest()
+
+
+def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, digests: Dict[str, str],
+           inputs, compute) -> Path:
     """Run one sweep stage and write its CSV and the run manifest.
 
     `grid` lists the cells' (mechanism, epsilon, delta, delta_p) rows in
     CSV order; `compute(staged, *row)` returns a row's cell values, one
     per repetition, where `staged = inputs()` is read once and only when
-    some cell is missing. Cells are stored under the config hash and the
-    dataset's sha256, and a stored cell is reused only when both match.
+    some cell is missing. `digests` names the sha256 of each file the
+    stage reads: `utility` passes the catalog's (`catalog_sha256`) and
+    `attack` the dataset's (`dataset_sha256`) and the catalog's. Cells
+    are stored under the config hash and those digests, and a stored cell
+    is reused only when all of them match.
     """
     out_dir = Path(cfg.out_dir)
-    stamp = {"config_hash": cfg.config_hash(),
-             "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
-    paths = [_cell_path(out_dir, stage, stamp["config_hash"], stamp["dataset_sha256"], *row)
-             for row in grid]
+    stamp = {"config_hash": cfg.config_hash(), **digests}
+    paths = [_cell_path(out_dir, stage, *stamp.values(), *row) for row in grid]
     values = [_load_cell(path, stamp) for path in paths]
     missing = [i for i, cell in enumerate(values) if cell is None]
     staged = inputs() if missing else None
@@ -417,7 +427,8 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
                 for seq in seeds[eps, delta, dp]]
 
     grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p))
-    return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, inputs, compute)
+    digests = {"catalog_sha256": _catalog_sha256(cfg)}
+    return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, digests, inputs, compute)
 
 
 def cmd_attack(cfg: ExperimentConfig) -> Path:
@@ -451,12 +462,12 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
             seeds[eps, delta] = [derive_seed_sequence(cfg.seed, "attack", eps, delta, rep)
                                  for rep in range(len(queries))]
         plan = build_plan(mech, family, PrivacyParams(eps, delta), cfg)
-        return [
-            run_attack_trial(shadow_x, test_x, shadow, plan, np.random.default_rng(seq))
-            for (shadow_x, test_x), seq in zip(queries, seeds[eps, delta])
-        ]
+        return run_attack_trial(queries, shadow, plan,
+                                [np.random.default_rng(seq) for seq in seeds[eps, delta]])
 
-    return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, inputs, compute)
+    digests = {"dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format),
+               "catalog_sha256": _catalog_sha256(cfg)}
+    return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, digests, inputs, compute)
 
 
 def _write_run_manifest(cfg: ExperimentConfig, out_dir: Path) -> None:

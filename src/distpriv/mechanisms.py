@@ -77,7 +77,9 @@ class NoisePlan:
     scale for laplace_iid, sigma for gaussian_iid, cov for gaussian_cov,
     and (dist, scale, direction) for scalar_along_direction. `none` adds
     no noise. Provenance records which calibration produced the plan and
-    the parameters it resolved; the plan keeps a read-only copy of it.
+    the parameters it resolved; the plan keeps a read-only copy of it, in
+    which every nested dict is a read-only mapping and every list a tuple,
+    and `to_json` gives it back as plain dicts and lists.
 
     Construction checks every field once. The scale of laplace_iid and
     scalar_along_direction, and the sigma of gaussian_iid, must be finite
@@ -99,7 +101,7 @@ class NoisePlan:
     def __post_init__(self):
         if self.kind not in PLAN_KINDS:
             raise ValueError(f"unknown plan kind {self.kind!r}")
-        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
+        object.__setattr__(self, "provenance", _frozen(self.provenance))
         if self.kind in ("laplace_iid", "gaussian_iid", "scalar_along_direction"):
             name = "sigma" if self.kind == "gaussian_iid" else "scale"
             value = getattr(self, name)
@@ -129,7 +131,7 @@ class NoisePlan:
         return None
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "provenance": dict(self.provenance)}
+        doc = {"kind": self.kind, "provenance": _thawed(self.provenance)}
         if self.scale is not None:
             doc["scale"] = float(self.scale)
         if self.sigma is not None:
@@ -141,6 +143,25 @@ class NoisePlan:
         if self.dist is not None:
             doc["dist"] = self.dist
         return doc
+
+
+def _frozen(value):
+    """A read-only deep copy of a provenance value: mappings become
+    read-only mappings, lists and tuples become tuples."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({key: _frozen(item) for key, item in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _thawed(value):
+    """The plain dicts and lists of a `_frozen` value, for JSON."""
+    if isinstance(value, Mapping):
+        return {key: _thawed(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return [_thawed(item) for item in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -343,7 +364,8 @@ def no_noise_check(family: PairFamily, params: PrivacyParams) -> bool:
     bound = (params.epsilon / budget["c"]) ** 2
     _require_within(cov_discrepancy(family), COV_TOL, "relative covariance discrepancy")
     for (a, _), gap in zip(family.pairs, family.gaps):
-        if float(gap @ solve_spd(family.catalog[a].cov, gap)) > bound:
+        # Fails closed: a NaN quadratic form is not within the bound.
+        if not float(gap @ solve_spd(family.catalog[a].cov, gap)) <= bound:
             return False
     return True
 

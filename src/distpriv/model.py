@@ -122,7 +122,8 @@ class PairFamily:
     listed as well, so the indistinguishability guarantee runs both ways.
     Every label of a pair must have a model in the catalog. `gaps` holds
     the mean gaps, computed once: row k is mu_a - mu_b for the k-th pair
-    (a, b), and the array is read-only.
+    (a, b), and the array is read-only. A gap that overflows to an
+    infinity raises ConfigError naming its pair.
     """
 
     catalog: Mapping[SecretLabel, GaussianModel]
@@ -144,7 +145,11 @@ class PairFamily:
         dims = {model.dim for model in catalog.values()}
         if len(dims) != 1:
             raise ConfigError(f"catalog models disagree on dimension: {sorted(dims)}")
-        gaps = np.array([catalog[a].mean - catalog[b].mean for a, b in pairs])
+        with np.errstate(over="ignore"):  # means are finite; a gap may still overflow
+            gaps = np.array([catalog[a].mean - catalog[b].mean for a, b in pairs])
+        for pair, gap in zip(pairs, gaps):
+            if not np.all(np.isfinite(gap)):
+                raise ConfigError(f"pair {pair} has a mean gap that overflows: {gap.tolist()}")
         gaps.setflags(write=False)
         object.__setattr__(self, "catalog", catalog)
         object.__setattr__(self, "pairs", pairs)

@@ -6,8 +6,9 @@ the bottleneck distance scans every realized threshold from below, a
 certificate is checked one edge at a time in Fractions, a Dinic
 blocking flow builds each node's candidate list when the DFS first visits
 it, the Adult parser reads one decoded line at a time with str.split and int,
-and the auditor's events are scored by sorting each side and calling
-np.quantile.
+the auditor's events are scored by sorting each side and calling
+np.quantile, and a meta-classifier is fitted on its own, one damped Newton
+loop per feature matrix.
 """
 
 from __future__ import annotations
@@ -297,3 +298,55 @@ def oracle_audit_violation(out_i, out_j, direction, params) -> float:
             viol = (p_i - slack(p_i)) - e_eps * (p_j + slack(p_j)) - params.delta
             worst = max(worst, float(viol.max()))
     return worst
+
+
+def oracle_train_meta_classifier(features, labels, halvings=None):
+    """The meta-classifier of one (n, m) feature matrix, fitted as
+    `train_meta_classifier` once did, alone: (weights, bias, means, scales).
+
+    When `halvings` is a list, each Newton step appends how many times
+    backtracking halved it (30 when it found no descent and the fit stopped),
+    so its length is the number of steps taken."""
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    means = x.mean(axis=0)
+    scales = x.std(axis=0)
+    scales = np.where(scales > 0.0, scales, 1.0)
+    z = (x - means) / scales
+
+    def sigmoid(s):
+        return 1.0 / (1.0 + np.exp(-np.clip(s, -35.0, 35.0)))
+
+    def logistic_loss(theta):
+        scores = design @ theta
+        signed = np.where(y > 0.5, -scores, scores)
+        return float(np.logaddexp(0.0, signed).sum() + 0.5 * (penalty * theta**2).sum())
+
+    n, m = z.shape
+    design = np.column_stack([z, np.ones(n)])
+    theta = np.zeros(m + 1)
+    penalty = np.append(np.full(m, 1.0), 0.0)
+    loss = logistic_loss(theta)
+    for _ in range(500):
+        p = sigmoid(design @ theta)
+        grad = design.T @ (p - y) + penalty * theta
+        if float(np.linalg.norm(grad)) <= 1e-6:
+            break
+        w = np.clip(p * (1.0 - p), 1e-12, None)
+        hessian = (design * w[:, None]).T @ design + np.diag(penalty) + 1e-12 * np.eye(m + 1)
+        step = np.linalg.solve(hessian, grad)
+        factor = 1.0
+        for halved in range(30):
+            candidate = theta - factor * step
+            new_loss = logistic_loss(candidate)
+            if new_loss <= loss:
+                theta, loss = candidate, new_loss
+                break
+            factor *= 0.5
+        else:
+            halved = 30
+        if halvings is not None:
+            halvings.append(halved)
+        if halved == 30:
+            break
+    return theta[:m].copy(), float(theta[m]), means, scales

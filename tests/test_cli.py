@@ -441,6 +441,37 @@ class TestSweepResume:
         assert rerun == cmd_attack(fresh_cfg).read_bytes()
         assert rerun != old
 
+    def test_each_stage_recomputes_when_what_it_reads_changes(self, tmp_path, monkeypatch):
+        data = write_simple_csv(synthetic_census_table(30_000, seed=11), tmp_path / "d.csv")
+        cfg = base_config(data, tmp_path / "out", mechanisms=["expm-l", "expm-g"])
+        cmd_model(cfg)
+        cmd_utility(cfg)
+        cmd_attack(cfg)
+        stored = []
+        store = cli._store_cell
+
+        def counting_store(path, stamp, values):
+            stored.append(path.name.split("-")[0])
+            store(path, stamp, values)
+
+        monkeypatch.setattr(cli, "_store_cell", counting_store)
+
+        # A changed dataset under an unchanged catalog: utility reads no table.
+        write_simple_csv(synthetic_census_table(30_000, seed=12), data)
+        cmd_utility(cfg)
+        cmd_attack(cfg)
+        assert stored == ["attack"] * 2
+
+        # A changed catalog, the dataset as it stands: both stages recompute.
+        catalog = Path(cfg.out_dir) / "catalog.json"
+        docs = json.loads(catalog.read_text())
+        docs[0]["mean"][0] += 1.0
+        catalog.write_text(json.dumps(docs))
+        stored.clear()
+        cmd_utility(cfg)
+        cmd_attack(cfg)
+        assert stored == ["utility"] * 2 + ["attack"] * 2
+
     @staticmethod
     def files_under(out):
         """(mtime_ns, bytes) of every file under out, by relative path."""
@@ -528,11 +559,9 @@ class TestUtilityNoise:
     def test_cells_of_the_subset_stream_are_not_reused(self, synth_csv, tmp_path):
         import hashlib
 
-        from distpriv.dataio import dataset_sha256
-
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
         cmd_model(cfg)
-        sha = dataset_sha256(cfg.dataset, cfg.dataset_format)
+        sha = hashlib.sha256((tmp_path / "out" / "catalog.json").read_bytes()).hexdigest()
         # Every older config hash covered fields since deleted, so a cell of
         # the older streams (a subset drawn before the noise) carries a hash
         # the current config cannot produce.
@@ -543,7 +572,7 @@ class TestUtilityNoise:
         assert older_hash != cfg.config_hash()
         path = cli._cell_path(tmp_path / "out", "utility", cfg.config_hash(), sha,
                               "expm-g", 1.0, 0.001, 0.1)
-        cli._store_cell(path, {"config_hash": older_hash, "dataset_sha256": sha},
+        cli._store_cell(path, {"config_hash": older_hash, "catalog_sha256": sha},
                         [123.5] * cfg.repetitions)
         text = cmd_utility(cfg).read_text()
         assert ",123.5" not in text
@@ -655,15 +684,20 @@ class TestCmdAttack:
             assert cells[("wass", eps)] == cells[("expm-l", eps)]
 
     def test_cells_of_the_per_mechanism_streams_are_not_reused(self, synth_csv, tmp_path):
+        import hashlib
+
         from distpriv.dataio import dataset_sha256
 
         cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-g"])
         cmd_model(cfg)
+        catalog = (tmp_path / "out" / "catalog.json").read_bytes()
         stamp = {"config_hash": cfg.config_hash(),
-                 "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format)}
+                 "dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format),
+                 "catalog_sha256": hashlib.sha256(catalog).hexdigest()}
         # where an attack cell was stored when each mechanism drew its own subsets
         old = cli._cell_path(tmp_path / "out", "attack", stamp["config_hash"],
-                             stamp["dataset_sha256"], "expm-g", 1.0, 0.001)
+                             stamp["dataset_sha256"], stamp["catalog_sha256"],
+                             "expm-g", 1.0, 0.001)
         cli._store_cell(old, stamp, [0.125] * cfg.shadow_config().repetitions)
         text = cmd_attack(cfg).read_text()
         assert ",0.125" not in text

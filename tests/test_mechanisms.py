@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import statistics
 import time
@@ -361,6 +362,13 @@ class TestNoNoiseAndCovChecks:
         model = GaussianModel([9.0, 9.0], WORKED_COV, 10)
         fam = PairFamily({lab_a: model, lab_b: model}, [(lab_a, lab_b), (lab_b, lab_a)])
         assert no_noise_check(fam, PARAMS)
+
+    def test_nan_mahalanobis_gap_fails_closed(self, monkeypatch):
+        import distpriv.mechanisms
+
+        monkeypatch.setattr(distpriv.mechanisms, "solve_spd",
+                            lambda cov, gap: np.full_like(gap, np.nan))
+        assert no_noise_check(worked_example_family(), PARAMS) is False
 
     def test_passes_once_covariance_is_large_enough(self):
         lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
@@ -852,17 +860,17 @@ class TestNoisePlanValidation:
             NoisePlan(kind=kind, **{field: math.nan}, **extra)
 
     @staticmethod
-    def overflowing_gap_family() -> PairFamily:
-        """Means of +-1e308, whose difference overflows to an infinite gap."""
+    def wass_on_overflowing_distance() -> NoisePlan:
+        """`wass` on finite mean gaps of (1e308, 1e308), whose L1 norm overflows."""
         lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        family = PairFamily({lab_a: GaussianModel([1e308, 1e308], np.eye(2), 10),
+                             lab_b: GaussianModel([0.0, 0.0], np.eye(2), 10)},
+                            [(lab_a, lab_b), (lab_b, lab_a)])
         with np.errstate(over="ignore"):
-            return PairFamily({lab_a: GaussianModel([1e308], [[1.0]], 10),
-                               lab_b: GaussianModel([-1e308], [[1.0]], 10)},
-                              [(lab_a, lab_b), (lab_b, lab_a)])
+            return calibrate_wasserstein(family, PrivacyParams(1.0))
 
     @pytest.mark.parametrize("build", [
-        lambda: calibrate_wasserstein(TestNoisePlanValidation.overflowing_gap_family(),
-                                      PrivacyParams(1.0)),
+        lambda: TestNoisePlanValidation.wass_on_overflowing_distance(),
         lambda: NoisePlan(kind="gaussian_iid", sigma=math.inf),
         lambda: group_dp_calibrate(1.0, 1, PrivacyParams(1e-320), "laplace"),  # 1 / 1e-320 = inf
     ], ids=["wass-infinite-distance", "infinite-sigma", "overflowing-scale"])
@@ -899,6 +907,31 @@ class TestNoisePlanValidation:
         given["added"] = True
         assert dict(plan.provenance) == {"mechanism": "test", "w": 1.0}
         assert plan.to_json()["provenance"] == {"mechanism": "test", "w": 1.0}
+        # Nested values are frozen too, and to_json gives back plain JSON values.
+        given = {"mechanism": "test", "warnings": ["w1"], "inner": {"sigma_sq": [1.0, 2.0]}}
+        plan = NoisePlan(kind="laplace_iid", scale=1.0, provenance=given)
+        given["warnings"].append("late")
+        given["inner"]["sigma_sq"][0] = 9.0
+        with pytest.raises(AttributeError):
+            plan.provenance["warnings"].append("patched")
+        with pytest.raises(TypeError):
+            plan.provenance["inner"]["sigma_sq"] = []
+        with pytest.raises(TypeError):
+            plan.provenance["inner"]["sigma_sq"][0] = 9.0
+        doc = plan.to_json()["provenance"]
+        assert doc == {"mechanism": "test", "warnings": ["w1"], "inner": {"sigma_sq": [1.0, 2.0]}}
+        assert type(doc["warnings"]) is list and type(doc["inner"]) is dict
+        assert json.dumps(doc) == ('{"mechanism": "test", "warnings": ["w1"], '
+                                   '"inner": {"sigma_sq": [1.0, 2.0]}}')
+        fam = worked_example_family()
+        expm = calibrate_expm(fam, PrivacyParams(2.0, 1e-3), "gaussian")
+        before = json.dumps(expm.to_json())
+        with pytest.raises(AttributeError):
+            expm.provenance["warnings"].append("patched")
+        assert json.dumps(expm.to_json()) == before
+        eig = eig_plan(fam, PARAMS)
+        with pytest.raises(TypeError):
+            eig.provenance["sigma_sq"][0] = 0.0
 
     def test_direction_is_copied_not_frozen_in_place(self):
         v = np.array([1.0, 0.0])

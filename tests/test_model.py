@@ -190,6 +190,16 @@ class TestPairFamily:
         with pytest.raises(ConfigError):
             PairFamily({lab: GaussianModel([0.0], [[1.0]], 10)}, [])
 
+    def test_refuses_a_gap_that_overflows(self):
+        # 1e308 - (-1e308) overflows; the family would give no_noise_check
+        # a NaN Mahalanobis gap and every calibration an infinite sensitivity.
+        lab_a, lab_b = SecretLabel("p", 0.4), SecretLabel("p", 0.6)
+        catalog = {lab_a: GaussianModel([1e308, 0.0], np.eye(2), 10),
+                   lab_b: GaussianModel([-1e308, 0.0], np.eye(2), 10)}
+        overflow = r"pair \(.*value=0\.4\).*value=0\.6\)\) has a mean gap that overflows"
+        with pytest.raises(ConfigError, match=overflow):
+            PairFamily(catalog, [(lab_a, lab_b), (lab_b, lab_a)])
+
 
 class TestCheckAssumptions:
     def test_equal_covariances(self):
