@@ -360,9 +360,14 @@ def _store_cell(path: Path, stamp: dict, values) -> None:
         fh.write("\n")
 
 
-def _catalog_sha256(cfg: ExperimentConfig) -> str:
-    """sha256 of the catalog file `model` wrote to the output directory."""
-    return hashlib.sha256((Path(cfg.out_dir) / "catalog.json").read_bytes()).hexdigest()
+def _read_catalog(cfg: ExperimentConfig):
+    """The path and bytes of the catalog `model` wrote to the output
+    directory, and the bytes' sha256. A stage hashes and parses these same
+    bytes, so a file replaced in between cannot stamp its cells with the
+    digest of a catalog they were not computed from."""
+    path = Path(cfg.out_dir) / "catalog.json"
+    data = path.read_bytes()
+    return path, data, hashlib.sha256(data).hexdigest()
 
 
 def _sweep(cfg: ExperimentConfig, stage: str, header: str, grid, digests: Dict[str, str],
@@ -411,8 +416,10 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
     same underlying noise draws: mechanism comparisons are paired rather
     than smeared by independent streams.
     """
+    catalog_path, catalog_bytes, catalog_sha256 = _read_catalog(cfg)
+
     def inputs():
-        catalog = load_catalog(Path(cfg.out_dir) / "catalog.json")
+        catalog = load_catalog(catalog_path, catalog_bytes)
         families = {dp: _catalog_family(cfg, [dp], catalog) for dp in cfg.delta_p}
         return families, np.zeros(next(iter(catalog.values())).mean.size), {}
 
@@ -427,7 +434,7 @@ def cmd_utility(cfg: ExperimentConfig) -> Path:
                 for seq in seeds[eps, delta, dp]]
 
     grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p))
-    digests = {"catalog_sha256": _catalog_sha256(cfg)}
+    digests = {"catalog_sha256": catalog_sha256}
     return _sweep(cfg, "utility", UTILITY_CSV_HEADER, grid, digests, inputs, compute)
 
 
@@ -445,8 +452,10 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
     shadow = cfg.shadow_config()
     grid = list(itertools.product(cfg.mechanisms, cfg.epsilon, cfg.delta, cfg.delta_p[:1]))
 
+    catalog_path, catalog_bytes, catalog_sha256 = _read_catalog(cfg)
+
     def inputs():
-        family = _catalog_family(cfg, cfg.delta_p[:1])
+        family = _catalog_family(cfg, cfg.delta_p[:1], load_catalog(catalog_path, catalog_bytes))
         splits = load_splits(cfg)
         aux = SubsetSampler(splits.aux, cfg.property_name)
         test = SubsetSampler(splits.test, cfg.property_name)
@@ -466,7 +475,7 @@ def cmd_attack(cfg: ExperimentConfig) -> Path:
                                 [np.random.default_rng(seq) for seq in seeds[eps, delta]])
 
     digests = {"dataset_sha256": dataset_sha256(cfg.dataset, cfg.dataset_format),
-               "catalog_sha256": _catalog_sha256(cfg)}
+               "catalog_sha256": catalog_sha256}
     return _sweep(cfg, "attack", ATTACK_CSV_HEADER, grid, digests, inputs, compute)
 
 

@@ -45,24 +45,34 @@ TEST_SIZE = 10_000
 _ADULT_COLUMNS = 15
 # The Adult fields load_adult reads, by position: age, workclass,
 # education-num, marital-status, sex, hours-per-week, income. Entries 0, 2
-# and 5 of that list are the integers.
-_READ_FIELDS = np.array([0, 1, 4, 5, 9, 12, 14])
+# and 5 of that list are the integers. Each is a row, as the parser lays
+# out one field of all rows in one row of its arrays.
+_READ_FIELDS = np.array([[0], [1], [4], [5], [9], [12], [14]])
 _INTEGER_FIELDS = [0, 2, 5]
 _INTEGER_NAMES = ("age", "education-num", "hours-per-week")
-_INTEGER_LOW = np.array([AGE_BOUNDS[0], EDUCATION_BOUNDS[0], HOURS_BOUNDS[0]])
-_INTEGER_HIGH = np.array([AGE_BOUNDS[1], EDUCATION_BOUNDS[1], HOURS_BOUNDS[1]])
+_INTEGER_LOW = np.array([[AGE_BOUNDS[0]], [EDUCATION_BOUNDS[0]], [HOURS_BOUNDS[0]]])
+_INTEGER_HIGH = np.array([[AGE_BOUNDS[1]], [EDUCATION_BOUNDS[1]], [HOURS_BOUNDS[1]]])
 # load_adult parses each file in blocks of about this many bytes, cut at a
-# newline, so its temporaries stay small beside the table. Parsing each
-# file whole was no faster in the paper-sweep benchmark and held 1-2 MB
-# more peak RSS.
+# newline, so its temporaries stay small beside the table. On the
+# benchmark's seed-101 Adult pair (5.5 MB) a load took 38 ms in blocks of
+# 64 KiB, 29 ms in 128 KiB, 25 ms in 256 KiB, 24 ms in 512 KiB, 26 ms in
+# 1 MiB and 41 ms in 8 MiB (medians of 30 loads each, on a shared 2-vCPU
+# x86-64 host). 512 KiB was within the noise of 256 KiB, with temporaries
+# twice as large.
 _BLOCK_BYTES = 1 << 18
-# The ASCII characters str.strip removes.
+# A block is parsed from a copy that starts with a newline, so that every
+# line follows one, and ends in _PAD zero bytes, so that 16 bytes can be
+# read from any position of a line.
+_PAD = 16
+_ZEROS = bytes(_PAD)
+# The ASCII characters str.strip removes, and those of them that a field
+# can hold (all but the newline).
 _WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-_IS_SPACE = np.zeros(256, dtype=bool)
-_IS_SPACE[list(_WHITESPACE.encode())] = True
+_IS_BLANK = np.zeros(256, dtype=bool)
+_IS_BLANK[list(_WHITESPACE.replace("\n", "").encode())] = True
 _IS_DOT = np.zeros(256, dtype=bool)
 _IS_DOT[ord(".")] = True
-_NEWLINE, _CR, _COMMA, _PIPE, _QUESTION, _PLUS, _MINUS = b"\n\r,|?+-"
+_NEWLINE, _CR, _SPACE, _COMMA, _PIPE, _QUESTION, _PLUS, _MINUS = b"\n\r ,|?+-"
 # Digits an integer field may hold: with them every value fits in int64.
 _MAX_DIGITS = 18
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
@@ -217,32 +227,38 @@ def load_adult(path) -> Table:
 
 
 def _newline_blocks(file: Path):
-    """The file's bytes in blocks of about _BLOCK_BYTES, each ending in a newline."""
+    """The file's bytes in blocks of about _BLOCK_BYTES of whole lines, each
+    as a newline, the lines, and _PAD zero bytes (see _parse_adult_block).
+    A last line with no newline is given one."""
     with open(file, "rb") as fh:
         tail = b""
         while data := fh.read(_BLOCK_BYTES):
             cut = data.rfind(b"\n") + 1
             if cut:
-                yield tail + data[:cut]
+                yield b"".join((b"\n", tail, memoryview(data)[:cut], _ZEROS))
                 tail = data[cut:]
             else:
                 tail += data
         if tail:
-            yield tail + b"\n"
+            yield b"".join((b"\n", tail, b"\n", _ZEROS))
 
 
-def _parse_adult_block(block: bytes, name: str, first_line: int):
+def _parse_adult_block(text: bytes, name: str, first_line: int):
     """The kept rows of a block of whole Adult lines, as Table columns, the
     counts of rows dropped as missing and as out of range, and the block's
-    line count. Its first line is line first_line of the file called name."""
-    arr = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(arr == _NEWLINE)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    first = _skip(arr, starts, ends, 1, _IS_SPACE)
-    data = (first < ends) & (arr[first] != _PIPE)
-    commas = np.flatnonzero(arr == _COMMA)
-    comma0 = np.searchsorted(commas, starts)
-    fields = np.searchsorted(commas, ends) - comma0 + 1
+    line count. text is a newline, the lines, and _PAD zero bytes; its first
+    line is line first_line of the file called name."""
+    arr = np.frombuffer(text, dtype=np.uint8)
+    body = arr[:-_PAD]
+    # Every comma and newline, in order. Line i lies between the newlines
+    # seps[breaks[i]] and seps[breaks[i + 1]], and a line of 15 fields has
+    # its field j between seps[breaks[i] + j] and seps[breaks[i] + j + 1].
+    seps = np.flatnonzero((body == _COMMA) | (body == _NEWLINE))
+    breaks = np.flatnonzero(arr[seps] == _NEWLINE)
+    newlines = seps[breaks]
+    fields = np.diff(breaks)
+    first = _strip(arr, newlines[:-1] + 1, 1)
+    data = (arr[first] != _NEWLINE) & (arr[first] != _PIPE)
 
     # (block line, error) for each kind of bad line, at its first instance;
     # the earliest is raised. Rows are read only up to the first line whose
@@ -252,122 +268,144 @@ def _parse_adult_block(block: bytes, name: str, first_line: int):
     def error(kind, i, message):
         errors.append((i, kind(f"{name}: {message}", line=first_line + int(i))))
 
+    def line_of(position):
+        return np.searchsorted(newlines, position) - 1
+
     wrong = np.flatnonzero(data & (fields != _ADULT_COLUMNS))
     if wrong.size:
         error(FormatError, wrong[0],
               f"expected {_ADULT_COLUMNS} comma-separated fields, got {fields[wrong[0]]}")
-    if b"\r" in block:
-        cr = np.flatnonzero(arr == _CR)
+    if b"\r" in text:
+        cr = np.flatnonzero(body == _CR)
         lone = cr[arr[cr + 1] != _NEWLINE]
         if lone.size:
-            error(FormatError, np.searchsorted(ends, lone[0]),
-                  "carriage return not followed by a newline")
-    ascii_only = block.isascii()
+            error(FormatError, line_of(lone[0]), "carriage return not followed by a newline")
+    ascii_only = text.isascii()
     if not ascii_only:
         try:
-            block.decode("utf-8")
+            text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            error(FormatError, np.searchsorted(ends, exc.start), f"not UTF-8 text: {exc.reason}")
-    limit = min((i for i, _ in errors), default=ends.size)
+            error(FormatError, line_of(exc.start), f"not UTF-8 text: {exc.reason}")
+    limit = min((i for i, _ in errors), default=fields.size)
     rows = np.flatnonzero(data[:limit])
 
     if not ascii_only:
-        wide = np.unique(np.searchsorted(ends, np.flatnonzero(arr >= 0x80)))
+        wide = np.unique(line_of(np.flatnonzero(body >= 0x80)))
         wide = wide[wide < limit]
         for i in wide[data[wide]]:
-            text = block[starts[i]:ends[i]].decode("utf-8")
-            if any(f.strip() != f.strip(_WHITESPACE) for f in text.split(",")):
+            line = text[newlines[i] + 1:newlines[i + 1]].decode("utf-8")
+            if any(f.strip() != f.strip(_WHITESPACE) for f in line.split(",")):
                 error(FormatError, i, "a field is padded with non-ASCII whitespace")
                 break
 
-    # A '?' is a whole field when only whitespace separates it from the
-    # commas or line ends on either side.
-    marks = np.flatnonzero(arr == _QUESTION)
-    at = np.searchsorted(ends, marks)
-    before = _skip(arr, marks - 1, starts[at] - 1, -1, _IS_SPACE)
-    after = _skip(arr, marks + 1, ends[at], 1, _IS_SPACE)
-    whole = (((before < starts[at]) | (arr[before] == _COMMA))
-             & ((after == ends[at]) | (arr[after] == _COMMA)))
-    missing = np.zeros(ends.size, dtype=bool)
-    missing[at[whole]] = True
-    rows_missing = int(np.count_nonzero(missing[rows]))
-    rows = rows[~missing[rows]]
+    # A '?' is a whole field when only blanks separate it from the commas
+    # or newlines on either side.
+    rows_missing = 0
+    if b"?" in text:
+        marks = np.flatnonzero(body == _QUESTION)
+        before = arr[_strip(arr, marks - 1, -1)]
+        after = arr[_strip(arr, marks + 1, 1)]
+        whole = (((before == _COMMA) | (before == _NEWLINE))
+                 & ((after == _COMMA) | (after == _NEWLINE)))
+        missing = np.zeros(fields.size, dtype=bool)
+        missing[line_of(marks[whole])] = True
+        missing = missing[rows]
+        rows_missing = int(np.count_nonzero(missing))
+        if rows_missing:
+            rows = rows[~missing]
 
-    # Each row's field j spans (bounds[j], bounds[j + 1]), stripped.
-    bounds = np.empty((rows.size, _ADULT_COLUMNS + 1), dtype=np.int64)
-    bounds[:, 0] = starts[rows] - 1
-    bounds[:, 1:-1] = commas[comma0[rows, None] + np.arange(_ADULT_COLUMNS - 1)]
-    bounds[:, -1] = ends[rows]
-    lo = _skip(arr, (bounds[:, _READ_FIELDS] + 1).ravel(), bounds[:, _READ_FIELDS + 1].ravel(),
-               1, _IS_SPACE)
-    hi = _skip(arr, bounds[:, _READ_FIELDS + 1].ravel() - 1, lo - 1, -1, _IS_SPACE) + 1
-    lo = lo.reshape(rows.size, _READ_FIELDS.size)
-    hi = hi.reshape(rows.size, _READ_FIELDS.size)
+    # The stripped byte range [lo, hi) of each read field (a row of lo and
+    # hi) of each kept row (a column). A field of blanks only comes out
+    # with hi <= lo.
+    left = breaks[rows] + _READ_FIELDS
+    lo = _strip(arr, seps[left] + 1, 1)
+    hi = _skip(arr, seps[left + 1] - 1, -1, _IS_BLANK) + 1
 
-    numbers, valid = _parse_integers(arr, lo[:, _INTEGER_FIELDS].ravel(),
-                                     hi[:, _INTEGER_FIELDS].ravel())
-    numbers = numbers.reshape(rows.size, len(_INTEGER_FIELDS))
-    invalid = np.flatnonzero(~valid)
-    if invalid.size:
-        row, k = divmod(int(invalid[0]), len(_INTEGER_FIELDS))
-        column = _INTEGER_FIELDS[k]
-        text = block[lo[row, column]:hi[row, column]].decode("utf-8", "replace")
-        error(ParseError, rows[row], f"{_INTEGER_NAMES[k]} {text!r} is not an integer")
+    numbers, valid = _parse_integers(arr, lo[_INTEGER_FIELDS].ravel(), hi[_INTEGER_FIELDS].ravel())
+    numbers = numbers.reshape(len(_INTEGER_FIELDS), rows.size)
+    invalid = ~valid.reshape(numbers.shape)
+    if invalid.any():
+        row = np.flatnonzero(invalid.any(axis=0))[0]
+        k = np.flatnonzero(invalid[:, row])[0]
+        field = _INTEGER_FIELDS[k]
+        value = text[lo[field, row]:hi[field, row]].decode("utf-8", "replace")
+        error(ParseError, rows[row], f"{_INTEGER_NAMES[k]} {value!r} is not an integer")
     if errors:
         raise min(errors, key=lambda item: item[0])[1]
 
-    keep = np.all((numbers >= _INTEGER_LOW) & (numbers <= _INTEGER_HIGH), axis=1)
-    lo, hi, numbers = lo[keep], hi[keep], numbers[keep]
-    label_end = _skip(arr, hi[:, 6] - 1, lo[:, 6] - 1, -1, _IS_DOT) + 1
+    keep = np.all((numbers >= _INTEGER_LOW) & (numbers <= _INTEGER_HIGH), axis=0)
+    out_of_range = keep.size - int(np.count_nonzero(keep))
+    if out_of_range:
+        lo, hi, numbers = lo[:, keep], hi[:, keep], numbers[:, keep]
+    # The 8 bytes from each position of the block, as one little-endian word.
+    words = np.ndarray((arr.size - 7,), dtype="<u8", buffer=text, strides=(1,))
+    label_end = _skip(arr, hi[6] - 1, -1, _IS_DOT) + 1
     columns = (
-        numbers[:, 0],
-        numbers[:, 1],
-        _equals(arr, lo[:, 3], hi[:, 3], b"Never-married"),
-        _equals(arr, lo[:, 4], hi[:, 4], b"Female"),
-        numbers[:, 2],
-        _equals(arr, lo[:, 6], label_end, b">50K"),
-        _equals(arr, lo[:, 1], hi[:, 1], b"Private"),
+        numbers[0],
+        numbers[1],
+        _equals(words, lo[3], hi[3], b"Never-married"),
+        _equals(words, lo[4], hi[4], b"Female"),
+        numbers[2],
+        _equals(words, lo[6], label_end, b">50K"),
+        _equals(words, lo[1], hi[1], b"Private"),
     )
-    return columns, rows_missing, int(keep.size - np.count_nonzero(keep)), ends.size
+    return columns, rows_missing, out_of_range, fields.size
 
 
-def _skip(arr, pos, stop, step, table):
-    """Each position moved by step (+1 or -1) while it is short of its stop
-    and on a byte that table marks."""
-    pos = pos.copy()
-    todo = np.flatnonzero(pos != stop)
+def _strip(arr, pos, step):
+    """Each position moved by step (+1 or -1) past the blanks it is on. A
+    line's newline, and a comma, stop it."""
+    space = arr[pos] == _SPACE  # the most common first step, for all at once
+    return _skip(arr, pos + space if step > 0 else pos - space, step, _IS_BLANK)
+
+
+def _skip(arr, pos, step, table):
+    """The positions of pos, a fresh array, each moved in place by step (+1
+    or -1) while it is on a byte that table marks. The table leaves the
+    newline unmarked, which bounds every line of a block."""
+    flat = pos.reshape(-1)
+    # Only a position on a byte no higher than the table's highest mark
+    # can move; that test is cheaper than the table itself.
+    todo = np.flatnonzero(arr[flat] <= np.flatnonzero(table)[-1])
+    todo = todo[table[arr[flat[todo]]]]
     while todo.size:
-        todo = todo[table[arr[pos[todo]]]]
-        pos[todo] += step
-        todo = todo[pos[todo] != stop[todo]]
+        flat[todo] += step
+        todo = todo[table[arr[flat[todo]]]]
     return pos
 
 
 def _parse_integers(arr, lo, hi):
     """The integer each byte range [lo, hi) writes, and whether it writes one:
     an optional sign and 1 to _MAX_DIGITS ASCII digits."""
-    minus = arr[lo] == _MINUS
-    lo = lo + ((lo < hi) & (minus | (arr[lo] == _PLUS)))
+    sign = arr[lo]  # an empty range's lo is on a comma or newline
+    minus = sign == _MINUS
+    signed = minus | (sign == _PLUS)
+    if signed.any():
+        lo = lo + signed
     n = hi - lo
     valid = (n > 0) & (n <= _MAX_DIGITS)
-    offsets = np.cumsum(n) - n
-    # Each digit's place value, 0 for the units; a sentinel digit past the
-    # end keeps reduceat's indices in range when the last ranges are empty.
-    total = int(n.sum())
-    place = np.repeat(offsets + n - 1, n) - np.arange(total)
-    digits = np.append(arr[np.repeat(hi - 1, n) - place] - np.uint8(ord("0")), np.uint8(0))
-    weights = np.append(_POW10[np.minimum(place, _MAX_DIGITS - 1)], 0)
-    valid &= ~np.logical_or.reduceat(digits > 9, offsets)
-    values = np.add.reduceat(digits * weights, offsets)
-    return np.where(minus, -values, values), valid
+    values = np.zeros(n.size, dtype=np.int64)
+    # One pass per digit place, as many as the widest range has; a range
+    # reads 0 at the places left of its first digit.
+    for place in range(min(int(n.max(initial=0)), _MAX_DIGITS)):
+        # A place left of the block's start wraps to its end, and is masked.
+        digit = arr[hi - (place + 1)] - np.uint8(ord("0"))
+        digit *= n > place
+        valid &= digit <= 9
+        values += digit * _POW10[place]
+    if minus.any():
+        np.negative(values, out=values, where=minus)
+    return values, valid
 
 
-def _equals(arr, lo, hi, word: bytes):
-    """Whether each byte range [lo, hi) holds exactly word."""
+def _equals(words, lo, hi, word: bytes):
+    """Whether each byte range [lo, hi) holds exactly word, of 1 to 16
+    bytes, with words the 8-byte windows of the block."""
     out = (hi - lo) == len(word)
-    idx = np.flatnonzero(out)
-    out[idx] = np.all(arr[lo[idx, None] + np.arange(len(word))] == np.frombuffer(word, np.uint8),
-                      axis=1)
+    for offset in (0,) if len(word) <= 8 else (0, len(word) - 8):
+        chunk = word[offset:offset + 8]
+        mask = np.uint64((1 << 8 * len(chunk)) - 1)
+        out &= (words[lo + offset] & mask) == np.uint64(int.from_bytes(chunk, "little"))
     return out
 
 
@@ -562,15 +600,19 @@ def compute_query(subset: Table) -> np.ndarray:
     return _gather_queries(_query_features(subset), np.arange(n)[None, :])[0]
 
 
-def read_json(path, parse=None):
+def read_json(path, parse=None, data=None):
     """The document in the JSON file at `path`, passed through `parse` if given.
 
-    Text that is not JSON, and a `parse` that finds a key missing or a
-    value of the wrong shape, raise FormatError naming the file.
+    `data`, if given, is the file's bytes as the caller read them, and is
+    parsed in place of the file. Text that is not JSON, and a `parse` that
+    finds a key missing or a value of the wrong shape, raise FormatError
+    naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        if data is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        doc = json.loads(data.decode("utf-8"))
         return doc if parse is None else parse(doc)
     except KeyError as exc:
         raise FormatError(f"{path}: missing key {exc}") from exc

@@ -387,8 +387,9 @@ def save_catalog(catalog: Mapping[SecretLabel, GaussianModel], path) -> None:
         fh.write("\n")
 
 
-def load_catalog(path) -> Dict[SecretLabel, GaussianModel]:
-    return read_json(path, lambda docs: dict(map(model_from_doc, docs)))
+def load_catalog(path, data=None) -> Dict[SecretLabel, GaussianModel]:
+    """The catalog in the file at path, or in data, its bytes as read."""
+    return read_json(path, lambda docs: dict(map(model_from_doc, docs)), data)
 
 
 def family_from_catalog(

@@ -472,6 +472,47 @@ class TestSweepResume:
         cmd_attack(cfg)
         assert stored == ["utility"] * 2 + ["attack"] * 2
 
+    def test_cells_carry_the_digest_of_the_catalog_they_were_computed_from(
+            self, synth_csv, tmp_path, monkeypatch):
+        # Another config's `model` may replace a shared catalog while a stage
+        # runs. Here every load swaps the file for the other catalog just
+        # before it reads, the latest moment such a write can land.
+        import hashlib
+
+        cfg = base_config(synth_csv, tmp_path / "out", mechanisms=["expm-l", "expm-g"])
+        cmd_model(cfg)
+        cmd_model(base_config(synth_csv, tmp_path / "other", seed=8))
+        catalog = Path(cfg.out_dir) / "catalog.json"
+        versions = [catalog.read_bytes(), (tmp_path / "other" / "catalog.json").read_bytes()]
+        assert versions[0] != versions[1]
+
+        load = cli.load_catalog
+        computed_from = []  # the digest of the catalog each load returned
+
+        def swapping_load(*args):
+            held = catalog.read_bytes()
+            catalog.write_bytes(versions[1] if held == versions[0] else versions[0])
+            loaded = load(*args)
+            save_catalog(loaded, tmp_path / "loaded.json")
+            computed_from.append(hashlib.sha256((tmp_path / "loaded.json").read_bytes()).hexdigest())
+            return loaded
+
+        stamped = []
+        store = cli._store_cell
+
+        def recording_store(path, stamp, values):
+            stamped.append(stamp["catalog_sha256"])
+            store(path, stamp, values)
+
+        monkeypatch.setattr(cli, "load_catalog", swapping_load)
+        monkeypatch.setattr(cli, "_store_cell", recording_store)
+        for stage in (cmd_utility, cmd_attack):
+            computed_from.clear()
+            stamped.clear()
+            stage(cfg)
+            assert len(computed_from) == 1
+            assert stamped == computed_from * len(cfg.mechanisms)
+
     @staticmethod
     def files_under(out):
         """(mtime_ns, bytes) of every file under out, by relative path."""

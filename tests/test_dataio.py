@@ -206,6 +206,18 @@ ACCEPTED = {
     "no-row-kept": {"a.csv": lines(["|a comment", "", make_row(workclass="?")])},
     "several-blocks": {"a.csv": lines(BIG_ROWS)},
     "directory-pair": ADULT_PAIR,
+    "near-miss-words": {"a.csv": lines([
+        make_row(workclass="Privatf"), make_row(workclass="Private"), make_row(sex="Femald"),
+        make_row(sex="Female"), make_row(label=">50J"), make_row(label=">50J."),
+        make_row(label=">50K"), make_row(marital="Never-marrieD"),
+        make_row(marital="Never-married"), make_row(workclass="Qrivate"),
+        make_row(marital="Never-marriedd"), make_row(sex="Femal")])},
+    "whitespace-runs-around-fields": {"a.csv": lines([
+        with_fields({0: " \t\x0b39 \x1c", 1: "\x1d\x1e\x1fPrivate\t\t", 4: "  13\x0c\x0b",
+                     5: "\t Never-married  ", 9: "\x1c\x1cFemale\x1f\x1f", 12: "\x0b\x0c40\t ",
+                     14: "  >50K.\x1e\x1d"}),
+        with_fields({3: " \t\x0b\x0c\x1c\x1d\x1e\x1f?\x1f\x1e\x1d\x1c\x0c\x0b\t "}),
+        "\x0b\x0c\x1c\x1d" + make_row() + "\x1e\x1f\t  "])},
 }
 
 # Files the row loop refuses: the file's text, and the error's type and line.
@@ -250,6 +262,80 @@ def logged_drops(caplog):
     return counts["missing"], counts["out-of-range"]
 
 
+# The ASCII whitespace str.strip removes that can stand inside a line. A
+# carriage return stands only before a newline: alone, the row loop reads
+# it as a line end and load_adult refuses it.
+BLANKS = list(" \t\x0b\x0c\x1c\x1d\x1e\x1f")
+# Values of the read word fields, by position, each beside near misses.
+WORDS = {
+    1: ["Private", "Privatf", "Qrivate", "Privat", "Private.", "Self-emp-not-inc", "?x"],
+    5: ["Never-married", "Never-marrieD", "Never-marrie", "Never-marriedd", "Married-civ-spouse"],
+    9: ["Female", "Femald", "Male", "female", "Female?"],
+    14: [">50K", ">50K.", ">50K..", "<=50K", "<=50K.", ">50J", ">50J.", ".>50K", ">50K?"],
+}
+# The integer fields by position, each with a range of values a little
+# wider than the loader keeps.
+INTEGER_FIELDS = {0: (10, 95), 4: (0, 18), 12: (0, 101)}
+
+
+def random_adult_text(rng):
+    """The text of a small Adult file of seeded random lines, and the file
+    lines of its kept rows that write an integer in more than 18 digits,
+    which the row loop reads and load_adult refuses."""
+    def blanks():
+        return "".join(rng.choice(BLANKS, size=rng.integers(0, 4)))
+
+    def integer(low, high):
+        value = rng.integers(low, high + 1) if rng.random() < 0.97 else rng.integers(10**18)
+        # Mostly unpadded; now and then zero-padded to up to 18 digits, or to 19.
+        width = rng.integers(1, 19) if rng.random() < 0.15 else 19 if rng.random() < 0.003 else 0
+        return str(rng.choice(["", "+", "-"], p=[0.8, 0.1, 0.1])) + str(value).zfill(width)
+
+    rows, too_long = [], []
+    for line in range(1, rng.integers(1, 40) + 1):
+        kind = rng.random()
+        if kind < 0.05:
+            rows.append(blanks())
+            continue
+        if kind < 0.1:
+            rows.append(blanks() + "|" + make_row())
+            continue
+        fields = [str(rng.choice(["77516", "Bachelors", "x", "", "?x", "a b"])) for _ in range(15)]
+        for j, bounds in INTEGER_FIELDS.items():
+            fields[j] = integer(*bounds)
+        for j, words in WORDS.items():
+            fields[j] = str(rng.choice(words))
+        missing = rng.random() < 0.1
+        if missing:
+            fields[rng.integers(15)] = "?"
+        if rng.random() < 0.005:
+            fields[rng.choice(list(INTEGER_FIELDS))] = str(rng.choice(["4x", "", "+", "- 5", "1.0"]))
+        if rng.random() < 0.005:
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["x"]
+        rows.append(",".join(blanks() + field + blanks() for field in fields))
+        if (len(fields) == 15 and not missing
+                and any(len(fields[j].lstrip("+-")) > 18 for j in INTEGER_FIELDS)):
+            too_long.append(line)
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    text = end.join(rows) + (end if rng.random() < 0.8 else "")
+    return text, too_long
+
+
+def outcome(load, path, caplog):
+    """The columns (dtype and values) and drop counts of the table load reads
+    at path, or the type and line of the error it raises."""
+    caplog.clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="distpriv.dataio"):
+            result = load(path)
+    except ParseError as exc:
+        return type(exc), exc.line
+    table, drops = (result[0], result[1:]) if load is oracle_load_adult else (
+        result, logged_drops(caplog))
+    return ({name: (getattr(table, name).dtype, getattr(table, name).tolist()) for name in FIELDS},
+            tuple(drops))
+
+
 class TestAdultParser:
     """load_adult against the row loop it replaced (`oracle_load_adult`)."""
 
@@ -263,6 +349,20 @@ class TestAdultParser:
             assert getattr(table, name).dtype == getattr(expected, name).dtype
             assert getattr(table, name).tolist() == getattr(expected, name).tolist(), name
         assert logged_drops(caplog) == (missing, out_of_range)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_files_match_the_row_loop(self, tmp_path, caplog, monkeypatch, seed):
+        rng = np.random.default_rng([seed, 0xADA17])
+        for k in range(20):
+            text, too_long = random_adult_text(rng)
+            path = tmp_path / f"{k}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            # Blocks this small cut the file inside lines and at their ends.
+            monkeypatch.setattr(dataio, "_BLOCK_BYTES", int(rng.integers(48, 1024)))
+            expected = outcome(oracle_load_adult, path, caplog)
+            if too_long and (isinstance(expected[0], dict) or too_long[0] < expected[1]):
+                expected = ParseError, too_long[0]
+            assert outcome(load_adult, path, caplog) == expected, (seed, k, text)
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_errors_match_the_row_loop(self, tmp_path, case):
@@ -311,7 +411,7 @@ class TestAdultParser:
             assert "not UTF-8" in str(err.value)
 
     @pytest.mark.timing
-    def test_at_most_half_the_row_loop_time(self, tmp_path):
+    def test_at_most_three_tenths_of_the_row_loop_time(self, tmp_path):
         table = synthetic_census_table(CANONICAL_ROW_COUNT, seed=17)
         path = write_adult_files(tmp_path / "adult", table, missing=3620, seed=17)
         assert columns(load_adult(path)) == columns(table)
@@ -321,7 +421,7 @@ class TestAdultParser:
                 start = time.perf_counter()
                 load(path)
                 times.append(time.perf_counter() - start)
-        assert statistics.median(fast) <= 0.5 * statistics.median(slow)
+        assert statistics.median(fast) <= 0.3 * statistics.median(slow)
 
 
 class TestDatasetDigest:
