@@ -54,7 +54,7 @@ _INTEGER_LOW = np.array([[AGE_BOUNDS[0]], [EDUCATION_BOUNDS[0]], [HOURS_BOUNDS[0
 _INTEGER_HIGH = np.array([[AGE_BOUNDS[1]], [EDUCATION_BOUNDS[1]], [HOURS_BOUNDS[1]]])
 # load_adult parses each file in blocks of about this many bytes, cut at a
 # newline, so its temporaries stay small beside the table. On the
-# benchmark's seed-101 Adult pair (5.5 MB) a load took 38 ms in blocks of
+# benchmark's seed-101 Adult pair (6.3 MB) a load took 38 ms in blocks of
 # 64 KiB, 29 ms in 128 KiB, 25 ms in 256 KiB, 24 ms in 512 KiB, 26 ms in
 # 1 MiB and 41 ms in 8 MiB (medians of 30 loads each, on a shared 2-vCPU
 # x86-64 host). 512 KiB was within the noise of 256 KiB, with temporaries
