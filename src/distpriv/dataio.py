@@ -231,16 +231,16 @@ def _newline_blocks(file: Path):
     as a newline, the lines, and _PAD zero bytes (see _parse_adult_block).
     A last line with no newline is given one."""
     with open(file, "rb") as fh:
-        tail = b""
+        tail = []  # the bytes read since the last newline, joined once
         while data := fh.read(_BLOCK_BYTES):
             cut = data.rfind(b"\n") + 1
             if cut:
-                yield b"".join((b"\n", tail, memoryview(data)[:cut], _ZEROS))
-                tail = data[cut:]
+                yield b"".join((b"\n", *tail, memoryview(data)[:cut], _ZEROS))
+                tail = [data[cut:]]
             else:
-                tail += data
-        if tail:
-            yield b"".join((b"\n", tail, b"\n", _ZEROS))
+                tail.append(data)
+        if any(tail):
+            yield b"".join((b"\n", *tail, b"\n", _ZEROS))
 
 
 def _parse_adult_block(text: bytes, name: str, first_line: int):
@@ -364,10 +364,7 @@ def _skip(arr, pos, step, table):
     or -1) while it is on a byte that table marks. The table leaves the
     newline unmarked, which bounds every line of a block."""
     flat = pos.reshape(-1)
-    # Only a position on a byte no higher than the table's highest mark
-    # can move; that test is cheaper than the table itself.
-    todo = np.flatnonzero(arr[flat] <= np.flatnonzero(table)[-1])
-    todo = todo[table[arr[flat[todo]]]]
+    todo = np.flatnonzero(table[arr[flat]])
     while todo.size:
         flat[todo] += step
         todo = todo[table[arr[flat[todo]]]]
@@ -392,7 +389,9 @@ def _parse_integers(arr, lo, hi):
         digit = arr[hi - (place + 1)] - np.uint8(ord("0"))
         digit *= n > place
         valid &= digit <= 9
-        values += digit * _POW10[place]
+        # A one-element slice, not a scalar: numpy before 2.0 would keep a
+        # uint8 array times a small int64 scalar in uint8, and wrap.
+        values += digit * _POW10[place:place + 1]
     if minus.any():
         np.negative(values, out=values, where=minus)
     return values, valid

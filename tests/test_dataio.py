@@ -194,6 +194,11 @@ ACCEPTED = {
         make_row(edu="17"), make_row(edu="0"), make_row(hours="0040"), make_row(hours="99"),
         make_row(hours="100"), make_row(hours="-1"), make_row(hours="+0099"),
         make_row(age="123456789012345678"), make_row(hours="000000000000000001")])},
+    # Out of range, but in range if a digit times its place value wrapped
+    # in a byte: 300 as 44, 10030 as 46, 340 as 84, 10040 as 56.
+    "integers-past-a-byte": {"a.csv": lines([
+        make_row(age="300"), make_row(age="10030"), make_row(hours="340"),
+        make_row(hours="10040"), make_row()])},
     "ascii-whitespace-around-fields": {"a.csv": lines([
         with_fields({0: "\t39\x0b", 1: "\x0cPrivate\x1c", 4: " \x1d13\x1e", 9: "\x1fFemale ",
                      14: " >50K.\t"}),
@@ -363,6 +368,18 @@ class TestAdultParser:
             if too_long and (isinstance(expected[0], dict) or too_long[0] < expected[1]):
                 expected = ParseError, too_long[0]
             assert outcome(load_adult, path, caplog) == expected, (seed, k, text)
+
+    def test_a_line_across_many_blocks(self, tmp_path, caplog, monkeypatch):
+        long_row = with_fields({2: " " * 6000 + "77516", 9: "Female" + "\t" * 6000})
+        rows = [make_row(), long_row, make_row(age=50), long_row]
+        path = tmp_path / "a.csv"
+        path.write_text(lines(rows)[:-1], encoding="utf-8")
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 64)
+        # Every line is longer than a block, so each comes as a block of its
+        # own; the last, which has no newline, is given one.
+        blocks = [bytes(block)[1:-dataio._PAD] for block in dataio._newline_blocks(path)]
+        assert blocks == [lines([row]).encode() for row in rows]
+        assert outcome(load_adult, path, caplog) == outcome(oracle_load_adult, path, caplog)
 
     @pytest.mark.parametrize("case", sorted(REFUSED))
     def test_errors_match_the_row_loop(self, tmp_path, case):
