@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Empirically auditing an indistinguishability claim.
 
-The auditor samples the released statistic under both protected models,
-applies the noise plan, and hunts over a family of events for one where
+The auditor samples the release under both protected models (a Gaussian
+plan's release is drawn at once from N(mu, Sigma + the plan's noise
+covariance), any other plan's as a model draw plus its noise) and hunts over a family of events for one where
 P(release in S | model_i) > e^epsilon P(release in S | model_j) + delta,
 folding in a 3-sigma binomial slack so sampling noise cannot manufacture
 a violation. A calibrated plan should report nothing; releasing the raw

@@ -103,9 +103,10 @@ def train_meta_classifier(features, labels) -> LinearClassifier:
     scales). The penalty (strength 1.0, bias excluded) applies on the
     standardized scale. Training is deterministic: each fit starts from
     zero weights and runs damped Newton iterations until its gradient
-    norm falls below 1e-6, a step finds no descent in 30 halvings, or 500
-    iterations elapse; a fit that stops keeps its weights while the rest
-    go on, so each member equals the fit of its matrix alone.
+    norm falls below 1e-6, a step finds no descent in 30 halvings, an
+    accepted step leaves its loss unchanged, or 500 iterations elapse; a
+    fit that stops keeps its weights while the rest go on, so each member
+    equals the fit of its matrix alone.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -167,14 +168,20 @@ def _newton(design: np.ndarray, y: np.ndarray) -> np.ndarray:
         hessian = (d * w[..., None]).transpose(0, 2, 1) @ d + penalty_matrix + jitter
         step = np.linalg.solve(hessian, grad[..., None])[..., 0]
         # Backtrack each fit whose full Newton step overshoots; one that
-        # finds no descent in 30 halvings stops where it is.
+        # finds no descent in 30 halvings stops where it is. A fit whose
+        # accepted step leaves its loss unchanged takes the step and stops:
+        # its loss, a sum over n rows, no longer resolves a descent, and
+        # later steps would be accepted only once they barely move.
         factor = 1.0
+        stop = np.zeros(live.size, dtype=bool)
         pending = np.arange(live.size)  # positions in `live` still backtracking
         for _ in range(30):
             candidate = th[pending] - factor * step[pending]
             new_scores = _matvec(d[pending] if pending.size < live.size else d, candidate)
             new_loss = _logistic_loss(new_scores, y, candidate, penalty)
-            better = new_loss <= loss[live[pending]]
+            old_loss = loss[live[pending]]
+            better = new_loss <= old_loss
+            stop[pending[new_loss == old_loss]] = True
             done = live[pending[better]]
             theta[done], scores[done], loss[done] = (
                 candidate[better], new_scores[better], new_loss[better])
@@ -182,10 +189,11 @@ def _newton(design: np.ndarray, y: np.ndarray) -> np.ndarray:
             if not pending.size:
                 break
             factor *= 0.5
-        if pending.size:
-            keep = np.ones(live.size, dtype=bool)
-            keep[pending] = False
-            live, d = live[keep], d[keep]
+        stop[pending] = True
+        if stop.any():
+            live, d = live[~stop], d[~stop]
+            if not live.size:
+                break
     return theta
 
 

@@ -13,7 +13,8 @@ S / epsilon with (epsilon, 0), or Gaussian c * S / epsilon with
 c = sqrt(2 ln(1.25/delta)) and (epsilon, delta). Adversarial-uncertainty
 variants subtract the query's inherent randomness from the noise that
 must be added. An empirical auditor estimates violations of the
-indistinguishability guarantee from samples.
+indistinguishability guarantee from samples of each side's release, which
+for a Gaussian plan is drawn at once from its law (`release_draws`).
 
 Plans are immutable, provenance included, and a plan owns the range of
 its noise scale: a scale or sigma must be finite and nonnegative, so a
@@ -129,6 +130,28 @@ class NoisePlan:
         if self.kind == "scalar_along_direction":
             return self.direction.size
         return None
+
+    def added_cov(self, m: int) -> np.ndarray:
+        """The exact covariance of the noise the plan adds to an m-vector.
+
+        sigma^2 I for gaussian_iid, cov for gaussian_cov, s^2 v v^T for
+        Gaussian scalar_along_direction, 2 b^2 I for laplace_iid and
+        2 b^2 v v^T for Laplace scalar_along_direction (a Laplace variable
+        of scale b has variance 2 b^2), and zeros for `none`. A plan of
+        another dimension raises ValueError.
+        """
+        if self.dim is not None and self.dim != m:
+            raise ValueError(f"plan dimension {self.dim} does not match query dimension {m}")
+        if self.kind == "none":
+            return np.zeros((m, m))
+        if self.kind == "gaussian_cov":
+            return self.cov.copy()
+        if self.kind == "gaussian_iid":
+            return self.sigma**2 * np.eye(m)
+        variance = self.scale**2 if self.dist == "gaussian" else 2.0 * self.scale**2
+        if self.kind == "laplace_iid":
+            return variance * np.eye(m)
+        return variance * np.outer(self.direction, self.direction)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "provenance": _thawed(self.provenance)}
@@ -541,6 +564,22 @@ _AUDIT_EVENT_FAMILY = (
 )
 
 
+def release_draws(plan: NoisePlan, model: GaussianModel, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n releases of the plan's query under a model, one per row.
+
+    Gaussian noise does not depend on the query, so a Gaussian plan's
+    release is exactly N(mean, cov + plan.added_cov(m)), which is drawn
+    through the factor of that one covariance. Every other plan's release
+    is a model draw plus the plan's noise, `apply_batch`.
+    """
+    if plan.kind in ("gaussian_iid", "gaussian_cov") or plan.dist == "gaussian":
+        release = GaussianModel(model.mean, model.cov + plan.added_cov(model.dim),
+                                model.sample_count)
+        return gaussian_model_draws(release, n, rng)
+    return apply_batch(plan, gaussian_model_draws(model, n, rng), rng)
+
+
 def audit(
     plan: NoisePlan,
     model_i: GaussianModel,
@@ -553,6 +592,10 @@ def audit(
     P(M in S | theta_i) <= exp(epsilon) P(M in S | theta_j) + delta
     over a fixed family of events, from `trials` Monte Carlo draws per side.
 
+    Each side's releases are `release_draws`: a Gaussian plan's are drawn
+    at once from the release law N(mu, Sigma + plan.added_cov(m)), any
+    other plan's as a model draw plus the plan's noise.
+
     Events are counted with two sorts per direction: the pooled sample
     and side i. The thresholds are read from the sorted pool by numpy's
     `linear` quantile rule, side i's counts come from `searchsorted`, and
@@ -564,8 +607,8 @@ def audit(
         raise ValueError(f"audit needs at least {MIN_AUDIT_TRIALS} trials, got {trials}")
     if model_i.dim != model_j.dim:
         raise ValueError("models must share a dimension")
-    out_i = apply_batch(plan, gaussian_model_draws(model_i, trials, rng), rng)
-    out_j = apply_batch(plan, gaussian_model_draws(model_j, trials, rng), rng)
+    out_i = release_draws(plan, model_i, trials, rng)
+    out_j = release_draws(plan, model_j, trials, rng)
     gap = model_i.mean - model_j.mean
     direction = solve_spd(model_i.cov, gap) if np.any(gap != 0.0) else None
     return AuditReport(

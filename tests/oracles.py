@@ -7,8 +7,9 @@ certificate is checked one edge at a time in Fractions, a Dinic
 blocking flow builds each node's candidate list when the DFS first visits
 it, the Adult parser reads one decoded line at a time with str.split and int,
 the auditor's events are scored by sorting each side and calling
-np.quantile, and a meta-classifier is fitted on its own, one damped Newton
-loop per feature matrix.
+np.quantile, its releases are drawn as a model draw plus the plan's noise
+whatever the plan, and a meta-classifier is fitted on its own, one damped
+Newton loop per feature matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from distpriv.dataio import AGE_BOUNDS, EDUCATION_BOUNDS, HOURS_BOUNDS, Table, dataset_files
 from distpriv.errors import FormatError, ParseError
-from distpriv.mechanisms import _AUDIT_QUANTILES
+from distpriv.mechanisms import _AUDIT_QUANTILES, apply_batch, gaussian_model_draws
 from distpriv.transport import DiscreteDistribution
 
 
@@ -269,6 +270,12 @@ def oracle_load_adult(path):
     return Table(*columns), dropped_missing, dropped_range
 
 
+def oracle_release_draws(plan, model, n, rng):
+    """n releases of the plan's query under a model, drawn as `audit` once
+    drew them for every plan: a model draw, then the plan's noise on it."""
+    return apply_batch(plan, gaussian_model_draws(model, n, rng), rng)
+
+
 def oracle_audit_violation(out_i, out_j, direction, params) -> float:
     """The auditor's score of release draws as `audit` once computed it:
     per direction, sort the pool and take `np.quantile` of it, sort each
@@ -306,7 +313,8 @@ def oracle_train_meta_classifier(features, labels, halvings=None):
 
     When `halvings` is a list, each Newton step appends how many times
     backtracking halved it (30 when it found no descent and the fit stopped),
-    so its length is the number of steps taken."""
+    so its length is the number of steps taken. A step accepted at an
+    unchanged loss is the fit's last."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     means = x.mean(axis=0)
@@ -336,17 +344,18 @@ def oracle_train_meta_classifier(features, labels, halvings=None):
         hessian = (design * w[:, None]).T @ design + np.diag(penalty) + 1e-12 * np.eye(m + 1)
         step = np.linalg.solve(hessian, grad)
         factor = 1.0
+        flat = False
         for halved in range(30):
             candidate = theta - factor * step
             new_loss = logistic_loss(candidate)
             if new_loss <= loss:
-                theta, loss = candidate, new_loss
+                theta, loss, flat = candidate, new_loss, new_loss == loss
                 break
             factor *= 0.5
         else:
             halved = 30
         if halvings is not None:
             halvings.append(halved)
-        if halved == 30:
+        if halved == 30 or flat:
             break
     return theta[:m].copy(), float(theta[m]), means, scales

@@ -163,6 +163,27 @@ class TestBatchedTraining:
             assert clf.decision_scores(held)[k].tobytes() == alone.decision_scores(held[k]).tobytes()
             assert accuracies[k] == evaluate_attack(alone, held[k], held_labels)
 
+    def test_a_fit_stops_once_its_loss_cannot_see_a_step(self, monkeypatch):
+        # At 211,618 rows the loss, a sum over every row, cannot resolve the
+        # descent of a step whose gradient is still above GRAD_TOL: member 0
+        # reaches a gradient of 1.1e-4 in 5 steps, after which a step is
+        # accepted only once it is halved so far that the loss is unchanged.
+        # A fit that went on from there ran all MAX_ITER iterations.
+        import distpriv.attack
+
+        n = 211_618
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(n, 1))
+        labels = (rng.random(n) < 1.0 / (1.0 + np.exp(-2.0 * x[:, 0]))).astype(int)
+        stack = np.stack([x, x + 0.5 * rng.normal(size=(n, 1))])
+        iterations = []
+        sigmoid = distpriv.attack._sigmoid
+        monkeypatch.setattr(distpriv.attack, "_sigmoid",
+                            lambda z: iterations.append(z.shape[0]) or sigmoid(z))
+        steps = self.assert_members_match_the_oracle(stack, labels)
+        assert len(iterations) <= 10 < distpriv.attack.MAX_ITER
+        assert max(len(halvings) for halvings in steps) <= 10
+
     @pytest.mark.parametrize("stack,labels,error", [
         (np.zeros((3, 10, 2)), np.ones(10), TrainingError),
         (np.zeros((3, 10, 2)), np.array([0, 0, 1, 1, 2, 2, 0, 1, 0, 1]), TrainingError),

@@ -34,6 +34,7 @@ from distpriv.mechanisms import (
     per_record_sensitivity,
     relaxed_budget_maxdiv,
     relaxed_budget_wasserstein,
+    release_draws,
 )
 from distpriv.mechanisms import _AUDIT_QUANTILES, _half_space_violation, _sorted_quantiles
 from distpriv.model import (
@@ -56,7 +57,7 @@ from distpriv.seeding import derive_rng
 from distpriv.transport import DiscreteDistribution
 
 from helpers import WORKED_COV, translation_family, worked_example_family
-from oracles import oracle_audit_violation
+from oracles import oracle_audit_violation, oracle_release_draws
 
 PARAMS = PrivacyParams(1.0, 0.001)
 V_GAP = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -1025,11 +1026,12 @@ class TestAudit:
 
     # float.hex of estimated_violation per mechanism, at (1, 1e-3). The two
     # models have diagonal covariances and means that differ along one axis,
-    # so every draw, noise vector and projection has one nonzero term per
-    # entry and no BLAS summation order can move a bit.
+    # and so has expm-g's release covariance Sigma + sigma^2 I, so every
+    # draw, noise vector and projection has one nonzero term per entry and
+    # no BLAS summation order can move a bit.
     PINNED_VIOLATIONS = {
         "none": "0x1.c1aa71652521ap-4", "expm-l": "-0x1.b9cc306338798p-7",
-        "expm-g": "-0x1.ba416a254bfa4p-6", "dir-l": "-0x1.38a9cd69e43c0p-6",
+        "expm-g": "-0x1.10d20b69edab8p-5", "dir-l": "-0x1.38a9cd69e43c0p-6",
     }
 
     def test_violations_match_pinned_bits(self):
@@ -1050,8 +1052,8 @@ class TestAudit:
 
 def audit_draws(plan, model_i, model_j, trials, rng):
     """The release draws and Mahalanobis direction `audit` scores, drawn as it draws them."""
-    out_i = apply_batch(plan, gaussian_model_draws(model_i, trials, rng), rng)
-    out_j = apply_batch(plan, gaussian_model_draws(model_j, trials, rng), rng)
+    out_i = release_draws(plan, model_i, trials, rng)
+    out_j = release_draws(plan, model_j, trials, rng)
     gap = model_i.mean - model_j.mean
     return out_i, out_j, (solve_spd(model_i.cov, gap) if np.any(gap != 0.0) else None)
 
@@ -1136,6 +1138,133 @@ class TestAuditScoringOracle:
             assert np.all(np.diff(pool) >= 0.0)
             want = np.quantile(pool, _AUDIT_QUANTILES)
             assert _sorted_quantiles(pool).tobytes() == want.tobytes()
+
+
+GAUSSIAN_MECHANISMS = ("expm-g", "dir-g", "eig", "dau", "gdp-g")
+
+
+class TestReleaseDraws:
+    """`release_draws` draws a Gaussian plan's releases from their law,
+    N(mu, Sigma + added_cov), and any other plan's as the two-draw path
+    (`oracle_release_draws`) does, bit for bit."""
+
+    TRIALS = 100_000
+
+    @staticmethod
+    def golden_plans(params):
+        fam = TestAuditScoringOracle.golden_family()
+        plans = {mech: build_plan(mech, fam, params, TestPlanBits.config()) for mech in MECHANISMS}
+        return fam, plans
+
+    def test_gaussian_plans_follow_the_two_draw_law(self):
+        stats = pytest.importorskip("scipy.stats")
+        params = PrivacyParams(1.0, 1e-3)
+        fam, plans = self.golden_plans(params)
+        gaussian = {mech for mech, plan in plans.items()
+                    if plan.kind in ("gaussian_iid", "gaussian_cov") or plan.dist == "gaussian"}
+        assert gaussian == set(GAUSSIAN_MECHANISMS)
+        (lab_i, lab_j), n = fam.pairs[0], self.TRIALS
+        gap = fam.catalog[lab_i].mean - fam.catalog[lab_j].mean
+        direction = solve_spd(fam.catalog[lab_i].cov, gap)
+        pvalues = []
+        for mech in GAUSSIAN_MECHANISMS:
+            plan = plans[mech]
+            for label in (lab_i, lab_j):
+                model = fam.catalog[label]
+                got = release_draws(plan, model, n, derive_rng(37, mech, label.value))
+                want = oracle_release_draws(plan, model, n, derive_rng(38, mech, label.value))
+                for k in range(model.dim):
+                    pvalues.append(stats.ks_2samp(got[:, k], want[:, k]).pvalue)
+                pvalues.append(stats.ks_2samp(got @ direction, want @ direction).pvalue)
+                # Each sample covariance entry has variance
+                # (C_kk C_ll + C_kl^2) / n about the release covariance C.
+                release_cov = model.cov + plan.added_cov(model.dim)
+                sd = np.sqrt((np.outer(np.diag(release_cov), np.diag(release_cov))
+                              + release_cov**2) / n)
+                assert np.all(np.abs(np.cov(got, rowvar=False) - release_cov) <= 5.0 * sd), mech
+        # Bonferroni over every axis and direction: family-wise level 1e-3.
+        assert min(pvalues) >= 1e-3 / len(pvalues)
+
+    @pytest.mark.parametrize("eps", [0.2, 1.0, 5.0])
+    def test_other_plans_draw_as_the_two_draw_path(self, eps):
+        fam, plans = self.golden_plans(PrivacyParams(eps, 1e-3))
+        others = [mech for mech in MECHANISMS if mech not in GAUSSIAN_MECHANISMS]
+        assert {plans[mech].kind for mech in others} == {"none", "laplace_iid",
+                                                         "scalar_along_direction"}
+        for mech in others:
+            for label in fam.catalog:
+                got = release_draws(plans[mech], fam.catalog[label], 10_001,
+                                    derive_rng(39, mech, eps))
+                want = oracle_release_draws(plans[mech], fam.catalog[label], 10_001,
+                                            derive_rng(39, mech, eps))
+                assert got.tobytes() == want.tobytes(), mech
+
+
+class TestAddedCov:
+    V = np.array([0.6, 0.0, -0.8])
+
+    @pytest.mark.parametrize("plan,want", [
+        (NoisePlan(kind="none"), np.zeros((3, 3))),
+        (NoisePlan(kind="gaussian_iid", sigma=2.5), 6.25 * np.eye(3)),
+        (NoisePlan(kind="laplace_iid", scale=1.5), 4.5 * np.eye(3)),
+        (NoisePlan(kind="gaussian_cov", cov=[[2.0, 0.5], [0.5, 1.0]]), [[2.0, 0.5], [0.5, 1.0]]),
+        (NoisePlan(kind="scalar_along_direction", dist="gaussian", scale=3.0, direction=V),
+         9.0 * np.outer(V, V)),
+        (NoisePlan(kind="scalar_along_direction", dist="laplace", scale=3.0, direction=V),
+         18.0 * np.outer(V, V)),
+    ], ids=["none", "gaussian_iid", "laplace_iid", "gaussian_cov", "gaussian_direction",
+            "laplace_direction"])
+    def test_exact_formula(self, plan, want):
+        m = plan.dim or 3
+        got = plan.added_cov(m)
+        assert got.shape == (m, m) and got.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_gaussian_cov_is_a_copy_of_the_plans_covariance(self):
+        plan = NoisePlan(kind="gaussian_cov", cov=[[2.0, 0.5], [0.5, 1.0]])
+        got = plan.added_cov(2)
+        assert np.array_equal(got, plan.cov) and got is not plan.cov
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            NoisePlan(kind="scalar_along_direction", dist="gaussian", scale=1.0,
+                      direction=self.V).added_cov(2)
+        with pytest.raises(ValueError, match="dimension"):
+            NoisePlan(kind="gaussian_cov", cov=np.eye(2)).added_cov(3)
+
+    @pytest.mark.parametrize("plan", [
+        NoisePlan(kind="laplace_iid", scale=1.5),
+        NoisePlan(kind="scalar_along_direction", dist="laplace", scale=3.0, direction=V),
+    ], ids=["laplace_iid", "laplace_direction"])
+    def test_laplace_noise_has_the_stated_variance(self, plan):
+        n, b = 10**6, plan.scale
+        noise = apply_batch(plan, np.zeros((n, 3)), derive_rng(40, plan.kind))
+        squares = (noise.ravel() if plan.kind == "laplace_iid" else noise @ self.V) ** 2
+        # A Laplace variable of scale b has E X^2 = 2 b^2 and Var X^2 = 20 b^4.
+        assert abs(squares.mean() - 2.0 * b**2) <= 3.0 * math.sqrt(20.0 * b**4 / squares.size)
+
+
+@pytest.mark.timing
+def test_gaussian_audit_at_most_nine_tenths_of_the_two_draw_time():
+    fam = TestAuditScoringOracle.golden_family()
+    params = PrivacyParams(1.0, 1e-3)
+    plan = calibrate_expm(fam, params, "gaussian")
+    model_i, model_j = (fam.catalog[label] for label in fam.pairs[0])
+    direction = solve_spd(model_i.cov, model_i.mean - model_j.mean)
+
+    def two_draw_audit(rng):
+        out_i = oracle_release_draws(plan, model_i, 20_000, rng)
+        out_j = oracle_release_draws(plan, model_j, 20_000, rng)
+        return _half_space_violation(out_i, out_j, direction, params)
+
+    fast, slow = [], []
+    for k in range(7):
+        for run, times in ((lambda rng: audit(plan, model_i, model_j, params, 20_000, rng), fast),
+                           (two_draw_audit, slow)):
+            rng = derive_rng(41, k)
+            start = time.perf_counter()
+            run(rng)
+            times.append(time.perf_counter() - start)
+    assert statistics.median(fast) <= 0.9 * statistics.median(slow)
 
 
 @pytest.mark.timing
