@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Empirically auditing an indistinguishability claim.
 
-The auditor samples the release under both protected models (a Gaussian
-plan's release is drawn at once from N(mu, Sigma + the plan's noise
-covariance), any other plan's as a model draw plus its noise) and hunts over a family of events for one where
+The auditor samples the release under both protected models from the
+release law: a Gaussian plan's release is drawn at once from
+N(mu, Sigma + the plan's noise covariance), and a Laplace plan's is a
+model draw plus b (E1 - E2), a difference of two unit exponentials, per
+entry or along the plan's direction. It hunts over a family of events for one where
 P(release in S | model_i) > e^epsilon P(release in S | model_j) + delta,
 folding in a 3-sigma binomial slack so sampling noise cannot manufacture
 a violation. A calibrated plan should report nothing; releasing the raw

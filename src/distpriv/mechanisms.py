@@ -13,8 +13,10 @@ S / epsilon with (epsilon, 0), or Gaussian c * S / epsilon with
 c = sqrt(2 ln(1.25/delta)) and (epsilon, delta). Adversarial-uncertainty
 variants subtract the query's inherent randomness from the noise that
 must be added. An empirical auditor estimates violations of the
-indistinguishability guarantee from samples of each side's release, which
-for a Gaussian plan is drawn at once from its law (`release_draws`).
+indistinguishability guarantee from samples of each side's release, drawn
+from the release law (`release_draws`): at once from N(mu, Sigma +
+added_cov) for a Gaussian plan, and as a model draw plus b (E_1 - E_2),
+a difference of unit exponentials, for a Laplace plan.
 
 Plans are immutable, provenance included, and a plan owns the range of
 its noise scale: a scale or sigma must be finite and nonnegative, so a
@@ -217,7 +219,9 @@ class AuditReport:
 
 def gaussian_model_draws(model: GaussianModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n draws from a fitted Gaussian model, one per row, through its stored factor."""
-    return model.mean + rng.standard_normal((n, model.dim)) @ model.factor.T
+    draws = rng.standard_normal((n, model.dim)) @ model.factor.T
+    draws += model.mean
+    return draws
 
 
 def gaussian_l1_radius(model: GaussianModel, delta: float) -> float:
@@ -566,18 +570,33 @@ _AUDIT_EVENT_FAMILY = (
 
 def release_draws(plan: NoisePlan, model: GaussianModel, n: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """n releases of the plan's query under a model, one per row.
+    """n releases of the plan's query under a model, one per row, drawn from
+    the release law; a plan of another dimension raises ValueError first.
 
-    Gaussian noise does not depend on the query, so a Gaussian plan's
-    release is exactly N(mean, cov + plan.added_cov(m)), which is drawn
-    through the factor of that one covariance. Every other plan's release
-    is a model draw plus the plan's noise, `apply_batch`.
+    No plan's noise depends on the query. A Gaussian plan's release is
+    exactly N(mean, cov + plan.added_cov(m)), drawn through the factor of
+    that one covariance. Every other release is a model draw plus the
+    plan's noise: none for `none`, and for a Laplace plan of scale b,
+    b (E_1 - E_2) per entry (`laplace_iid`) or b (E_1 - E_2) v per row
+    (along direction v), where E_1 and E_2 are independent unit
+    exponentials drawn after the model draw, so E_1 - E_2 is a standard
+    Laplace.
     """
+    m = model.dim
+    if plan.dim is not None and plan.dim != m:
+        raise ValueError(f"plan dimension {plan.dim} does not match query dimension {m}")
     if plan.kind in ("gaussian_iid", "gaussian_cov") or plan.dist == "gaussian":
-        release = GaussianModel(model.mean, model.cov + plan.added_cov(model.dim),
-                                model.sample_count)
+        release = GaussianModel(model.mean, model.cov + plan.added_cov(m), model.sample_count)
         return gaussian_model_draws(release, n, rng)
-    return apply_batch(plan, gaussian_model_draws(model, n, rng), rng)
+    out = gaussian_model_draws(model, n, rng)
+    if plan.kind == "none":
+        return out
+    iid = plan.kind == "laplace_iid"
+    pair = rng.standard_exponential((2, n, m) if iid else (2, n))
+    noise = np.subtract(pair[0], pair[1], out=pair[0])
+    noise *= plan.scale
+    out += noise if iid else noise[:, None] * plan.direction
+    return out
 
 
 def audit(
@@ -592,9 +611,11 @@ def audit(
     P(M in S | theta_i) <= exp(epsilon) P(M in S | theta_j) + delta
     over a fixed family of events, from `trials` Monte Carlo draws per side.
 
-    Each side's releases are `release_draws`: a Gaussian plan's are drawn
-    at once from the release law N(mu, Sigma + plan.added_cov(m)), any
-    other plan's as a model draw plus the plan's noise.
+    Each side's releases are `release_draws`, drawn from the release law:
+    a Gaussian plan's at once from N(mu, Sigma + plan.added_cov(m)), a
+    Laplace plan's as a model draw plus b (E_1 - E_2) per entry or along
+    its direction, and `none`'s as the model draw itself. A plan of
+    another dimension raises ValueError before anything is drawn.
 
     Events are counted with two sorts per direction: the pooled sample
     and side i. The thresholds are read from the sorted pool by numpy's
